@@ -25,11 +25,12 @@
 //! single-thread numbers look fine.
 //!
 //! On a single-thread run the binary also counts heap allocations made
-//! inside the comm phases' steady-state loops (after a warmup batch that
-//! fills every scratch buffer to its high-water mark) via a counting
-//! global allocator, and emits `bench.comm.allocs_per_delivery`. With
-//! `--check` the gate fails if that number is non-zero: the fabric's
-//! deliver path is required to be allocation-free once warmed.
+//! inside the comm and sched phases' steady-state loops (after a warmup
+//! batch that fills every scratch buffer to its high-water mark) via a
+//! counting global allocator, and emits `bench.comm.allocs_per_delivery`
+//! and `bench.sched.allocs_per_dispatch`. With `--check` the gate fails if
+//! either number is non-zero: the fabric's deliver path and a reused
+//! scheduler simulator are required to be allocation-free once warmed.
 
 use dynplat_bench::Table;
 use dynplat_comm::fabric::Fabric;
@@ -46,7 +47,7 @@ use dynplat_hw::topology::{BusKind, BusSpec, HwTopology};
 use dynplat_net::TrafficClass;
 use dynplat_obs::MetricsSnapshot;
 use dynplat_obs::TraceCtx;
-use dynplat_sched::simulate::{simulate_schedule, Policy, SchedSimConfig};
+use dynplat_sched::simulate::{Policy, SchedSimConfig, Simulator};
 use dynplat_sched::task::{TaskSet, TaskSpec};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -464,7 +465,7 @@ fn run_route_phase(budget: std::time::Duration) -> (u64, std::time::Duration) {
 }
 
 /// Scheduler dispatch: preemptive fixed-priority simulation over a
-/// 20-task set. Returns `(completions, elapsed)`.
+/// 20-task set, one reused [`Simulator`]. Returns `(completions, elapsed)`.
 fn run_sched_phase(budget: std::time::Duration) -> (u64, std::time::Duration) {
     let set: TaskSet = (0..20u32)
         .map(|i| {
@@ -481,13 +482,21 @@ fn run_sched_phase(budget: std::time::Duration) -> (u64, std::time::Duration) {
         horizon: SimDuration::from_secs(1),
         ..Default::default()
     };
+    let policy = Policy::FixedPriorityPreemptive;
+    let mut sim = Simulator::new();
+    // Warmup: one run grows the job store, heaps and stats buffer to their
+    // steady-state size before the counted window opens.
+    sim.run(&set, &policy, &cfg);
     let mut completions = 0u64;
+    alloc_gate::set_counting(true);
     let start = Instant::now();
     while start.elapsed() < budget {
-        let stats = simulate_schedule(&set, &Policy::FixedPriorityPreemptive, &cfg);
+        let stats = sim.run(&set, &policy, &cfg);
         completions += stats.tasks.iter().map(|t| t.completions).sum::<u64>();
     }
-    (completions, start.elapsed())
+    let elapsed = start.elapsed();
+    alloc_gate::set_counting(false);
+    (completions, elapsed)
 }
 
 fn ops_per_sec(ops: u64, elapsed: std::time::Duration) -> i64 {
@@ -548,7 +557,9 @@ fn main() -> ExitCode {
     let (frames_sent, frames_delivered, stream_elapsed) =
         contended2(threads, budget, run_stream_phase);
     let (routes_resolved, route_elapsed) = contended1(threads, budget, run_route_phase);
+    let comm_allocs = alloc_gate::total();
     let (dispatch_completions, sched_elapsed) = contended1(threads, budget, run_sched_phase);
+    let sched_allocs = alloc_gate::total() - comm_allocs;
 
     let publish_ops = published + rpc_calls + frames_sent;
     let deliver_ops = event_delivered + rpc_completed + frames_delivered;
@@ -592,23 +603,33 @@ fn main() -> ExitCode {
     }
 
     // Steady-state allocation accounting (single-thread runs only). The
-    // per-delivery gauge is ceiling-rounded so even one stray allocation
+    // per-op gauges are ceiling-rounded so even one stray allocation
     // anywhere in a counted window reads as >= 1 and trips the gate.
-    let steady_allocs = alloc_gate::total();
-    let allocs_per_delivery = if threads == 1 && deliver_ops > 0 {
-        steady_allocs.div_ceil(deliver_ops) as i64
-    } else {
-        -1 // not measured under contention
+    let per_op = |allocs: u64, ops: u64| {
+        if threads == 1 && ops > 0 {
+            allocs.div_ceil(ops) as i64
+        } else {
+            -1 // not measured under contention
+        }
     };
+    let allocs_per_delivery = per_op(comm_allocs, deliver_ops);
+    let allocs_per_dispatch = per_op(sched_allocs, dispatch_completions);
     registry
         .gauge("bench.comm.steady_allocs")
-        .set(steady_allocs as i64);
+        .set(comm_allocs as i64);
     registry
         .gauge("bench.comm.allocs_per_delivery")
         .set(allocs_per_delivery);
+    registry
+        .gauge("bench.sched.steady_allocs")
+        .set(sched_allocs as i64);
+    registry
+        .gauge("bench.sched.allocs_per_dispatch")
+        .set(allocs_per_dispatch);
     if threads == 1 {
         eprintln!(
-            "bench: steady-state heap allocations: {steady_allocs} across {deliver_ops} deliveries"
+            "bench: steady-state heap allocations: {comm_allocs} across {deliver_ops} deliveries, \
+             {sched_allocs} across {dispatch_completions} dispatches"
         );
     }
 
@@ -668,8 +689,15 @@ fn main() -> ExitCode {
         };
         if threads == 1 && allocs_per_delivery > 0 {
             eprintln!(
-                "bench: ALLOCATION REGRESSION: {steady_allocs} heap allocations in the \
+                "bench: ALLOCATION REGRESSION: {comm_allocs} heap allocations in the \
                  steady-state deliver loop (expected 0; {deliver_ops} deliveries)"
+            );
+            return ExitCode::FAILURE;
+        }
+        if threads == 1 && allocs_per_dispatch > 0 {
+            eprintln!(
+                "bench: ALLOCATION REGRESSION: {sched_allocs} heap allocations in the \
+                 steady-state dispatch loop (expected 0; {dispatch_completions} dispatches)"
             );
             return ExitCode::FAILURE;
         }

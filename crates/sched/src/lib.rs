@@ -39,6 +39,6 @@ pub use manage::{ScheduleManager, SynthesisBackend, SynthesisOutcome};
 pub use rta::{assign_deadline_monotonic, response_times, RtaResult};
 pub use sensitivity::critical_scaling_factor;
 pub use server::{PeriodicServer, ServerAnalysis};
-pub use simulate::{simulate_schedule, Policy, SchedSimConfig, SchedStats};
+pub use simulate::{simulate_schedule, Policy, SchedSimConfig, SchedStats, Simulator};
 pub use task::{TaskSet, TaskSpec};
 pub use tt::{TtEntry, TtSchedule, TtSynthesisError};

@@ -17,6 +17,16 @@
 //! * [`Policy::FpWithServer`] — deterministic tasks under preemptive fixed
 //!   priority; NDA work sandboxed in a budget server that only consumes
 //!   idle time, up to its budget per period.
+//!
+//! Engine layout: jobs live *task-major* in one store (task `i`'s jobs are
+//! one contiguous, release-ordered slice), so a time-triggered slot finds
+//! its job by index and the statistics are one walk over the store.
+//! Arrival order across tasks comes from a per-task next-release merge
+//! (one heap entry per task), the fixed-priority ready set is a binary
+//! heap keyed by priority, and idle time flows from the busy segments
+//! through the server budget into the NDA drain as one lazy pipeline.
+//! Response and slack samples go into local histograms flushed once per
+//! run. A [`Simulator`] keeps all of that scratch between runs.
 
 use crate::server::PeriodicServer;
 use crate::task::TaskSet;
@@ -24,8 +34,13 @@ use crate::tt::TtSchedule;
 use dynplat_common::rng::seeded_rng;
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{AppKind, TaskId};
-use dynplat_obs::TraceCtx;
+use dynplat_obs::{ExemplarSet, LocalExemplars, LocalHistogram, TraceCtx};
 use dynplat_sim::jitter::ExecutionModel;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Scheduling policy under simulation.
 #[derive(Clone, Debug)]
@@ -112,7 +127,7 @@ impl TaskStats {
 }
 
 /// Results of a simulation run.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SchedStats {
     /// Statistics per task, in task-set order.
     pub tasks: Vec<TaskStats>,
@@ -160,10 +175,10 @@ impl SchedStats {
     }
 }
 
-#[derive(Clone, Debug)]
+/// One released job. Its task and its index within that task are
+/// positional in the [`JobStore`], not stored.
+#[derive(Clone, Copy, Debug)]
 struct Job {
-    task_idx: usize,
-    index_in_task: u64,
     release: SimTime,
     deadline: SimTime,
     exec: SimDuration,
@@ -171,128 +186,308 @@ struct Job {
     completed: Option<SimTime>,
 }
 
-fn generate_jobs(set: &TaskSet, cfg: &SchedSimConfig) -> Vec<Job> {
-    let mut rng = seeded_rng(cfg.seed);
-    let end = SimTime::ZERO + cfg.horizon;
-    let mut jobs = Vec::new();
-    for (task_idx, task) in set.tasks().iter().enumerate() {
-        let model = ExecutionModel::new(
-            task.wcet.mul_f64(cfg.bcet_frac.clamp(0.01, 1.0)),
-            task.wcet,
-            cfg.exec_sigma,
-        );
-        let mut k = 0u64;
-        loop {
-            let release = SimTime::ZERO + task.offset + task.period * k;
-            if release >= end {
-                break;
+/// Every job released within the horizon, task-major: task `i`'s jobs are
+/// `jobs[start[i]..start[i + 1]]` in release order.
+#[derive(Debug, Default)]
+struct JobStore {
+    jobs: Vec<Job>,
+    start: Vec<usize>,
+}
+
+impl JobStore {
+    /// Releases every job of `set` within the horizon. Execution times come
+    /// from one seeded stream drawn task by task, each task's jobs in
+    /// release order.
+    fn generate(&mut self, set: &TaskSet, cfg: &SchedSimConfig) {
+        // Exact job count, so the store grows at most once per run.
+        let released: u64 = set
+            .tasks()
+            .iter()
+            .map(|t| {
+                let span = cfg.horizon.saturating_sub(t.offset).as_nanos();
+                span.div_ceil(t.period.as_nanos())
+            })
+            .sum();
+        self.jobs.clear();
+        self.jobs.reserve(released as usize);
+        self.start.clear();
+        self.start.reserve(set.len() + 1);
+        let mut rng = seeded_rng(cfg.seed);
+        let end = SimTime::ZERO + cfg.horizon;
+        for task in set.tasks() {
+            self.start.push(self.jobs.len());
+            let model = ExecutionModel::new(
+                task.wcet.mul_f64(cfg.bcet_frac.clamp(0.01, 1.0)),
+                task.wcet,
+                cfg.exec_sigma,
+            );
+            let mut release = SimTime::ZERO + task.offset;
+            while release < end {
+                let exec = model.sample(&mut rng);
+                self.jobs.push(Job {
+                    release,
+                    deadline: release + task.deadline,
+                    exec,
+                    remaining: exec,
+                    completed: None,
+                });
+                release += task.period;
             }
-            let exec = model.sample(&mut rng);
-            jobs.push(Job {
-                task_idx,
-                index_in_task: k,
-                release,
-                deadline: release + task.deadline,
-                exec,
-                remaining: exec,
-                completed: None,
-            });
-            k += 1;
+        }
+        self.start.push(self.jobs.len());
+    }
+
+    /// Store positions of task `task`'s jobs.
+    fn range(&self, task: usize) -> Range<usize> {
+        self.start[task]..self.start[task + 1]
+    }
+}
+
+/// Per-task next-release merge over a subset of the store's tasks. Yields
+/// jobs in `(release, task index)` order — the order of a release-sorted
+/// job list — holding one heap entry per task instead of one per job.
+#[derive(Debug, Default)]
+struct Releases {
+    /// `(next release, task index, store position, end of the task's range)`.
+    heap: BinaryHeap<Reverse<(SimTime, usize, usize, usize)>>,
+}
+
+impl Releases {
+    /// Restarts the merge over the tasks `include` selects.
+    fn reset(&mut self, store: &JobStore, include: impl Fn(usize) -> bool) {
+        self.heap.clear();
+        self.heap.reserve(store.start.len());
+        for task in 0..store.start.len().saturating_sub(1) {
+            let Range { start, end } = store.range(task);
+            if start < end && include(task) {
+                self.heap
+                    .push(Reverse((store.jobs[start].release, task, start, end)));
+            }
         }
     }
-    jobs.sort_by_key(|j| (j.release, j.task_idx));
-    jobs
+
+    /// Release time of the next job, if any remain.
+    fn peek(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(e)| e.0)
+    }
+
+    /// Takes the next job as `(task index, store position)`.
+    fn pop(&mut self, jobs: &[Job]) -> Option<(usize, usize)> {
+        let mut top = self.heap.peek_mut()?;
+        let Reverse((_, task, pos, end)) = *top;
+        if pos + 1 < end {
+            *top = Reverse((jobs[pos + 1].release, task, pos + 1, end));
+        } else {
+            PeekMut::pop(top);
+        }
+        Some((task, pos))
+    }
+
+    /// Takes the next job if it is released at or before `t`.
+    fn pop_due(&mut self, t: SimTime, jobs: &[Job]) -> Option<(usize, usize)> {
+        if self.peek()? <= t {
+            self.pop(jobs)
+        } else {
+            None
+        }
+    }
 }
 
-fn collect_stats(set: &TaskSet, jobs: &[Job], horizon: SimTime, trace: TraceCtx) -> SchedStats {
-    let flight = dynplat_obs::flight_recorder();
-    let obs_activations = dynplat_obs::counter!("sched.dispatch.activations");
-    let obs_completions = dynplat_obs::counter!("sched.dispatch.completions");
-    let obs_misses = dynplat_obs::counter!("sched.dispatch.deadline_misses");
-    let obs_response = dynplat_obs::histogram!("sched.dispatch.response_ns");
-    let obs_slack = dynplat_obs::histogram!("sched.dispatch.slack_ns");
-    // Worst response times keep their causal context: the top-K offers
-    // land as exemplars next to the histogram, linkable via the run's
-    // trace id in flight dumps and Chrome traces.
-    let obs_exemplars = dynplat_obs::global().exemplars("sched.dispatch.response_ns");
-    let tasks = set
-        .tasks()
-        .iter()
-        .enumerate()
-        .map(|(idx, task)| {
-            let mine: Vec<&Job> = jobs.iter().filter(|j| j.task_idx == idx).collect();
-            let mut misses = 0u64;
-            let mut completions = 0u64;
-            let mut rmin = SimDuration::MAX;
-            let mut rmax = SimDuration::ZERO;
-            let mut rsum = SimDuration::ZERO;
-            for job in &mine {
-                let missed_at = match job.completed {
-                    Some(t) => {
-                        completions += 1;
-                        let resp = t.saturating_since(job.release);
-                        obs_response.record(resp.as_nanos());
-                        obs_exemplars.offer(resp.as_nanos(), trace);
-                        obs_slack.record(job.deadline.saturating_since(t).as_nanos());
-                        rmin = rmin.min(resp);
-                        rmax = rmax.max(resp);
-                        rsum += resp;
-                        (t > job.deadline).then_some(t)
+/// A reusable scheduler simulator. It owns the job store, the release
+/// merge, the ready heap, the busy-segment list and the output buffer, so
+/// back-to-back runs allocate nothing once these have grown to the largest
+/// task set seen. [`simulate_schedule`] is the one-shot form.
+///
+/// # Examples
+///
+/// ```
+/// use dynplat_common::time::SimDuration;
+/// use dynplat_common::TaskId;
+/// use dynplat_sched::simulate::{Policy, SchedSimConfig, Simulator};
+/// use dynplat_sched::task::{TaskSet, TaskSpec};
+///
+/// let set: TaskSet = [TaskSpec::periodic(
+///     TaskId(1),
+///     "ctrl",
+///     SimDuration::from_millis(10),
+///     SimDuration::from_millis(2),
+/// )]
+/// .into_iter()
+/// .collect();
+/// let mut sim = Simulator::new();
+/// let stats = sim.run(&set, &Policy::FixedPriorityPreemptive, &SchedSimConfig::default());
+/// assert_eq!(stats.tasks[0].activations, 100);
+/// assert_eq!(stats.deterministic_miss_rate(), 0.0);
+/// ```
+#[derive(Debug, Default)]
+pub struct Simulator {
+    store: JobStore,
+    releases: Releases,
+    /// Fixed-priority ready set, `(priority, task id, store position)`;
+    /// the top is the running job. Store positions order a task's jobs by
+    /// release, so they break ties the way job indices would.
+    ready: BinaryHeap<Reverse<(u32, u32, usize)>>,
+    /// Busy segments `(start, end)`, sorted by start.
+    busy: Vec<(SimTime, SimTime)>,
+    stats: SchedStats,
+}
+
+impl Simulator {
+    /// An empty simulator.
+    pub fn new() -> Self {
+        Simulator::default()
+    }
+
+    /// Runs `set` under `policy` for the configured horizon and returns the
+    /// per-task statistics, valid until the next run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Policy::TimeTriggered`] is used with a schedule that does
+    /// not cover all deterministic tasks of `set`.
+    pub fn run(&mut self, set: &TaskSet, policy: &Policy, cfg: &SchedSimConfig) -> &SchedStats {
+        let horizon = SimTime::ZERO + cfg.horizon;
+        let tasks = set.tasks();
+        let of_kind = |kind: AppKind| move |i: usize| tasks[i].kind == kind;
+        self.store.generate(set, cfg);
+        match policy {
+            Policy::NonPreemptiveFifo => {
+                self.releases.reset(&self.store, |_| true);
+                run_fifo(&mut self.store.jobs, &mut self.releases, horizon);
+            }
+            Policy::FixedPriorityPreemptive => {
+                self.releases.reset(&self.store, |_| true);
+                self.run_fp(set, horizon);
+            }
+            Policy::TimeTriggered(schedule) => {
+                // Deterministic jobs execute in their slots; NDA jobs
+                // drain in the idle time.
+                self.place_slots(set, schedule, horizon);
+                self.releases
+                    .reset(&self.store, of_kind(AppKind::NonDeterministic));
+                let idle = idle_gaps(&self.busy, horizon);
+                drain_fifo(&mut self.store.jobs, &mut self.releases, idle, horizon);
+            }
+            Policy::FpWithServer(server) => {
+                // Deterministic side runs alone under FP; NDA gets the idle
+                // time clipped to the server budget.
+                self.releases
+                    .reset(&self.store, of_kind(AppKind::Deterministic));
+                self.run_fp(set, horizon);
+                self.releases
+                    .reset(&self.store, of_kind(AppKind::NonDeterministic));
+                let usable = server_supply(idle_gaps(&self.busy, horizon), *server, horizon);
+                drain_fifo(&mut self.store.jobs, &mut self.releases, usable, horizon);
+            }
+        }
+        collect_stats(set, &self.store, horizon, cfg.trace, &mut self.stats.tasks);
+        &self.stats
+    }
+
+    /// Preemptive fixed-priority dispatch of the jobs `self.releases`
+    /// yields, recording the busy segments they consume in `self.busy`.
+    fn run_fp(&mut self, set: &TaskSet, horizon: SimTime) {
+        let tasks = set.tasks();
+        let jobs = self.store.jobs.as_mut_slice();
+        self.ready.clear();
+        self.ready.reserve(tasks.len());
+        self.busy.clear();
+        self.busy.reserve(jobs.len());
+        let mut t = SimTime::ZERO;
+        loop {
+            while let Some((task, pos)) = self.releases.pop_due(t, jobs) {
+                let spec = &tasks[task];
+                self.ready
+                    .push(Reverse((spec.priority, spec.id.raw(), pos)));
+            }
+            // A zero-length job is never dispatched, so never completes.
+            while let Some(&Reverse((_, _, pos))) = self.ready.peek() {
+                if !jobs[pos].remaining.is_zero() {
+                    break;
+                }
+                self.ready.pop();
+            }
+            let Some(&Reverse((_, _, pos))) = self.ready.peek() else {
+                match self.releases.peek() {
+                    Some(next) if next < horizon => {
+                        t = next;
+                        continue;
                     }
-                    None => (job.deadline <= horizon).then_some(job.deadline),
-                };
-                if let Some(at) = missed_at {
-                    misses += 1;
-                    if flight.is_enabled() {
-                        let ctx = if trace.is_active() {
-                            trace.child(job.index_in_task)
-                        } else {
-                            TraceCtx::NONE
-                        };
-                        let t = at.as_nanos();
-                        flight.record(
-                            t,
-                            ctx,
-                            "sched.deadline_miss",
-                            format!("task {} job {}", task.id, job.index_in_task),
-                        );
-                        flight.trigger_if_armed(t, &format!("deadline miss: task {}", task.id));
+                    _ => break,
+                }
+            };
+            let next_release = self.releases.peek().unwrap_or(SimTime::MAX);
+            let job = &mut jobs[pos];
+            let until = (t + job.remaining).min(next_release).min(horizon);
+            job.remaining = job.remaining.saturating_sub(until.saturating_since(t));
+            match self.busy.last_mut() {
+                Some(last) if last.1 == t => last.1 = until,
+                _ => self.busy.push((t, until)),
+            }
+            t = until;
+            if job.remaining.is_zero() {
+                job.completed = Some(t);
+                self.ready.pop();
+            }
+            if t >= horizon {
+                break;
+            }
+        }
+    }
+
+    /// Completes every deterministic job in its time-triggered slot and
+    /// records the slots, sorted, in `self.busy`.
+    fn place_slots(&mut self, set: &TaskSet, schedule: &TtSchedule, horizon: SimTime) {
+        let hp = schedule.hyperperiod();
+        assert!(!hp.is_zero(), "empty schedule for time-triggered policy");
+        for task in set.deterministic() {
+            let jobs_per_hp = hp / task.period;
+            assert!(
+                schedule.entries_of(task.id).count() as u64 == jobs_per_hp,
+                "schedule does not cover task {}",
+                task.id
+            );
+        }
+        self.busy.clear();
+        for entry in schedule.entries() {
+            let (task_idx, task) = set
+                .tasks()
+                .iter()
+                .enumerate()
+                .find(|(_, t)| t.id == entry.task)
+                .expect("schedule validated against set");
+            let range = self.store.range(task_idx);
+            let mine = &mut self.store.jobs[range];
+            let jobs_per_hp = hp / task.period;
+            let mut rep = 0u64;
+            loop {
+                let slot_start = SimTime::ZERO + entry.start + hp * rep;
+                if slot_start >= horizon {
+                    break;
+                }
+                let k = entry.job + rep * jobs_per_hp;
+                if let Some(job) = mine.get_mut(k as usize) {
+                    let fin = slot_start + job.exec;
+                    if fin <= horizon {
+                        job.remaining = SimDuration::ZERO;
+                        job.completed = Some(fin);
                     }
                 }
+                self.busy.push((slot_start, slot_start + entry.duration));
+                rep += 1;
             }
-            obs_activations.add(mine.len() as u64);
-            obs_completions.add(completions);
-            obs_misses.add(misses);
-            let mean = if completions > 0 {
-                rsum / completions
-            } else {
-                SimDuration::ZERO
-            };
-            TaskStats {
-                id: task.id,
-                kind: task.kind,
-                activations: mine.len() as u64,
-                completions,
-                deadline_misses: misses,
-                response_min: if completions > 0 {
-                    rmin
-                } else {
-                    SimDuration::ZERO
-                },
-                response_max: rmax,
-                response_mean: mean,
-            }
-        })
-        .collect();
-    SchedStats { tasks }
+        }
+        self.busy.sort_unstable();
+    }
 }
 
-fn run_fifo(jobs: &mut [Job], horizon: SimTime) {
+/// Run-to-completion in arrival order; stops at the first job that cannot
+/// finish within the horizon.
+fn run_fifo(jobs: &mut [Job], releases: &mut Releases, horizon: SimTime) {
     let mut t = SimTime::ZERO;
-    for job in jobs.iter_mut() {
-        if job.release > t {
-            t = job.release;
-        }
+    while let Some((_, pos)) = releases.pop(jobs) {
+        let job = &mut jobs[pos];
+        t = t.max(job.release);
         let fin = t + job.remaining;
         if fin > horizon {
             break;
@@ -303,267 +498,217 @@ fn run_fifo(jobs: &mut [Job], horizon: SimTime) {
     }
 }
 
-/// Preemptive fixed-priority simulation over `jobs` (sorted by release).
-/// Returns the busy segments `(start, end)` consumed by these jobs.
-fn run_fp(set: &TaskSet, jobs: &mut [Job], horizon: SimTime) -> Vec<(SimTime, SimTime)> {
-    let prio = |job: &Job| {
-        let task = &set.tasks()[job.task_idx];
-        (task.priority, task.id.raw(), job.index_in_task)
-    };
-    let mut busy: Vec<(SimTime, SimTime)> = Vec::new();
-    let mut t = SimTime::ZERO;
-    let mut next = 0usize;
-    let mut ready: Vec<usize> = Vec::new();
-    loop {
-        while next < jobs.len() && jobs[next].release <= t {
-            ready.push(next);
-            next += 1;
-        }
-        ready.retain(|&j| !jobs[j].remaining.is_zero());
-        let cur = ready.iter().copied().min_by_key(|&j| prio(&jobs[j]));
-        match cur {
-            None => {
-                if next >= jobs.len() {
-                    break;
-                }
-                t = jobs[next].release;
-                if t >= horizon {
-                    break;
-                }
+/// Drains the jobs `releases` yields (FIFO by release) in the given usable
+/// intervals; a job may span several intervals (it is preempted at
+/// interval ends).
+fn drain_fifo(
+    jobs: &mut [Job],
+    releases: &mut Releases,
+    intervals: impl Iterator<Item = (SimTime, SimTime)>,
+    horizon: SimTime,
+) {
+    let mut head = releases.pop(jobs);
+    for (mut lo, hi) in intervals {
+        while let Some((_, pos)) = head {
+            if lo >= hi || lo >= horizon {
+                break;
             }
-            Some(j) => {
-                let next_release = jobs.get(next).map_or(SimTime::MAX, |x| x.release);
-                let fin = t + jobs[j].remaining;
-                let until = fin.min(next_release).min(horizon);
-                let ran = until.saturating_since(t);
-                jobs[j].remaining = jobs[j].remaining.saturating_sub(ran);
-                if let Some(last) = busy.last_mut() {
-                    if last.1 == t {
-                        last.1 = until;
-                    } else {
-                        busy.push((t, until));
-                    }
-                } else {
-                    busy.push((t, until));
-                }
-                t = until;
-                if jobs[j].remaining.is_zero() {
-                    jobs[j].completed = Some(t);
-                }
-                if t >= horizon {
-                    break;
-                }
-            }
-        }
-    }
-    busy
-}
-
-/// Drains `jobs` (FIFO by release) in the given usable intervals; a job may
-/// span several intervals (it is preempted at interval ends). Server budget
-/// limits are applied beforehand by [`apply_server_budget`].
-fn run_in_intervals(jobs: &mut [Job], intervals: &[(SimTime, SimTime)], horizon: SimTime) {
-    let mut job_iter = 0usize;
-    for &(mut lo, hi) in intervals {
-        while job_iter < jobs.len() && lo < hi && lo < horizon {
-            let job = &mut jobs[job_iter];
+            let job = &mut jobs[pos];
             if job.remaining.is_zero() {
-                job_iter += 1;
+                head = releases.pop(jobs);
                 continue;
             }
             if job.release > lo {
-                // FIFO head not yet released: jobs are release-sorted, so
-                // nothing else is released either.
+                // FIFO head not yet released: nothing later is either.
                 if job.release >= hi {
                     break;
                 }
                 lo = job.release;
             }
             let run = job.remaining.min(hi.saturating_since(lo));
-            if run.is_zero() {
-                break;
-            }
             job.remaining -= run;
             lo += run;
             if job.remaining.is_zero() {
                 job.completed = Some(lo);
-                job_iter += 1;
+                head = releases.pop(jobs);
             }
         }
+        if head.is_none() {
+            break;
+        }
     }
+}
+
+/// The gaps between `busy` segments (sorted by start) up to `horizon`.
+fn idle_gaps(
+    busy: &[(SimTime, SimTime)],
+    horizon: SimTime,
+) -> impl Iterator<Item = (SimTime, SimTime)> + '_ {
+    let mut cursor = SimTime::ZERO;
+    busy.iter()
+        .map(Some)
+        .chain([None])
+        .filter_map(move |segment| match segment {
+            Some(&(s, e)) => {
+                let gap = (s > cursor).then_some((cursor, s));
+                cursor = cursor.max(e);
+                gap
+            }
+            None => (cursor < horizon).then_some((cursor, horizon)),
+        })
 }
 
 /// Clips idle intervals to what a budget server may use: at most `budget`
 /// per server period, counted from each period start.
-fn apply_server_budget(
-    intervals: &[(SimTime, SimTime)],
+fn server_supply(
+    mut idle: impl Iterator<Item = (SimTime, SimTime)>,
     server: PeriodicServer,
     horizon: SimTime,
-) -> Vec<(SimTime, SimTime)> {
-    let mut out = Vec::new();
+) -> impl Iterator<Item = (SimTime, SimTime)> {
+    let period = server.period.as_nanos();
+    // Unconsumed rest `[cur, hi)` of the current idle interval.
+    let (mut cur, mut hi) = (SimTime::ZERO, SimTime::ZERO);
     let mut period_idx = 0u64;
     let mut used_in_period = SimDuration::ZERO;
-    for &(lo, hi) in intervals {
-        let mut cur = lo;
-        while cur < hi && cur < horizon {
-            let my_period = cur.as_nanos() / server.period.as_nanos();
-            if my_period != period_idx {
-                period_idx = my_period;
-                used_in_period = SimDuration::ZERO;
-            }
-            let period_end = SimTime::from_nanos((my_period + 1) * server.period.as_nanos());
-            let budget_left = server.budget.saturating_sub(used_in_period);
-            if budget_left.is_zero() {
-                cur = period_end;
-                continue;
-            }
-            let end = hi.min(period_end).min(cur + budget_left);
-            if end > cur {
-                out.push((cur, end));
-                used_in_period += end.saturating_since(cur);
-            }
-            cur = end;
+    std::iter::from_fn(move || loop {
+        if cur >= hi || cur >= horizon {
+            (cur, hi) = idle.next()?;
+            continue;
         }
-    }
-    out
+        let my_period = cur.as_nanos() / period;
+        if my_period != period_idx {
+            period_idx = my_period;
+            used_in_period = SimDuration::ZERO;
+        }
+        let period_end = SimTime::from_nanos((my_period + 1) * period);
+        let budget_left = server.budget.saturating_sub(used_in_period);
+        if budget_left.is_zero() {
+            cur = period_end;
+            continue;
+        }
+        let start = cur;
+        cur = hi.min(period_end).min(start + budget_left);
+        used_in_period += cur.saturating_since(start);
+        return Some((start, cur));
+    })
 }
 
-fn idle_complement(busy: &[(SimTime, SimTime)], horizon: SimTime) -> Vec<(SimTime, SimTime)> {
-    let mut idle = Vec::new();
-    let mut cursor = SimTime::ZERO;
-    for &(s, e) in busy {
-        if s > cursor {
-            idle.push((cursor, s));
+/// The registry's response-time exemplar set, resolved once.
+fn response_exemplars() -> &'static ExemplarSet {
+    static HANDLE: OnceLock<Arc<ExemplarSet>> = OnceLock::new();
+    HANDLE.get_or_init(|| dynplat_obs::global().exemplars("sched.dispatch.response_ns"))
+}
+
+/// One pass over the task-major store: per-task statistics into `out`,
+/// response and slack samples into local histograms, counter totals into
+/// locals — each flushed to the global registry once per run.
+fn collect_stats(
+    set: &TaskSet,
+    store: &JobStore,
+    horizon: SimTime,
+    trace: TraceCtx,
+    out: &mut Vec<TaskStats>,
+) {
+    let flight = dynplat_obs::flight_recorder();
+    let mut response = LocalHistogram::new();
+    let mut slack = LocalHistogram::new();
+    // Worst response times keep their causal context: the top-K offers
+    // land as exemplars next to the histogram, linkable via the run's
+    // trace id in flight dumps and Chrome traces. Untraced offers are
+    // ignored anyway, so an untraced run keeps no accumulator.
+    let mut exemplars = trace.is_active().then(LocalExemplars::default);
+    let (mut all_completions, mut all_misses) = (0u64, 0u64);
+    out.clear();
+    out.reserve(set.len());
+    for (idx, task) in set.tasks().iter().enumerate() {
+        let mine = &store.jobs[store.range(idx)];
+        let mut misses = 0u64;
+        let mut completions = 0u64;
+        let mut rmin = SimDuration::MAX;
+        let mut rmax = SimDuration::ZERO;
+        let mut rsum = SimDuration::ZERO;
+        for (k, job) in mine.iter().enumerate() {
+            let missed_at = match job.completed {
+                Some(t) => {
+                    completions += 1;
+                    let resp = t.saturating_since(job.release);
+                    response.record(resp.as_nanos());
+                    if let Some(ex) = &mut exemplars {
+                        ex.offer(resp.as_nanos(), trace);
+                    }
+                    slack.record(job.deadline.saturating_since(t).as_nanos());
+                    rmin = rmin.min(resp);
+                    rmax = rmax.max(resp);
+                    rsum += resp;
+                    (t > job.deadline).then_some(t)
+                }
+                None => (job.deadline <= horizon).then_some(job.deadline),
+            };
+            if let Some(at) = missed_at {
+                misses += 1;
+                if flight.is_enabled() {
+                    let ctx = if trace.is_active() {
+                        trace.child(k as u64)
+                    } else {
+                        TraceCtx::NONE
+                    };
+                    let t = at.as_nanos();
+                    flight.record(
+                        t,
+                        ctx,
+                        "sched.deadline_miss",
+                        format!("task {} job {}", task.id, k),
+                    );
+                    flight.trigger_if_armed(t, &format!("deadline miss: task {}", task.id));
+                }
+            }
         }
-        cursor = cursor.max(e);
+        all_completions += completions;
+        all_misses += misses;
+        let mean = if completions > 0 {
+            rsum / completions
+        } else {
+            SimDuration::ZERO
+        };
+        out.push(TaskStats {
+            id: task.id,
+            kind: task.kind,
+            activations: mine.len() as u64,
+            completions,
+            deadline_misses: misses,
+            response_min: if completions > 0 {
+                rmin
+            } else {
+                SimDuration::ZERO
+            },
+            response_max: rmax,
+            response_mean: mean,
+        });
     }
-    if cursor < horizon {
-        idle.push((cursor, horizon));
+    dynplat_obs::counter!("sched.dispatch.activations").add(store.jobs.len() as u64);
+    dynplat_obs::counter!("sched.dispatch.completions").add(all_completions);
+    dynplat_obs::counter!("sched.dispatch.deadline_misses").add(all_misses);
+    response.flush_into(dynplat_obs::histogram!("sched.dispatch.response_ns"));
+    slack.flush_into(dynplat_obs::histogram!("sched.dispatch.slack_ns"));
+    // Resolved on untraced runs too: `exemplar_snapshot` lists every
+    // registered set, empty ones included.
+    let exemplar_set = response_exemplars();
+    if let Some(ex) = &mut exemplars {
+        exemplar_set.merge_local(ex);
     }
-    idle
 }
 
 /// Runs `set` under `policy` for the configured horizon and returns the
-/// per-task statistics.
+/// per-task statistics. One-shot form of [`Simulator::run`].
 ///
 /// # Panics
 ///
 /// Panics if [`Policy::TimeTriggered`] is used with a schedule that does not
 /// cover all deterministic tasks of `set`.
 pub fn simulate_schedule(set: &TaskSet, policy: &Policy, cfg: &SchedSimConfig) -> SchedStats {
-    let horizon = SimTime::ZERO + cfg.horizon;
-    let mut jobs = generate_jobs(set, cfg);
-    match policy {
-        Policy::NonPreemptiveFifo => run_fifo(&mut jobs, horizon),
-        Policy::FixedPriorityPreemptive => {
-            run_fp(set, &mut jobs, horizon);
-        }
-        Policy::TimeTriggered(schedule) => {
-            // Deterministic jobs execute in their slots.
-            let hp = schedule.hyperperiod();
-            assert!(!hp.is_zero(), "empty schedule for time-triggered policy");
-            let mut busy: Vec<(SimTime, SimTime)> = Vec::new();
-            for task in set.deterministic() {
-                let jobs_per_hp = hp / task.period;
-                assert!(
-                    schedule.entries_of(task.id).count() as u64 == jobs_per_hp,
-                    "schedule does not cover task {}",
-                    task.id
-                );
-            }
-            for entry in schedule.entries() {
-                let task = set.get(entry.task).expect("schedule validated against set");
-                let task_idx = set
-                    .tasks()
-                    .iter()
-                    .position(|t| t.id == entry.task)
-                    .expect("task present");
-                let jobs_per_hp = hp / task.period;
-                let mut rep = 0u64;
-                loop {
-                    let slot_start = SimTime::ZERO + entry.start + hp * rep;
-                    if slot_start >= horizon {
-                        break;
-                    }
-                    let global_job = entry.job + rep * jobs_per_hp;
-                    if let Some(job) = jobs
-                        .iter_mut()
-                        .find(|j| j.task_idx == task_idx && j.index_in_task == global_job)
-                    {
-                        let fin = slot_start + job.exec;
-                        if fin <= horizon {
-                            job.remaining = SimDuration::ZERO;
-                            job.completed = Some(fin);
-                        }
-                    }
-                    busy.push((slot_start, slot_start + entry.duration));
-                    rep += 1;
-                }
-            }
-            busy.sort();
-            // NDA jobs drain in the idle time.
-            let idle = idle_complement(&busy, horizon);
-            let mut nda: Vec<Job> = jobs
-                .iter()
-                .filter(|j| set.tasks()[j.task_idx].kind == AppKind::NonDeterministic)
-                .cloned()
-                .collect();
-            nda.sort_by_key(|j| (j.release, j.task_idx));
-            run_in_intervals(&mut nda, &idle, horizon);
-            for done in nda {
-                if let Some(job) = jobs
-                    .iter_mut()
-                    .find(|j| j.task_idx == done.task_idx && j.index_in_task == done.index_in_task)
-                {
-                    *job = done;
-                }
-            }
-        }
-        Policy::FpWithServer(server) => {
-            // Deterministic side runs alone under FP; NDA gets the idle
-            // time clipped to the server budget.
-            let da_idx: Vec<usize> = set
-                .tasks()
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.kind == AppKind::Deterministic)
-                .map(|(i, _)| i)
-                .collect();
-            let mut da_jobs: Vec<Job> = jobs
-                .iter()
-                .filter(|j| da_idx.contains(&j.task_idx))
-                .cloned()
-                .collect();
-            da_jobs.sort_by_key(|j| (j.release, j.task_idx));
-            let busy = run_fp(set, &mut da_jobs, horizon);
-            for done in &da_jobs {
-                if let Some(job) = jobs
-                    .iter_mut()
-                    .find(|j| j.task_idx == done.task_idx && j.index_in_task == done.index_in_task)
-                {
-                    *job = done.clone();
-                }
-            }
-            let idle = idle_complement(&busy, horizon);
-            let usable = apply_server_budget(&idle, *server, horizon);
-            let mut nda: Vec<Job> = jobs
-                .iter()
-                .filter(|j| set.tasks()[j.task_idx].kind == AppKind::NonDeterministic)
-                .cloned()
-                .collect();
-            nda.sort_by_key(|j| (j.release, j.task_idx));
-            run_in_intervals(&mut nda, &usable, horizon);
-            for done in nda {
-                if let Some(job) = jobs
-                    .iter_mut()
-                    .find(|j| j.task_idx == done.task_idx && j.index_in_task == done.index_in_task)
-                {
-                    *job = done;
-                }
-            }
-        }
-    }
-    collect_stats(set, &jobs, horizon, cfg.trace)
+    let mut sim = Simulator::new();
+    sim.run(set, policy, cfg);
+    sim.stats
 }
 
 #[cfg(test)]
@@ -671,6 +816,58 @@ mod tests {
         let heavy_miss =
             simulate_schedule(&heavy, &Policy::NonPreemptiveFifo, &cfg()).deterministic_miss_rate();
         assert!(heavy_miss > light_miss);
+    }
+
+    #[test]
+    fn e2_sweep_outputs_are_pinned() {
+        // Every statistic of an E2-shaped sweep — offsets, a constrained
+        // deadline, NDA load from light to starving, all four policies —
+        // folded into one FNV-1a digest. An engine change that is meant to
+        // be behavior-preserving must leave it untouched.
+        let da_only: TaskSet = [
+            da(1, 5, 1),
+            da(2, 10, 2),
+            da(3, 20, 3),
+            da(4, 40, 4).with_offset(ms(3)).with_deadline(ms(30)),
+        ]
+        .into_iter()
+        .collect();
+        let schedule = synthesize(&da_only).unwrap();
+        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        let mut sim = Simulator::new();
+        for (k, nda_ms) in [5u64, 15, 30].into_iter().enumerate() {
+            let mut set = da_only.clone();
+            set.push(nda(50, 40, nda_ms));
+            set.push(nda(51, 25, 6).with_offset(ms(7)));
+            let cfg = SchedSimConfig {
+                horizon: SimDuration::from_secs(1),
+                seed: k as u64 + 1,
+                ..SchedSimConfig::default()
+            };
+            for policy in [
+                Policy::NonPreemptiveFifo,
+                Policy::FixedPriorityPreemptive,
+                Policy::FpWithServer(PeriodicServer::new(ms(5), ms(10))),
+                Policy::TimeTriggered(schedule.clone()),
+            ] {
+                for t in &sim.run(&set, &policy, &cfg).tasks {
+                    for v in [
+                        u64::from(t.id.raw()),
+                        t.activations,
+                        t.completions,
+                        t.deadline_misses,
+                        t.response_min.as_nanos(),
+                        t.response_max.as_nanos(),
+                        t.response_mean.as_nanos(),
+                    ] {
+                        for b in v.to_le_bytes() {
+                            digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01B3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, 17_111_274_414_076_403_007, "E2 sweep digest moved");
     }
 
     #[test]

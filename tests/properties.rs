@@ -12,6 +12,8 @@ use dynplat::common::{AppId, MessageId, MethodId, ServiceId, TaskId};
 use dynplat::net::can::{can_frame_time, CanAnalysis, CanArbiter, CanMessageSpec};
 use dynplat::net::{simulate, Frame, TxEvent};
 use dynplat::sched::admission::{AdmissionController, AdmissionTest};
+use dynplat::sched::server::PeriodicServer;
+use dynplat::sched::simulate::{simulate_schedule, Policy, SchedSimConfig, Simulator};
 use dynplat::sched::task::{TaskSet, TaskSpec};
 use dynplat::sched::tt;
 use dynplat::security::package::{KeyRegistry, SignedPackage, UpdatePackage, Version};
@@ -336,6 +338,65 @@ fn admission_controller_never_admits_unschedulable_edf_sets() {
                 dynplat::sched::edf::is_edf_schedulable(ctrl.admitted()),
                 "case {case}"
             );
+        }
+    }
+}
+
+#[test]
+fn reused_simulator_matches_one_shot_runs() {
+    // One simulator carries its scratch across every case and policy; no
+    // run may see state from the one before it.
+    let mut sim = Simulator::new();
+    for case in 0..CASES {
+        let mut rng = case_rng(15, case);
+        let mut set = rand_task_set(&mut rng, 5);
+        let da_only = set.clone();
+        for (i, task) in da_only.tasks().iter().enumerate() {
+            if rng.gen_bool(0.3) {
+                let offset = rng.gen_range(0..task.period.as_nanos());
+                set.remove(task.id);
+                set.push(task.clone().with_offset(SimDuration::from_nanos(offset)));
+            }
+            if rng.gen_bool(0.3) {
+                let nda = TaskSpec::periodic(TaskId(100 + i as u32), "nda", task.period, task.wcet)
+                    .with_priority(rng.gen_range(0u32..8))
+                    .non_deterministic();
+                set.push(nda);
+            }
+        }
+        let da: TaskSet = set.deterministic().cloned().collect();
+        let cfg = SchedSimConfig {
+            horizon: SimDuration::from_nanos(rng.gen_range(1..200_000_000)),
+            seed: rng.gen(),
+            ..SchedSimConfig::default()
+        };
+        let mut policies = vec![
+            Policy::NonPreemptiveFifo,
+            Policy::FixedPriorityPreemptive,
+            Policy::FpWithServer(PeriodicServer::new(
+                SimDuration::from_millis(rng.gen_range(0..5)),
+                SimDuration::from_millis(5),
+            )),
+        ];
+        if let Ok(schedule) = tt::synthesize(&da) {
+            policies.push(Policy::TimeTriggered(schedule));
+        }
+        for policy in &policies {
+            let fresh = simulate_schedule(&set, policy, &cfg);
+            assert_eq!(
+                sim.run(&set, policy, &cfg),
+                &fresh,
+                "case {case} {policy:?}"
+            );
+            for (task, stats) in set.tasks().iter().zip(&fresh.tasks) {
+                let span = cfg.horizon.saturating_sub(task.offset).as_nanos();
+                assert_eq!(
+                    stats.activations,
+                    span.div_ceil(task.period.as_nanos()),
+                    "case {case}"
+                );
+                assert!(stats.completions <= stats.activations, "case {case}");
+            }
         }
     }
 }
