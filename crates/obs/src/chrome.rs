@@ -2,30 +2,43 @@
 //!
 //! Emits the `chrome://tracing` / Perfetto "JSON array" flavor: one
 //! complete event (`"ph": "X"`) per finished span, with the span tree
-//! recoverable from the `args.id` / `args.parent` pair. Timestamps are
-//! the tracer's logical ticks (the format calls the field microseconds;
-//! for a deterministic logical clock the unit is ticks — relative
-//! ordering and nesting render identically).
+//! recoverable from the `args.id` / `args.parent` pair. Timestamps are in
+//! producer-chosen units (the format calls the field microseconds; any
+//! unit renders the same relative ordering and nesting).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::exemplar::Exemplar;
 use crate::json;
-use crate::span::{SpanRecord, Tracer};
+
+/// One finished span, as recorded by its producer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SpanRecord {
+    /// Unique id within the producer (allocation order).
+    pub id: u64,
+    /// Id of the enclosing span, if any.
+    pub parent: Option<u64>,
+    /// Static span name.
+    pub name: &'static str,
+    /// Entry time, in producer-chosen units.
+    pub start: u64,
+    /// Exit time, in the same units as `start`.
+    pub end: u64,
+}
 
 /// Encodes finished spans as a Chrome-trace JSON array.
 ///
 /// # Examples
 ///
 /// ```
-/// use dynplat_obs::Tracer;
+/// use dynplat_obs::SpanRecord;
 ///
-/// let t = Tracer::new(8);
-/// t.in_span("campaign", || t.in_span("wave", || {}));
-/// let trace = dynplat_obs::chrome::to_chrome_trace(&t.finished());
+/// let spans = [
+///     SpanRecord { id: 1, parent: Some(0), name: "fabric.pump", start: 1_200, end: 4_700 },
+///     SpanRecord { id: 0, parent: None, name: "unit", start: 0, end: 9_000 },
+/// ];
+/// let trace = dynplat_obs::chrome::to_chrome_trace(&spans);
 /// assert!(trace.starts_with('['));
-/// assert!(trace.contains("\"ph\": \"X\""));
+/// assert!(trace.contains("\"ts\": 1200, \"dur\": 3500"));
 /// ```
 pub fn to_chrome_trace(records: &[SpanRecord]) -> String {
     let mut out = String::new();
@@ -41,7 +54,7 @@ pub fn to_chrome_trace(records: &[SpanRecord]) -> String {
              \"args\": {{\"id\": {}, \"parent\": {}}}}}",
             json::escape(r.name),
             r.start,
-            r.ticks(),
+            r.end.saturating_sub(r.start),
             r.id,
             r.parent
                 .map_or_else(|| "null".to_owned(), |p| p.to_string()),
@@ -51,58 +64,6 @@ pub fn to_chrome_trace(records: &[SpanRecord]) -> String {
     out
 }
 
-/// Encodes finished spans plus top-K exemplars (the shape of
-/// [`crate::MetricsRegistry::exemplar_snapshot`]) as one Chrome-trace
-/// JSON array. Each exemplar becomes an instant event (`"ph": "i"`) on
-/// its own `tid` row per metric, stamped at the exemplar value with the
-/// originating trace id and span in `args` — so the worst tail latencies
-/// line up visually against the span tree that produced them.
-pub fn to_chrome_trace_with_exemplars(
-    records: &[SpanRecord],
-    exemplars: &BTreeMap<String, Vec<Exemplar>>,
-) -> String {
-    let mut out = to_chrome_trace(records);
-    let n_exemplars: usize = exemplars.values().map(Vec::len).sum();
-    if n_exemplars == 0 {
-        return out;
-    }
-    // Splice the exemplar events into the existing array: drop the
-    // closing "]\n" (and, when spans exist, re-separate with a comma).
-    out.truncate(out.rfind(']').expect("array close"));
-    out.truncate(out.trim_end().len());
-    let mut first = records.is_empty();
-    for (tid, (metric, top)) in exemplars.iter().enumerate() {
-        for e in top {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n  {{\"name\": \"{}\", \"cat\": \"exemplar\", \"ph\": \"i\", \
-                 \"s\": \"g\", \"ts\": {}, \"pid\": 1, \"tid\": {}, \
-                 \"args\": {{\"value\": {}, \"trace_id\": {}, \"span\": {}}}}}",
-                json::escape(metric),
-                e.value,
-                tid + 1,
-                e.value,
-                e.trace.trace_id,
-                e.trace.span,
-            );
-        }
-    }
-    out.push_str("\n]\n");
-    out
-}
-
-impl Tracer {
-    /// The retained spans as a Chrome-trace JSON array (see
-    /// [`to_chrome_trace`]).
-    pub fn to_chrome_trace(&self) -> String {
-        to_chrome_trace(&self.finished())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,103 +71,56 @@ mod tests {
 
     #[test]
     fn empty_trace_is_an_empty_array() {
-        let doc = json::parse(&to_chrome_trace(&[])).expect("valid json");
+        let trace = to_chrome_trace(&[]);
+        assert_eq!(trace, "[]\n");
+        let doc = json::parse(&trace).expect("valid json");
         assert_eq!(doc.as_array().map(<[JsonValue]>::len), Some(0));
     }
 
+    /// Spans in the shape a wall-clock producer emits them: nanosecond
+    /// stamps, children closing before their parent, ids in opening order.
     #[test]
     fn events_carry_span_tree_and_escape_names() {
         let records = vec![
             SpanRecord {
-                id: 0,
-                parent: None,
-                name: "outer \"quoted\"",
-                start: 0,
-                end: 3,
-            },
-            SpanRecord {
                 id: 1,
                 parent: Some(0),
-                name: "inner",
-                start: 1,
-                end: 2,
+                name: "comm.fabric",
+                start: 1_250,
+                end: 48_900,
+            },
+            SpanRecord {
+                id: 2,
+                parent: Some(0),
+                name: "sched \"pick\"",
+                start: 49_000,
+                end: 49_000,
+            },
+            SpanRecord {
+                id: 0,
+                parent: None,
+                name: "unit",
+                start: 0,
+                end: 1_000_000,
             },
         ];
         let doc = json::parse(&to_chrome_trace(&records)).expect("valid json");
         let events = doc.as_array().expect("array");
-        assert_eq!(events.len(), 2);
-        assert_eq!(
-            events[0].get("name").and_then(|v| v.as_str()),
-            Some("outer \"quoted\"")
-        );
-        assert_eq!(events[0].get("ph").and_then(|v| v.as_str()), Some("X"));
-        assert_eq!(events[0].get("dur").and_then(|v| v.as_u64()), Some(3));
-        let args = events[1].get("args").expect("args");
-        assert_eq!(args.get("parent").and_then(|v| v.as_u64()), Some(0));
-        assert!(matches!(
-            events[0].get("args").and_then(|a| a.get("parent")),
-            Some(JsonValue::Null)
-        ));
-    }
-
-    #[test]
-    fn tracer_method_matches_free_function() {
-        let t = Tracer::new(8);
-        t.in_span("a", || {});
-        assert_eq!(t.to_chrome_trace(), to_chrome_trace(&t.finished()));
-    }
-
-    #[test]
-    fn exemplars_become_instant_events() {
-        use crate::trace::TraceCtx;
-
-        let records = vec![SpanRecord {
-            id: 0,
-            parent: None,
-            name: "wave",
-            start: 0,
-            end: 5,
-        }];
-        let mut exemplars = BTreeMap::new();
-        exemplars.insert(
-            "fleet.stage.e2e_ms".to_owned(),
-            vec![Exemplar {
-                value: 900,
-                trace: TraceCtx::new(42, 7),
-            }],
-        );
-        let trace = to_chrome_trace_with_exemplars(&records, &exemplars);
-        let doc = json::parse(&trace).expect("valid json");
-        let events = doc.as_array().expect("array");
-        assert_eq!(events.len(), 2);
-        let ex = &events[1];
-        assert_eq!(ex.get("ph").and_then(|v| v.as_str()), Some("i"));
-        assert_eq!(ex.get("cat").and_then(|v| v.as_str()), Some("exemplar"));
-        let args = ex.get("args").expect("args");
-        assert_eq!(args.get("trace_id").and_then(|v| v.as_u64()), Some(42));
-        assert_eq!(args.get("span").and_then(|v| v.as_u64()), Some(7));
-        assert_eq!(args.get("value").and_then(|v| v.as_u64()), Some(900));
-    }
-
-    #[test]
-    fn exemplars_without_spans_still_form_a_valid_array() {
-        use crate::trace::TraceCtx;
-
-        let mut exemplars = BTreeMap::new();
-        exemplars.insert(
-            "m".to_owned(),
-            vec![Exemplar {
-                value: 1,
-                trace: TraceCtx::new(1, 1),
-            }],
-        );
-        let doc =
-            json::parse(&to_chrome_trace_with_exemplars(&[], &exemplars)).expect("valid json");
-        assert_eq!(doc.as_array().map(<[JsonValue]>::len), Some(1));
-        // And no exemplars at all degrades to the plain span trace.
-        assert_eq!(
-            to_chrome_trace_with_exemplars(&[], &BTreeMap::new()),
-            to_chrome_trace(&[])
-        );
+        assert_eq!(events.len(), 3);
+        for (e, r) in events.iter().zip(&records) {
+            assert_eq!(e.get("name").and_then(JsonValue::as_str), Some(r.name));
+            assert_eq!(e.get("ph").and_then(JsonValue::as_str), Some("X"));
+            assert_eq!(e.get("ts").and_then(JsonValue::as_u64), Some(r.start));
+            assert_eq!(
+                e.get("dur").and_then(JsonValue::as_u64),
+                Some(r.end - r.start)
+            );
+            let args = e.get("args").expect("args");
+            assert_eq!(args.get("id").and_then(JsonValue::as_u64), Some(r.id));
+            match r.parent {
+                Some(p) => assert_eq!(args.get("parent").and_then(JsonValue::as_u64), Some(p)),
+                None => assert_eq!(args.get("parent"), Some(&JsonValue::Null)),
+            }
+        }
     }
 }

@@ -106,11 +106,20 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The documents the
+/// workspace writes (snapshots, telemetry rings, flight dumps) nest at
+/// most five levels; the limit bounds the parser's recursion, so hostile
+/// input gets an error instead of overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
+///
+/// Arrays and objects nested deeper than 128 levels are rejected.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -124,6 +133,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -164,8 +175,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -268,13 +290,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (possibly multi-byte).
+                    // Copy the run up to the next quote or escape. Both are
+                    // ASCII, so the run ends on a char boundary, and only
+                    // the run is validated: a long string costs linear time.
                     let start = self.pos;
-                    let rest = std::str::from_utf8(&self.bytes[start..])
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -354,6 +379,10 @@ mod tests {
             parse("\"a\\nb\"").unwrap(),
             JsonValue::Str("a\nb".to_owned())
         );
+        assert_eq!(
+            parse("\"p99 → 50 µs\"").unwrap(),
+            JsonValue::Str("p99 → 50 µs".to_owned())
+        );
     }
 
     #[test]
@@ -385,6 +414,18 @@ mod tests {
     fn large_u64_survives() {
         let v = parse(&u64::MAX.to_string()).unwrap();
         assert_eq!(v.as_u64(), Some(u64::MAX));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for doc in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+            assert_eq!(parse(&doc).map_err(|e| e.message), Err("nesting too deep"));
+            assert!(crate::MetricsSnapshot::from_json(&doc).is_err());
+            assert!(crate::TelemetryRing::from_json(&doc).is_err());
+        }
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

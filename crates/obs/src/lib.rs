@@ -10,9 +10,6 @@
 //!   fixed-bucket histograms keyed by static names. Registration locks
 //!   briefly once per call site; every update afterwards is a single
 //!   relaxed atomic, cheap enough for the fabric's delivery loop;
-//! * [`span`] — structured tracing spans with a deterministic logical
-//!   clock (no wall time ⇒ chaos runs stay hermetic), per-thread
-//!   parent/child nesting and a ring-buffer exporter;
 //! * [`snapshot`] — point-in-time copies of a registry with two encoders:
 //!   Prometheus text exposition and the machine-readable `BENCH_*.json`
 //!   shape the CI perf gate diffs against a checked-in baseline;
@@ -25,7 +22,10 @@
 //! * [`slo`] — declarative objectives with multi-window burn-rate
 //!   tracking that arms the flight recorder before a trip decision;
 //! * [`exemplar`] — top-K worst-value [`TraceCtx`] exemplars linking
-//!   tail latencies back to concrete traces.
+//!   tail latencies back to concrete traces;
+//! * [`trace`] — causal [`TraceCtx`] stamps and the [`FlightRecorder`]
+//!   black box that freezes incident windows as [`FlightDump`]s;
+//! * [`chrome`] — Chrome-trace export of [`SpanRecord`] trees.
 //!
 //! Instrumented crates (`comm`, `sched`, `core`, `faults`, `monitor`,
 //! `bench`) emit into the process-wide [`global`] registry through the
@@ -48,10 +48,10 @@ pub mod metrics;
 pub mod sketch;
 pub mod slo;
 pub mod snapshot;
-pub mod span;
 pub mod timeseries;
 pub mod trace;
 
+pub use chrome::SpanRecord;
 pub use exemplar::{Exemplar, ExemplarSet, LocalExemplars, DEFAULT_EXEMPLARS};
 pub use metrics::{
     bucket_bounds, Counter, Gauge, Histogram, LocalHistogram, MetricsRegistry, BUCKET_COUNT,
@@ -63,14 +63,12 @@ pub use sketch::{
 };
 pub use slo::{BurnObservation, BurnTracker, SloKind, SloSpec};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot, SNAPSHOT_SCHEMA};
-pub use span::{parse_dump, ParsedSpan, SpanGuard, SpanRecord, Tracer};
 pub use timeseries::{SeriesPoint, TelemetryRing, TELEMETRY_SCHEMA};
 pub use trace::{FlightDump, FlightRecorder, TraceCtx, TraceEvent, FLIGHT_SCHEMA};
 
 use std::sync::{Arc, OnceLock};
 
 static GLOBAL: OnceLock<Arc<MetricsRegistry>> = OnceLock::new();
-static GLOBAL_TRACER: OnceLock<Tracer> = OnceLock::new();
 static GLOBAL_FLIGHT: OnceLock<Arc<FlightRecorder>> = OnceLock::new();
 
 /// The process-wide registry every instrumented crate emits into.
@@ -82,11 +80,6 @@ pub fn global() -> &'static MetricsRegistry {
 /// `monitor::FaultRecorder`).
 pub fn global_arc() -> &'static Arc<MetricsRegistry> {
     GLOBAL.get_or_init(|| Arc::new(MetricsRegistry::new()))
-}
-
-/// The process-wide tracer (ring capacity 4096).
-pub fn tracer() -> &'static Tracer {
-    GLOBAL_TRACER.get_or_init(|| Tracer::new(4096))
 }
 
 /// The process-wide flight recorder (ring capacity 4096, snapshots the
@@ -152,11 +145,5 @@ mod tests {
         assert!(snap.counters["obs.test.counter"] >= 2);
         assert_eq!(snap.gauges["obs.test.gauge"], 9);
         assert!(snap.histograms["obs.test.hist"].count >= 1);
-    }
-
-    #[test]
-    fn global_tracer_is_usable() {
-        crate::tracer().in_span("obs.test.span", || {});
-        assert!(crate::tracer().total_finished() >= 1);
     }
 }

@@ -7,7 +7,7 @@
 //! any shard count, any merge order, byte-identical aggregate — and whose
 //! bucket mapping is exact integer arithmetic, because a `log()` call is
 //! exactly the kind of libm dispersion the workspace bans from
-//! deterministic paths (see [`crate::span`] on wall time and
+//! deterministic paths (see [`crate::trace`] on wall time and
 //! `monitor::uncertainty::normal_cdf` on erf).
 //!
 //! The mapping is HDR-style log-linear: values below 32 are exact, and

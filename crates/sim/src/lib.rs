@@ -1,362 +1,16 @@
-//! Discrete-event simulation kernel for the `dynplat` workspace.
+//! Uncertainty models for the `dynplat` simulations.
 //!
 //! The paper (§2.3) calls for simulation as the assurance instrument for
 //! dynamic platforms: every possible mapping must be shown functional, safe
-//! and secure before it is allowed on the road. This crate provides the
-//! shared engine those simulations run on:
-//!
-//! * [`Simulation`] — a time-ordered event queue over a user state type,
-//!   with deterministic FIFO tie-breaking;
-//! * [`trace`] — a structured trace recorder with per-category counters;
-//! * [`jitter`] — execution-time and clock-imperfection models (the
-//!   "uncertainty" of the paper's title made concrete).
-//!
-//! # Examples
-//!
-//! ```
-//! use dynplat_common::time::{SimDuration, SimTime};
-//! use dynplat_sim::Simulation;
-//!
-//! let mut sim = Simulation::new();
-//! let mut counter = 0u32;
-//! sim.schedule_at(SimTime::from_millis(5), |state: &mut u32, _sim| *state += 1);
-//! sim.schedule_at(SimTime::from_millis(1), |state: &mut u32, sim| {
-//!     *state += 10;
-//!     sim.schedule_in(SimDuration::from_millis(1), |state: &mut u32, _| *state += 100);
-//! });
-//! sim.run(&mut counter);
-//! assert_eq!(counter, 111);
-//! assert_eq!(sim.now(), SimTime::from_millis(5));
-//! ```
+//! and secure before it is allowed on the road. Each simulator in the
+//! workspace runs its own event loop; what they share is the [`jitter`]
+//! module's execution-time, clock and measurement-noise models, the
+//! "uncertainty" of the paper's title made concrete. The scheduler
+//! simulation in `dynplat-sched` draws execution times from them, the
+//! update orchestration in `dynplat-core` drifts ECU clocks with them, and
+//! the benchmarks add sensor noise with them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod jitter;
-pub mod trace;
-
-pub use trace::{Trace, TraceEntry};
-
-use dynplat_common::time::{SimDuration, SimTime};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-type BoxedEvent<S> = Box<dyn FnOnce(&mut S, &mut Simulation<S>)>;
-
-struct QueuedEvent<S> {
-    time: SimTime,
-    seq: u64,
-    action: BoxedEvent<S>,
-}
-
-impl<S> PartialEq for QueuedEvent<S> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<S> Eq for QueuedEvent<S> {}
-impl<S> PartialOrd for QueuedEvent<S> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<S> Ord for QueuedEvent<S> {
-    // Reverse ordering: the BinaryHeap is a max-heap, we want earliest first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A discrete-event simulation over a user-provided state type `S`.
-///
-/// Events are `FnOnce(&mut S, &mut Simulation<S>)` closures: they mutate the
-/// state and may schedule further events. Events at equal timestamps run in
-/// scheduling (FIFO) order, which keeps every run deterministic.
-pub struct Simulation<S> {
-    now: SimTime,
-    queue: BinaryHeap<QueuedEvent<S>>,
-    seq: u64,
-    executed: u64,
-}
-
-impl<S> Default for Simulation<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<S> std::fmt::Debug for Simulation<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulation")
-            .field("now", &self.now)
-            .field("pending", &self.queue.len())
-            .field("executed", &self.executed)
-            .finish()
-    }
-}
-
-impl<S> Simulation<S> {
-    /// Creates an empty simulation at time zero.
-    pub fn new() -> Self {
-        Simulation {
-            now: SimTime::ZERO,
-            queue: BinaryHeap::new(),
-            seq: 0,
-            executed: 0,
-        }
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events executed so far.
-    pub fn executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Schedules `action` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` lies in the past (before [`Simulation::now`]).
-    pub fn schedule_at<F>(&mut self, at: SimTime, action: F)
-    where
-        F: FnOnce(&mut S, &mut Simulation<S>) + 'static,
-    {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: {at} < {}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(QueuedEvent {
-            time: at,
-            seq,
-            action: Box::new(action),
-        });
-    }
-
-    /// Schedules `action` at `delay` after the current time.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, action: F)
-    where
-        F: FnOnce(&mut S, &mut Simulation<S>) + 'static,
-    {
-        self.schedule_at(self.now + delay, action);
-    }
-
-    /// Executes the single earliest pending event.
-    ///
-    /// Returns `false` if the queue was empty (time does not advance).
-    pub fn step(&mut self, state: &mut S) -> bool {
-        let Some(ev) = self.queue.pop() else {
-            return false;
-        };
-        self.now = ev.time;
-        self.executed += 1;
-        (ev.action)(state, self);
-        true
-    }
-
-    /// Runs until the event queue is empty.
-    pub fn run(&mut self, state: &mut S) {
-        while self.step(state) {}
-    }
-
-    /// Runs events with timestamps up to and including `until`.
-    ///
-    /// Events scheduled beyond `until` stay queued; the clock is advanced to
-    /// `until` afterwards (even if no event landed exactly there).
-    pub fn run_until(&mut self, state: &mut S, until: SimTime) {
-        while let Some(ev) = self.queue.peek() {
-            if ev.time > until {
-                break;
-            }
-            self.step(state);
-        }
-        if self.now < until {
-            self.now = until;
-        }
-    }
-
-    /// Runs at most `max_events` events; returns how many ran.
-    ///
-    /// A guard against accidentally divergent simulations (events that keep
-    /// rescheduling themselves).
-    pub fn run_bounded(&mut self, state: &mut S, max_events: u64) -> u64 {
-        let mut n = 0;
-        while n < max_events && self.step(state) {
-            n += 1;
-        }
-        n
-    }
-
-    /// Discards all pending events (e.g. on simulated ECU failure).
-    pub fn clear(&mut self) {
-        self.queue.clear();
-    }
-}
-
-/// Schedules a periodic activity: `action` runs at `start`, `start + period`,
-/// … while it keeps returning `true`.
-///
-/// This is the canonical shape of a deterministic application's activation
-/// pattern (§3.1: "fixed activation intervals").
-///
-/// # Panics
-///
-/// Panics if `period` is zero.
-pub fn schedule_periodic<S, F>(
-    sim: &mut Simulation<S>,
-    start: SimTime,
-    period: SimDuration,
-    action: F,
-) where
-    S: 'static,
-    F: FnMut(&mut S, &mut Simulation<S>) -> bool + 'static,
-{
-    assert!(
-        !period.is_zero(),
-        "periodic activity needs a non-zero period"
-    );
-    tick(sim, start, period, action);
-}
-
-fn tick<S, F>(sim: &mut Simulation<S>, at: SimTime, period: SimDuration, mut action: F)
-where
-    S: 'static,
-    F: FnMut(&mut S, &mut Simulation<S>) -> bool + 'static,
-{
-    sim.schedule_at(at, move |state, sim| {
-        if action(state, sim) {
-            let next = sim.now() + period;
-            tick(sim, next, period, action);
-        }
-    });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn events_run_in_time_order() {
-        let mut sim = Simulation::new();
-        let mut log: Vec<u64> = Vec::new();
-        sim.schedule_at(SimTime::from_millis(3), |l: &mut Vec<u64>, _| l.push(3));
-        sim.schedule_at(SimTime::from_millis(1), |l: &mut Vec<u64>, _| l.push(1));
-        sim.schedule_at(SimTime::from_millis(2), |l: &mut Vec<u64>, _| l.push(2));
-        sim.run(&mut log);
-        assert_eq!(log, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn equal_timestamps_run_fifo() {
-        let mut sim = Simulation::new();
-        let mut log: Vec<u32> = Vec::new();
-        let t = SimTime::from_millis(1);
-        for i in 0..10 {
-            sim.schedule_at(t, move |l: &mut Vec<u32>, _| l.push(i));
-        }
-        sim.run(&mut log);
-        assert_eq!(log, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn nested_scheduling_advances_clock() {
-        let mut sim = Simulation::new();
-        let mut seen = Vec::new();
-        sim.schedule_at(SimTime::from_millis(1), |_: &mut Vec<SimTime>, sim| {
-            sim.schedule_in(SimDuration::from_millis(4), |l: &mut Vec<SimTime>, sim| {
-                l.push(sim.now());
-            });
-        });
-        sim.run(&mut seen);
-        assert_eq!(seen, vec![SimTime::from_millis(5)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot schedule into the past")]
-    fn scheduling_into_past_panics() {
-        let mut sim = Simulation::new();
-        let mut s = ();
-        sim.schedule_at(SimTime::from_millis(5), |_: &mut (), _| {});
-        sim.step(&mut s);
-        sim.schedule_at(SimTime::from_millis(1), |_: &mut (), _| {});
-    }
-
-    #[test]
-    fn run_until_leaves_later_events_queued() {
-        let mut sim = Simulation::new();
-        let mut count = 0u32;
-        for ms in [1u64, 2, 3, 10] {
-            sim.schedule_at(SimTime::from_millis(ms), |c: &mut u32, _| *c += 1);
-        }
-        sim.run_until(&mut count, SimTime::from_millis(5));
-        assert_eq!(count, 3);
-        assert_eq!(sim.pending(), 1);
-        assert_eq!(sim.now(), SimTime::from_millis(5));
-        sim.run(&mut count);
-        assert_eq!(count, 4);
-    }
-
-    #[test]
-    fn run_bounded_stops_divergent_simulations() {
-        let mut sim = Simulation::new();
-        fn reschedule(_: &mut (), sim: &mut Simulation<()>) {
-            sim.schedule_in(SimDuration::from_nanos(1), reschedule);
-        }
-        sim.schedule_at(SimTime::ZERO, reschedule);
-        let mut s = ();
-        let ran = sim.run_bounded(&mut s, 1000);
-        assert_eq!(ran, 1000);
-        assert_eq!(sim.pending(), 1);
-    }
-
-    #[test]
-    fn periodic_activity_repeats_until_false() {
-        let mut sim = Simulation::new();
-        let mut times: Vec<u64> = Vec::new();
-        schedule_periodic(
-            &mut sim,
-            SimTime::from_millis(2),
-            SimDuration::from_millis(10),
-            |l: &mut Vec<u64>, sim| {
-                l.push(sim.now().as_millis());
-                l.len() < 4
-            },
-        );
-        sim.run(&mut times);
-        assert_eq!(times, vec![2, 12, 22, 32]);
-    }
-
-    #[test]
-    fn clear_discards_pending_events() {
-        let mut sim = Simulation::new();
-        let mut n = 0u32;
-        sim.schedule_at(SimTime::from_millis(1), |c: &mut u32, _| *c += 1);
-        sim.clear();
-        sim.run(&mut n);
-        assert_eq!(n, 0);
-    }
-
-    #[test]
-    fn executed_counter_counts() {
-        let mut sim = Simulation::new();
-        let mut s = ();
-        sim.schedule_at(SimTime::from_millis(1), |_: &mut (), _| {});
-        sim.schedule_at(SimTime::from_millis(2), |_: &mut (), _| {});
-        sim.run(&mut s);
-        assert_eq!(sim.executed(), 2);
-    }
-}

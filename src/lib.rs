@@ -7,17 +7,18 @@
 //! applications side by side with freedom of interference, staged runtime
 //! updates, fail-operational redundancy, runtime monitoring, and a secured
 //! service-oriented communication layer; plus every substrate that system
-//! needs: discrete-event simulation, ECU/bus hardware models, CAN /
-//! FlexRay / Ethernet / TSN media, an RTOS scheduling toolbox, a SOME/IP-
-//! style middleware, the modeling DSLs with a verification engine, a
-//! security stack, design-space exploration and XiL testing.
+//! needs: execution-time and clock uncertainty models, ECU/bus hardware
+//! models, CAN / FlexRay / Ethernet / TSN media, an RTOS scheduling
+//! toolbox, a SOME/IP-style middleware, the modeling DSLs with a
+//! verification engine, a security stack, design-space exploration and XiL
+//! testing.
 //!
 //! This facade crate re-exports the whole workspace under one name:
 //!
 //! | module | crate | role |
 //! |---|---|---|
 //! | [`common`] | `dynplat-common` | ids, time, ASIL, typed values |
-//! | [`sim`] | `dynplat-sim` | discrete-event kernel, uncertainty models |
+//! | [`sim`] | `dynplat-sim` | execution-time, clock & noise uncertainty models |
 //! | [`hw`] | `dynplat-hw` | ECU & topology models |
 //! | [`net`] | `dynplat-net` | CAN / FlexRay / Ethernet / TSN |
 //! | [`sched`] | `dynplat-sched` | RTA, EDF, TT synthesis, servers, admission |
@@ -26,7 +27,7 @@
 //! | [`fleet`] | `dynplat-fleet` | sharded fleet engine, staged OTA campaigns |
 //! | [`model`] | `dynplat-model` | DSLs, verification engine, generators |
 //! | [`security`] | `dynplat-security` | packages, update master, authn/authz |
-//! | [`obs`] | `dynplat-obs` | metrics registry, tracing spans, snapshots |
+//! | [`obs`] | `dynplat-obs` | metrics registry, causal tracing, snapshots |
 //! | [`monitor`] | `dynplat-monitor` | runtime monitoring, fault recording |
 //! | [`core`] | `dynplat-core` | **the dynamic platform** |
 //! | [`dse`] | `dynplat-dse` | design-space exploration |
