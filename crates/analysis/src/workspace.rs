@@ -101,9 +101,14 @@ pub fn classify(rel_path: &str, crate_name: &str) -> SourceFile {
         FileClass::Lib
     };
     // Crate roots that must carry `#![forbid(unsafe_code)]`: every
-    // library root and every binary root (each `src/bin/*.rs` is its own
-    // crate root as far as lint attributes go).
-    let is_root = rel_path.ends_with("/src/lib.rs") || is_bin;
+    // library root and every binary root — `src/main.rs`,
+    // `src/bin/<name>.rs` and `src/bin/<name>/main.rs`. Other files under
+    // `src/bin/<name>/` are modules of that binary, not roots.
+    let is_root = rel_path.ends_with("/src/lib.rs")
+        || rel_path.ends_with("/src/main.rs")
+        || rel_path
+            .split_once("/src/bin/")
+            .is_some_and(|(_, rest)| matches!(rest.split_once('/'), None | Some((_, "main.rs"))));
     SourceFile {
         path: rel_path.to_owned(),
         crate_name: crate_name.to_owned(),
@@ -182,6 +187,17 @@ mod tests {
         let bin = classify("/crates/bench/src/bin/bench.rs", "bench");
         assert_eq!(bin.class, FileClass::Bin);
         assert!(bin.is_root);
+
+        let bin_dir_root = classify("/crates/bench/src/bin/dynplat-bench/main.rs", "bench");
+        assert_eq!(bin_dir_root.class, FileClass::Bin);
+        assert!(bin_dir_root.is_root);
+
+        let bin_module = classify(
+            "/crates/bench/src/bin/dynplat-bench/e15_fleet_campaign.rs",
+            "bench",
+        );
+        assert_eq!(bin_module.class, FileClass::Bin);
+        assert!(!bin_module.is_root);
 
         let test = classify("/crates/obs/tests/concurrency.rs", "obs");
         assert_eq!(test.class, FileClass::TestLike);

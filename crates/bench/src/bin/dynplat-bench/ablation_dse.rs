@@ -6,56 +6,16 @@
 //! to escape infeasible plateaus and still lands above the seeded cost on
 //! tight budgets; with both disabled it is essentially a random walk.
 
-#![forbid(unsafe_code)]
-
-use dynplat_bench::{vehicle_functions, Table};
-use dynplat_common::{BusId, EcuId};
+use crate::e10_dse_admission::platform_model;
+use dynplat_bench::Table;
 use dynplat_dse::search::{simulated_annealing, DseConfig};
-use dynplat_hw::ecu::{EcuClass, EcuSpec};
-use dynplat_hw::topology::{BusKind, BusSpec, HwTopology};
-use dynplat_model::ir::{Deployment, MappingChoice, SystemModel};
 
-fn model(n_apps: u32, pool: u16) -> SystemModel {
-    let mut hardware = HwTopology::new();
-    let ids: Vec<EcuId> = (0..pool).map(EcuId).collect();
-    for &id in &ids {
-        hardware
-            .add_ecu(EcuSpec::of_class(
-                id,
-                format!("p{}", id.raw()),
-                EcuClass::Domain,
-            ))
-            .expect("fresh");
-    }
-    hardware
-        .add_bus(BusSpec::new(
-            BusId(0),
-            "bb",
-            BusKind::ethernet_1g(),
-            ids.clone(),
-        ))
-        .expect("fresh");
-    let applications = vehicle_functions(n_apps);
-    let mut deployment = Deployment::default();
-    for app in &applications {
-        deployment
-            .mapping
-            .insert(app.id, MappingChoice::AnyOf(ids.clone()));
-    }
-    SystemModel {
-        hardware,
-        interfaces: vec![],
-        applications,
-        deployment,
-    }
-}
-
-fn main() {
+pub fn run() {
     let table = Table::new(
         "Ablation — annealer design choices (40 apps, 6-ECU pool, mean of 5 seeds)",
         &["iterations", "variant", "mean_cost", "feasible_runs"],
     );
-    let m = model(40, 6);
+    let m = platform_model(40, 6);
     for iterations in [200u32, 800, 2400] {
         for (label, greedy_seed, restarts) in [
             ("seed+restarts", true, true),

@@ -2,16 +2,10 @@
 //!
 //! Drives the instrumented hot paths — comm publish/deliver (Event, RPC,
 //! Stream), topology route resolution, and the scheduler dispatch loop —
-//! with wall-clock-calibrated workloads, then emits the global metrics
-//! registry as a machine-readable
-//! `BENCH_*.json` snapshot (schema `dynplat.bench.v1`) plus a
+//! with wall-clock-calibrated workloads (400 ms per phase, 50 ms with
+//! `--quick`), then emits the global metrics registry as a machine-readable
+//! `BENCH_*.json` snapshot (`--out PATH`, schema `dynplat.bench.v1`) plus a
 //! Prometheus-style exposition on stdout.
-//!
-//! Usage:
-//!
-//! ```text
-//! bench [--out PATH] [--check BASELINE] [--quick] [--threads N]
-//! ```
 //!
 //! With `--check`, throughput gauges are compared against the baseline
 //! snapshot; a drop of more than 30% on any gated gauge prints the delta
@@ -24,7 +18,7 @@
 //! lock, a widened critical section) shows up here even when the
 //! single-thread numbers look fine.
 //!
-//! On a single-thread run the binary also counts heap allocations made
+//! On a single-thread run the scenario also counts heap allocations made
 //! inside the comm and sched phases' steady-state loops (after a warmup
 //! batch that fills every scratch buffer to its high-water mark) via a
 //! counting global allocator, and emits `bench.comm.allocs_per_delivery`
@@ -32,6 +26,7 @@
 //! either number is non-zero: the fabric's deliver path and a reused
 //! scheduler simulator are required to be allocation-free once warmed.
 
+use crate::{alloc_gate, Flags, Outcome};
 use dynplat_bench::Table;
 use dynplat_comm::fabric::Fabric;
 use dynplat_comm::paradigm::{
@@ -52,76 +47,6 @@ use dynplat_sched::task::{TaskSet, TaskSpec};
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Hermetic allocation counter: wraps the system allocator and counts
-/// allocation events (alloc / realloc / alloc_zeroed) while a phase has
-/// switched counting on. Counting is armed only for single-thread runs —
-/// under `--threads N` the workers' warmup batches would interleave with
-/// other workers' timed windows and the count would be meaningless.
-mod alloc_gate {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    static ARMED: AtomicBool = AtomicBool::new(false);
-    static COUNTING: AtomicBool = AtomicBool::new(false);
-    static COUNT: AtomicU64 = AtomicU64::new(0);
-
-    /// The `#[global_allocator]` shim. Pure pass-through to [`System`]
-    /// plus one relaxed flag load per call when idle.
-    pub struct CountingAlloc;
-
-    // SAFETY: delegates every operation unchanged to `System`; the only
-    // extra work is updating atomics, which cannot allocate or unwind.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            // relaxed: the count is only read in single-thread mode, so
-            // flag and tally are same-thread; nothing is published.
-            if COUNTING.load(Ordering::Relaxed) {
-                COUNT.fetch_add(1, Ordering::Relaxed); // relaxed: see above
-            }
-            System.alloc(layout)
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            // relaxed: the count is only read in single-thread mode, so
-            // flag and tally are same-thread; nothing is published.
-            if COUNTING.load(Ordering::Relaxed) {
-                COUNT.fetch_add(1, Ordering::Relaxed); // relaxed: see above
-            }
-            System.realloc(ptr, layout, new_size)
-        }
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            // relaxed: the count is only read in single-thread mode, so
-            // flag and tally are same-thread; nothing is published.
-            if COUNTING.load(Ordering::Relaxed) {
-                COUNT.fetch_add(1, Ordering::Relaxed); // relaxed: see above
-            }
-            System.alloc_zeroed(layout)
-        }
-    }
-
-    /// Arms the gate; phases' [`set_counting`] calls are no-ops until then.
-    pub fn arm() {
-        ARMED.store(true, Ordering::SeqCst);
-    }
-
-    /// Turns counting on/off around a steady-state loop (if armed).
-    pub fn set_counting(on: bool) {
-        if ARMED.load(Ordering::SeqCst) {
-            COUNTING.store(on, Ordering::SeqCst);
-        }
-    }
-
-    /// Allocation events observed across all counted windows so far.
-    pub fn total() -> u64 {
-        COUNT.load(Ordering::SeqCst)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: alloc_gate::CountingAlloc = alloc_gate::CountingAlloc;
-
 /// Gauges gated by `--check`: current must stay above
 /// `PERF_GATE_RATIO x baseline`.
 const GATED_GAUGES: [&str; 4] = [
@@ -134,84 +59,26 @@ const GATED_GAUGES: [&str; 4] = [
 /// A gated gauge may drop to 70% of the baseline before the gate trips.
 const PERF_GATE_RATIO: f64 = 0.70;
 
-struct Args {
-    out: Option<String>,
-    check: Option<String>,
-    quick: bool,
-    threads: usize,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        out: None,
-        check: None,
-        quick: false,
-        threads: 1,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
-            "--check" => args.check = Some(it.next().ok_or("--check needs a path")?),
-            "--quick" => args.quick = true,
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .ok_or("--threads needs a count")?
-                    .parse::<usize>()
-                    .map_err(|_| "--threads needs a positive integer".to_owned())?;
-                if args.threads == 0 {
-                    return Err("--threads needs a positive integer".to_owned());
-                }
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    Ok(args)
-}
-
-/// Runs a two-counter phase on `threads` workers concurrently, summing ops
+/// Runs a phase on `threads` workers concurrently, summing each op counter
 /// and keeping the slowest worker's elapsed time — aggregate throughput
 /// under contention on the shared registry.
-fn contended2(
+fn contended<const N: usize>(
     threads: usize,
     budget: std::time::Duration,
-    f: fn(std::time::Duration) -> (u64, u64, std::time::Duration),
-) -> (u64, u64, std::time::Duration) {
+    f: fn(std::time::Duration) -> ([u64; N], std::time::Duration),
+) -> ([u64; N], std::time::Duration) {
     if threads <= 1 {
         return f(budget);
     }
     std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads).map(|_| s.spawn(move || f(budget))).collect();
-        let mut ops_a = 0u64;
-        let mut ops_b = 0u64;
-        let mut elapsed = std::time::Duration::ZERO;
-        for w in workers {
-            let (a, b, e) = w.join().expect("bench worker panicked");
-            ops_a += a;
-            ops_b += b;
-            elapsed = elapsed.max(e);
-        }
-        (ops_a, ops_b, elapsed)
-    })
-}
-
-/// One-counter variant of [`contended2`].
-fn contended1(
-    threads: usize,
-    budget: std::time::Duration,
-    f: fn(std::time::Duration) -> (u64, std::time::Duration),
-) -> (u64, std::time::Duration) {
-    if threads <= 1 {
-        return f(budget);
-    }
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads).map(|_| s.spawn(move || f(budget))).collect();
-        let mut ops = 0u64;
+        let mut ops = [0u64; N];
         let mut elapsed = std::time::Duration::ZERO;
         for w in workers {
             let (o, e) = w.join().expect("bench worker panicked");
-            ops += o;
+            for (sum, o) in ops.iter_mut().zip(o) {
+                *sum += o;
+            }
             elapsed = elapsed.max(e);
         }
         (ops, elapsed)
@@ -238,10 +105,10 @@ fn four_ecu_ethernet() -> HwTopology {
 
 /// Event paradigm: repeated publish batches fanning out to three
 /// subscribers, until `budget` wall-clock elapses. Returns
-/// `(sends, deliveries, elapsed)` counted at the fabric level — one send
+/// `([sends, deliveries], elapsed)` counted at the fabric level — one send
 /// per subscriber leg, the same per-message accounting the rpc and
 /// stream phases use (matches `comm.fabric.sends`/`.deliveries`).
-fn run_event_phase(budget: std::time::Duration) -> (u64, u64, std::time::Duration) {
+fn run_event_phase(budget: std::time::Duration) -> ([u64; 2], std::time::Duration) {
     let topo = four_ecu_ethernet();
     let instance = ServiceInstance::new(ServiceId(1), 1);
     let group = EventGroupId(1);
@@ -311,7 +178,7 @@ fn run_event_phase(budget: std::time::Duration) -> (u64, u64, std::time::Duratio
         pack3(arena.live, arena.free, arena.bytes),
         std::sync::atomic::Ordering::SeqCst,
     );
-    (published, delivered, elapsed)
+    ([published, delivered], elapsed)
 }
 
 /// Slab/arena occupancy of the event phase's fabric, packed with [`pack3`]
@@ -337,10 +204,10 @@ fn unpack3(v: u64) -> (i64, i64, i64) {
 }
 
 /// Message paradigm: RPC round-trip batches. Returns
-/// `(sends, deliveries, elapsed)` counted at the fabric level: every
+/// `([sends, deliveries], elapsed)` counted at the fabric level: every
 /// completed round trip is two messages (request + response), the same
 /// per-leg accounting the event phase uses for its fanout legs.
-fn run_rpc_phase(budget: std::time::Duration) -> (u64, u64, std::time::Duration) {
+fn run_rpc_phase(budget: std::time::Duration) -> ([u64; 2], std::time::Duration) {
     let topo = four_ecu_ethernet();
     let calls: Vec<RpcCall> = (0..50u64)
         .map(|k| RpcCall {
@@ -370,11 +237,11 @@ fn run_rpc_phase(budget: std::time::Duration) -> (u64, u64, std::time::Duration)
     }
     let elapsed = start.elapsed();
     alloc_gate::set_counting(false);
-    (issued, completed, elapsed)
+    ([issued, completed], elapsed)
 }
 
-/// Stream paradigm: frame batches. Returns `(sent, delivered, elapsed)`.
-fn run_stream_phase(budget: std::time::Duration) -> (u64, u64, std::time::Duration) {
+/// Stream paradigm: frame batches. Returns `([sent, delivered], elapsed)`.
+fn run_stream_phase(budget: std::time::Duration) -> ([u64; 2], std::time::Duration) {
     let topo = four_ecu_ethernet();
     let spec = StreamSpec {
         start: SimTime::ZERO,
@@ -401,7 +268,7 @@ fn run_stream_phase(budget: std::time::Duration) -> (u64, u64, std::time::Durati
     }
     let elapsed = start.elapsed();
     alloc_gate::set_counting(false);
-    (sent, delivered, elapsed)
+    ([sent, delivered], elapsed)
 }
 
 /// A 24-ECU gateway mesh: six CAN/Ethernet leaf segments bridged onto an
@@ -445,8 +312,8 @@ fn gateway_mesh() -> HwTopology {
 
 /// Route resolution: all-pairs queries over the gateway mesh through the
 /// dense cache, rebuilt each sweep the way `Fabric::new` would. Returns
-/// `(routes_resolved, elapsed)`.
-fn run_route_phase(budget: std::time::Duration) -> (u64, std::time::Duration) {
+/// `([routes_resolved], elapsed)`.
+fn run_route_phase(budget: std::time::Duration) -> ([u64; 1], std::time::Duration) {
     let topo = gateway_mesh();
     let ecus: Vec<EcuId> = topo.ecus().map(|e| e.id()).collect();
     let mut resolved = 0u64;
@@ -461,12 +328,12 @@ fn run_route_phase(budget: std::time::Duration) -> (u64, std::time::Duration) {
             }
         }
     }
-    (resolved, start.elapsed())
+    ([resolved], start.elapsed())
 }
 
 /// Scheduler dispatch: preemptive fixed-priority simulation over a
-/// 20-task set, one reused [`Simulator`]. Returns `(completions, elapsed)`.
-fn run_sched_phase(budget: std::time::Duration) -> (u64, std::time::Duration) {
+/// 20-task set, one reused [`Simulator`]. Returns `([completions], elapsed)`.
+fn run_sched_phase(budget: std::time::Duration) -> ([u64; 1], std::time::Duration) {
     let set: TaskSet = (0..20u32)
         .map(|i| {
             TaskSpec::periodic(
@@ -496,7 +363,7 @@ fn run_sched_phase(budget: std::time::Duration) -> (u64, std::time::Duration) {
     }
     let elapsed = start.elapsed();
     alloc_gate::set_counting(false);
-    (completions, elapsed)
+    ([completions], elapsed)
 }
 
 fn ops_per_sec(ops: u64, elapsed: std::time::Duration) -> i64 {
@@ -530,16 +397,9 @@ fn gate(
     regressions
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bench: {e}");
-            eprintln!("usage: bench [--out PATH] [--check BASELINE] [--quick] [--threads N]");
-            return ExitCode::from(2);
-        }
-    };
-    let budget = if args.quick {
+pub fn run(flags: &Flags) -> Outcome {
+    let threads = flags.positive("--threads", 1)?;
+    let budget = if flags.get("--quick").is_some() {
         std::time::Duration::from_millis(50)
     } else {
         std::time::Duration::from_millis(400)
@@ -548,17 +408,16 @@ fn main() -> ExitCode {
     let registry = dynplat_obs::global();
     registry.reset();
 
-    let threads = args.threads;
     if threads == 1 {
         alloc_gate::arm();
     }
-    let (published, event_delivered, event_elapsed) = contended2(threads, budget, run_event_phase);
-    let (rpc_calls, rpc_completed, rpc_elapsed) = contended2(threads, budget, run_rpc_phase);
-    let (frames_sent, frames_delivered, stream_elapsed) =
-        contended2(threads, budget, run_stream_phase);
-    let (routes_resolved, route_elapsed) = contended1(threads, budget, run_route_phase);
+    let ([published, event_delivered], event_elapsed) = contended(threads, budget, run_event_phase);
+    let ([rpc_calls, rpc_completed], rpc_elapsed) = contended(threads, budget, run_rpc_phase);
+    let ([frames_sent, frames_delivered], stream_elapsed) =
+        contended(threads, budget, run_stream_phase);
+    let ([routes_resolved], route_elapsed) = contended(threads, budget, run_route_phase);
     let comm_allocs = alloc_gate::total();
-    let (dispatch_completions, sched_elapsed) = contended1(threads, budget, run_sched_phase);
+    let ([dispatch_completions], sched_elapsed) = contended(threads, budget, run_sched_phase);
     let sched_allocs = alloc_gate::total() - comm_allocs;
 
     let publish_ops = published + rpc_calls + frames_sent;
@@ -664,27 +523,27 @@ fn main() -> ExitCode {
     println!();
     println!("{}", snapshot.to_prometheus());
 
-    if let Some(path) = &args.out {
+    if let Some(path) = flags.get("--out") {
         if let Err(e) = std::fs::write(path, snapshot.to_json()) {
             eprintln!("bench: cannot write {path}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         eprintln!("bench: wrote snapshot to {path}");
     }
 
-    if let Some(path) = &args.check {
+    if let Some(path) = flags.get("--check") {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("bench: cannot read baseline {path}: {e}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         };
         let baseline = match MetricsSnapshot::from_json(&text) {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("bench: baseline {path} is invalid: {e}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         };
         if threads == 1 && allocs_per_delivery > 0 {
@@ -692,14 +551,14 @@ fn main() -> ExitCode {
                 "bench: ALLOCATION REGRESSION: {comm_allocs} heap allocations in the \
                  steady-state deliver loop (expected 0; {deliver_ops} deliveries)"
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         if threads == 1 && allocs_per_dispatch > 0 {
             eprintln!(
                 "bench: ALLOCATION REGRESSION: {sched_allocs} heap allocations in the \
                  steady-state dispatch loop (expected 0; {dispatch_completions} dispatches)"
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         let regressions = gate(&snapshot, &baseline);
         if !regressions.is_empty() {
@@ -713,9 +572,9 @@ fn main() -> ExitCode {
                     ratio * 100.0
                 );
             }
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!("bench: perf gate passed against {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -9,8 +9,6 @@
 //! fragmented schedules where cloud resynthesis succeeds at the price of
 //! slot migrations and a network round trip.
 
-#![forbid(unsafe_code)]
-
 use dynplat_bench::{ms, vehicle_functions, Table};
 use dynplat_common::time::SimDuration;
 use dynplat_common::{EcuId, TaskId};
@@ -31,7 +29,9 @@ type DseRun<'a> = (
 use dynplat_sched::task::{TaskSet, TaskSpec};
 use std::time::Instant;
 
-fn platform_model(n_apps: u32, pool: u16) -> SystemModel {
+/// `n_apps` vehicle functions, each free to map onto any ECU of a
+/// `pool`-sized domain-class pool on one gigabit backbone.
+pub fn platform_model(n_apps: u32, pool: u16) -> SystemModel {
     let mut hardware = HwTopology::new();
     let ids: Vec<EcuId> = (0..pool).map(EcuId).collect();
     for &id in &ids {
@@ -66,7 +66,7 @@ fn platform_model(n_apps: u32, pool: u16) -> SystemModel {
     }
 }
 
-fn main() {
+pub fn run() {
     // -- DSE quality / runtime ---------------------------------------------------
     let table = Table::new(
         "E10a — DSE algorithms over growing architectures",

@@ -7,15 +7,13 @@
 //! real time) — the paper's argument for shifting testing to earlier
 //! stages; certification effort multiplies with ASIL.
 
-#![forbid(unsafe_code)]
-
 use dynplat_bench::Table;
 use dynplat_common::Asil;
 use dynplat_xil::control::VirtualControlUnit;
 use dynplat_xil::harness::{cruise_suite, FaultInjection, TestCase, TestHarness};
 use dynplat_xil::TestLevel;
 
-fn main() {
+pub fn run() {
     let harness = TestHarness::new(VirtualControlUnit::cruise_control())
         .with_buggy_variant(VirtualControlUnit::cruise_control_buggy());
     let suite = cruise_suite();

@@ -13,8 +13,6 @@
 //! load first (§3.3). Everything is seed-deterministic: running this
 //! binary twice prints byte-identical tables.
 
-#![forbid(unsafe_code)]
-
 use dynplat_bench::chaos::{burst_plan, run_campaign, sweep_plan, CampaignConfig, CampaignSummary};
 use dynplat_bench::Table;
 use dynplat_comm::retry::RetryPolicy;
@@ -29,7 +27,7 @@ fn policies() -> [(RetryPolicy, &'static str); 3] {
     ]
 }
 
-fn main() {
+pub fn run() {
     let table = Table::new(
         "E12 — chaos campaign: fault rate x retry policy (seed 0xE12_5EED)",
         &CampaignSummary::columns(),

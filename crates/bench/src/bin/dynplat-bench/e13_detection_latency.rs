@@ -11,34 +11,19 @@
 //! * `--dump PATH` — write the first frozen flight dump as JSON
 //!   (Chrome-independent `dynplat.flight.v1` schema) for artifact upload.
 //!
-//! Everything is seed-deterministic: running this binary twice prints
+//! Everything is seed-deterministic: running this scenario twice prints
 //! byte-identical tables.
 
-#![forbid(unsafe_code)]
-
+use crate::{Flags, Outcome};
 use dynplat_bench::detect::{run_all, DetectionOutcome};
 use dynplat_bench::Table;
 use dynplat_common::time::SimDuration;
+use std::process::ExitCode;
 
 const SEED: u64 = 0xE13_5EED;
 
-fn main() {
-    let mut horizon = SimDuration::from_millis(6_000);
-    let mut dump_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--horizon-ms" => {
-                let v = args
-                    .next()
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .expect("--horizon-ms needs an integer");
-                horizon = SimDuration::from_millis(v);
-            }
-            "--dump" => dump_path = Some(args.next().expect("--dump needs a path")),
-            other => panic!("unknown flag {other}"),
-        }
-    }
+pub fn run(flags: &Flags) -> Outcome {
+    let horizon = SimDuration::from_millis(flags.parse("--horizon-ms", 6_000)?);
 
     let table = Table::new(
         &format!(
@@ -57,13 +42,14 @@ fn main() {
         .count();
     println!("# captured {}/{} scenarios", captured, outcomes.len());
 
-    if let Some(path) = dump_path {
+    if let Some(path) = flags.get("--dump") {
         let dump = outcomes
             .iter()
             .flat_map(|o| o.dumps.first())
             .next()
             .expect("at least one scenario froze a dump");
-        std::fs::write(&path, dump.to_json()).expect("write flight dump");
+        std::fs::write(path, dump.to_json()).expect("write flight dump");
         println!("# first flight dump written to {path}");
     }
+    Ok(ExitCode::SUCCESS)
 }

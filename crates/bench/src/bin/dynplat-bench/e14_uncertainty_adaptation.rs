@@ -13,36 +13,21 @@
 //! * `--out PATH` — write the sweep as JSON (schema `dynplat.e14.v1`)
 //!   for artifact upload.
 //!
-//! Everything is seed-deterministic: running this binary twice prints
+//! Everything is seed-deterministic: running this scenario twice prints
 //! byte-identical tables and bytes-identical JSON.
 //!
 //! [`BoundaryEstimator`]: dynplat_monitor::uncertainty::BoundaryEstimator
 
-#![forbid(unsafe_code)]
-
+use crate::{Flags, Outcome};
 use dynplat_bench::adapt::{run_sweep, sweep_to_json, AdaptationResult};
 use dynplat_bench::Table;
 use dynplat_common::time::SimDuration;
+use std::process::ExitCode;
 
 const SEED: u64 = 0xE14_5EED;
 
-fn main() {
-    let mut horizon = SimDuration::from_millis(6_000);
-    let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--horizon-ms" => {
-                let v = args
-                    .next()
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .expect("--horizon-ms needs an integer");
-                horizon = SimDuration::from_millis(v);
-            }
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
-            other => panic!("unknown flag {other}"),
-        }
-    }
+pub fn run(flags: &Flags) -> Outcome {
+    let horizon = SimDuration::from_millis(flags.parse("--horizon-ms", 6_000)?);
 
     let table = Table::new(
         &format!(
@@ -65,8 +50,9 @@ fn main() {
         results.len()
     );
 
-    if let Some(path) = out_path {
-        std::fs::write(&path, sweep_to_json(SEED, &results)).expect("write E14 sweep JSON");
+    if let Some(path) = flags.get("--out") {
+        std::fs::write(path, sweep_to_json(SEED, &results)).expect("write E14 sweep JSON");
         println!("# sweep written to {path}");
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -18,37 +18,16 @@
 //! printed separately as a `#` comment (it may vary run to run and is
 //! deliberately kept out of the JSON).
 
-#![forbid(unsafe_code)]
-
+use crate::{Flags, Outcome};
 use dynplat_bench::fleet::{arms_to_json, run_arms, FleetResult};
 use dynplat_bench::Table;
+use std::process::ExitCode;
 
 const SEED: u64 = 0xE15_5EED;
 
-fn main() {
-    let mut vehicles: u32 = 200_000;
-    let mut shards: usize = 4;
-    let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--vehicles" => {
-                vehicles = args
-                    .next()
-                    .and_then(|s| s.parse::<u32>().ok())
-                    .expect("--vehicles needs an integer fleet size");
-            }
-            "--shards" => {
-                shards = args
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .expect("--shards needs a positive integer");
-            }
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
-            other => panic!("unknown flag {other} (expected --vehicles, --shards or --out)"),
-        }
-    }
+pub fn run(flags: &Flags) -> Outcome {
+    let vehicles: u32 = flags.parse("--vehicles", 200_000)?;
+    let shards = flags.positive("--shards", 4)?;
 
     let table = Table::new(
         &format!(
@@ -71,9 +50,10 @@ fn main() {
         simulated as f64 / elapsed.as_secs_f64().max(1e-9),
     );
 
-    if let Some(path) = out_path {
-        std::fs::write(&path, arms_to_json(SEED, vehicles, &results))
+    if let Some(path) = flags.get("--out") {
+        std::fs::write(path, arms_to_json(SEED, vehicles, &results))
             .expect("write E15 campaign JSON");
         println!("# campaign written to {path}");
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -21,43 +21,16 @@
 //! Wall-clock throughput is printed separately as a `#` comment (it may
 //! vary run to run and is deliberately kept out of the JSON).
 
-#![forbid(unsafe_code)]
-
+use crate::{Flags, Outcome};
 use dynplat_bench::telemetry::{run_telemetry_arms, telemetry_arms_to_json, TelemetryResult};
 use dynplat_bench::Table;
+use std::process::ExitCode;
 
 const SEED: u64 = 0xE16_5EED;
 
-fn main() {
-    let mut vehicles: u32 = 20_000;
-    let mut shards: usize = 4;
-    let mut out_path: Option<String> = None;
-    let mut telemetry_dir: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--vehicles" => {
-                vehicles = args
-                    .next()
-                    .and_then(|s| s.parse::<u32>().ok())
-                    .expect("--vehicles needs an integer fleet size");
-            }
-            "--shards" => {
-                shards = args
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .expect("--shards needs a positive integer");
-            }
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
-            "--telemetry" => {
-                telemetry_dir = Some(args.next().expect("--telemetry needs a directory"));
-            }
-            other => {
-                panic!("unknown flag {other} (expected --vehicles, --shards, --out or --telemetry)")
-            }
-        }
-    }
+pub fn run(flags: &Flags) -> Outcome {
+    let vehicles: u32 = flags.parse("--vehicles", 20_000)?;
+    let shards = flags.positive("--shards", 4)?;
 
     let table = Table::new(
         &format!(
@@ -80,17 +53,18 @@ fn main() {
         simulated as f64 / elapsed.as_secs_f64().max(1e-9),
     );
 
-    if let Some(path) = out_path {
-        std::fs::write(&path, telemetry_arms_to_json(SEED, vehicles, &results))
+    if let Some(path) = flags.get("--out") {
+        std::fs::write(path, telemetry_arms_to_json(SEED, vehicles, &results))
             .expect("write E16 JSON");
         println!("# results written to {path}");
     }
-    if let Some(dir) = telemetry_dir {
-        std::fs::create_dir_all(&dir).expect("create telemetry directory");
+    if let Some(dir) = flags.get("--telemetry") {
+        std::fs::create_dir_all(dir).expect("create telemetry directory");
         for r in &results {
             let path = format!("{dir}/TELEMETRY_{}.json", r.arm);
             std::fs::write(&path, &r.telemetry).expect("write telemetry artifact");
             println!("# telemetry written to {path}");
         }
     }
+    Ok(ExitCode::SUCCESS)
 }

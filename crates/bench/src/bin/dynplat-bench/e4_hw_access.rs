@@ -5,8 +5,6 @@
 //! backlog (latency grows with load); 802.1p bounds it to one frame of
 //! blocking; TSN bounds it to the critical window regardless of load.
 
-#![forbid(unsafe_code)]
-
 use dynplat_bench::{us, Table};
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::MessageId;
@@ -42,7 +40,7 @@ fn urgent_latency<A: Arbiter>(mut port: A, events: Vec<TxEvent>) -> SimDuration 
         .latency()
 }
 
-fn main() {
+pub fn run() {
     let table = Table::new(
         "E4 — urgent DA frame latency vs NDA bulk load on 100 Mbit/s Ethernet",
         &[

@@ -7,8 +7,6 @@
 //! mixed-version window grows linearly with clock error and collapses
 //! entirely when the coordinator fails.
 
-#![forbid(unsafe_code)]
-
 use dynplat_bench::{ms, Table};
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::VehicleId;
@@ -54,7 +52,7 @@ fn fresh_platform() -> DynamicPlatform {
     p
 }
 
-fn main() {
+pub fn run() {
     // -- staged vs stop-restart over state size -----------------------------
     let table = Table::new(
         "E5a — staged vs stop-restart: outage and overlap vs state size",

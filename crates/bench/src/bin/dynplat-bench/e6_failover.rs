@@ -6,8 +6,6 @@
 //! the group alive through more failures; a single replica means losing
 //! the function entirely.
 
-#![forbid(unsafe_code)]
-
 use dynplat_bench::{ms, Table};
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{AppId, EcuId, InstanceId};
@@ -49,7 +47,7 @@ fn crash_scenario(
     }
 }
 
-fn main() {
+pub fn run() {
     let table = Table::new(
         "E6 — failover detection vs heartbeat period (master crash at t=1s)",
         &[

@@ -7,8 +7,6 @@
 //! observation; fleet aggregation yields response-time quantile bounds
 //! usable for certification arguments.
 
-#![forbid(unsafe_code)]
-
 use dynplat_bench::Table;
 use dynplat_common::rng::seeded_rng;
 use dynplat_common::rng::Rng;
@@ -18,7 +16,7 @@ use dynplat_monitor::report::{CertificationDataSet, DiagnosticReport};
 use dynplat_monitor::{FaultKind, FaultRecorder, MonitorSpec, TaskMonitor, TaskObservation};
 use std::time::Instant;
 
-fn main() {
+pub fn run() {
     // -- per-observation overhead (real wall clock) ---------------------------
     let spec = MonitorSpec::new(
         TaskId(1),

@@ -8,8 +8,6 @@
 //! package class is rejected; the redundant master keeps serving after a
 //! primary failure.
 
-#![forbid(unsafe_code)]
-
 use dynplat_bench::{us, Table};
 use dynplat_common::time::SimDuration;
 use dynplat_common::{AppId, EcuId};
@@ -19,7 +17,7 @@ use dynplat_security::package::{InstallGate, KeyRegistry, SignedPackage, UpdateP
 use dynplat_security::sign::KeyPair;
 use std::time::Instant;
 
-fn main() {
+pub fn run() {
     let authority = KeyPair::from_seed(b"oem");
     let mut registry = KeyRegistry::new();
     registry.trust(authority.public());

@@ -8,8 +8,6 @@
 //! else; wildcard diagnosis grants are visible for audit; permission packs
 //! merged at runtime take effect immediately and bump the matrix version.
 
-#![forbid(unsafe_code)]
-
 use dynplat_bench::Table;
 use dynplat_common::{AppId, MethodId, ServiceId};
 use dynplat_model::dsl::parse_model;
@@ -34,7 +32,7 @@ system {
 }
 "#;
 
-fn main() {
+pub fn run() {
     // -- session setup and data-plane costs -----------------------------------
     let mut ks = KeyServer::new();
     ks.enroll(Principal::Client(AppId(2)), [1; 32]);

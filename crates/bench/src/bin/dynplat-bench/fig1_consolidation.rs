@@ -6,13 +6,11 @@
 //! federated mean utilization stays tied to each function while platform
 //! ECUs absorb many functions each.
 
-#![forbid(unsafe_code)]
-
 use dynplat_bench::{vehicle_functions, Table};
 use dynplat_dse::consolidate::{consolidated_architecture, federated_architecture};
 use dynplat_dse::search::DseConfig;
 
-fn main() {
+pub fn run() {
     let table = Table::new(
         "E1 / Fig.1 — federated vs consolidated architectures",
         &[

@@ -7,8 +7,6 @@
 //! miss rate at zero at any NDA load, with TT additionally minimizing DA
 //! jitter; the platform still gives NDA work bounded throughput.
 
-#![forbid(unsafe_code)]
-
 use dynplat_bench::{ms, Table};
 use dynplat_common::time::SimDuration;
 use dynplat_common::TaskId;
@@ -60,7 +58,7 @@ fn set_with_nda(nda_wcet_ms: u64) -> TaskSet {
     set
 }
 
-fn main() {
+pub fn run() {
     let cfg = SchedSimConfig {
         horizon: SimDuration::from_millis(2000),
         ..Default::default()

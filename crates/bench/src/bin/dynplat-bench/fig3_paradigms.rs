@@ -9,8 +9,6 @@
 //! critical windows; RPC round trips are two one-way latencies plus
 //! processing; stream decodable latency ≥ raw latency.
 
-#![forbid(unsafe_code)]
-
 use dynplat_bench::{us, Table};
 use dynplat_comm::fabric::{BusPort, Fabric, MessageSend};
 use dynplat_comm::paradigm::{run_rpc, run_stream, RpcCall, StreamSpec};
@@ -51,7 +49,7 @@ fn fabric_for(medium: &str) -> Fabric {
     }
 }
 
-fn main() {
+pub fn run() {
     let media = ["can-500k", "eth-100m", "tsn-100m"];
 
     // -- Event: one-way notification latency over payload sizes -------------

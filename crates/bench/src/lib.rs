@@ -1,8 +1,8 @@
 //! Shared helpers for the experiment harness.
 //!
-//! Every figure/experiment binary (see DESIGN.md §4) prints a TSV table via
-//! [`Table`] so EXPERIMENTS.md can quote machine-readable rows, plus a
-//! human-readable header.
+//! Every figure/experiment scenario of the `dynplat-bench` binary (see
+//! DESIGN.md §4) prints a TSV table via [`Table`] so EXPERIMENTS.md can
+//! quote machine-readable rows, plus a human-readable header.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,0 +1,57 @@
+//! Command-line contract of the `dynplat-bench` binary: usage errors exit 2
+//! with the usage on stderr, and E15's JSON does not depend on `--shards`.
+
+use std::process::{Command, Output};
+
+fn dynplat_bench(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dynplat-bench"))
+        .args(args)
+        .output()
+        .expect("spawn dynplat-bench")
+}
+
+#[test]
+fn usage_errors_exit_2_with_the_usage_on_stderr() {
+    let cases: [&[&str]; 5] = [
+        &[],
+        &["e99_nonexistent"],
+        &["fig1_consolidation", "--bogus"],
+        &["e15_fleet_campaign", "--vehicles"],
+        &["e15_fleet_campaign", "--shards", "0"],
+    ];
+    for args in cases {
+        let out = dynplat_bench(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: dynplat-bench <scenario>"),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} ran before rejecting its flags"
+        );
+    }
+}
+
+#[test]
+fn e15_json_is_shard_invariant() {
+    let report = |shards| {
+        let path = format!(
+            "{}/cli_e15_shards{shards}.json",
+            env!("CARGO_TARGET_TMPDIR")
+        );
+        let args = [
+            "e15_fleet_campaign",
+            "--vehicles",
+            "2000",
+            "--out",
+            &path,
+            "--shards",
+            shards,
+        ];
+        assert!(dynplat_bench(&args).status.success(), "--shards {shards}");
+        std::fs::read(&path).expect("read E15 JSON")
+    };
+    assert_eq!(report("1"), report("3"));
+}

@@ -44,26 +44,26 @@ echo "==> perf smoke gate (bench vs BENCH_baseline.json, alloc gate armed)"
 # Single-threaded, so the counting allocator is armed: any heap allocation
 # in a steady-state deliver or dispatch loop fails this step, not just a
 # perf drop.
-cargo run --release -p dynplat-bench --bin bench -- \
+cargo run --release -p dynplat-bench -- bench \
   --quick --out BENCH_snapshot.json --check BENCH_baseline.json >/dev/null
 
 echo "==> e13 detection-latency smoke (tiny horizon)"
-cargo run --release -p dynplat-bench --bin e13_detection_latency -- \
+cargo run --release -p dynplat-bench -- e13_detection_latency \
   --horizon-ms 3000 --dump FLIGHT_e13.json >/dev/null
 
 echo "==> e14 uncertainty-adaptation smoke (tiny horizon, determinism-checked)"
-cargo run --release -p dynplat-bench --bin e14_uncertainty_adaptation -- \
+cargo run --release -p dynplat-bench -- e14_uncertainty_adaptation \
   --horizon-ms 3000 --out E14_sweep.json >/dev/null
-cargo run --release -p dynplat-bench --bin e14_uncertainty_adaptation -- \
+cargo run --release -p dynplat-bench -- e14_uncertainty_adaptation \
   --horizon-ms 3000 --out "$SMOKE_TMP/E14_sweep_rerun.json" >/dev/null
 cmp E14_sweep.json "$SMOKE_TMP/E14_sweep_rerun.json"
 
 echo "==> e15 fleet-campaign smoke (100k vehicles, shard-invariance-checked)"
 # The rerun flips the shard count: one cmp pins both rerun determinism and
 # the merge's independence from sharding.
-cargo run --release -p dynplat-bench --bin e15_fleet_campaign -- \
+cargo run --release -p dynplat-bench -- e15_fleet_campaign \
   --vehicles 100000 --shards 4 --out E15_campaign.json >/dev/null
-cargo run --release -p dynplat-bench --bin e15_fleet_campaign -- \
+cargo run --release -p dynplat-bench -- e15_fleet_campaign \
   --vehicles 100000 --shards 1 --out "$SMOKE_TMP/E15_campaign_rerun.json" >/dev/null
 cmp E15_campaign.json "$SMOKE_TMP/E15_campaign_rerun.json"
 
@@ -72,10 +72,10 @@ echo "==> e16 slo-telemetry smoke (8k vehicles, shard-flipped telemetry cmp)"
 # merged TELEMETRY_<arm>.json pins determinism *and* the sketch/ring
 # merge's shard-invariance in one check.
 mkdir -p "$SMOKE_TMP/tel_a" "$SMOKE_TMP/tel_b"
-cargo run --release -p dynplat-bench --bin e16_slo_telemetry -- \
+cargo run --release -p dynplat-bench -- e16_slo_telemetry \
   --vehicles 8000 --shards 4 --out E16_slo.json \
   --telemetry "$SMOKE_TMP/tel_a" >/dev/null
-cargo run --release -p dynplat-bench --bin e16_slo_telemetry -- \
+cargo run --release -p dynplat-bench -- e16_slo_telemetry \
   --vehicles 8000 --shards 1 --out "$SMOKE_TMP/E16_slo_rerun.json" \
   --telemetry "$SMOKE_TMP/tel_b" >/dev/null
 cmp E16_slo.json "$SMOKE_TMP/E16_slo_rerun.json"

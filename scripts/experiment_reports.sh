@@ -24,7 +24,7 @@ mkdir -p "$1"
 out="$(cd "$1" && pwd)"
 cd "$(dirname "$0")/.."
 
-cargo build --release -q -p dynplat-bench --bins
+cargo build --release -q -p dynplat-bench --bin dynplat-bench
 bin="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)"
 
 # Relative output paths: e13/e14 echo them to stdout, and the captures must
@@ -33,11 +33,11 @@ cd "$out"
 for exp in fig1_consolidation fig2_interference fig3_paradigms \
   e4_hw_access e5_update_safety e6_failover e11_xil e12_chaos \
   ablation_dse; do
-  "$bin/$exp" >"$exp.txt"
+  "$bin/dynplat-bench" "$exp" >"$exp.txt"
 done
 
-"$bin/e13_detection_latency" --dump e13_flight.json >e13_detection_latency.txt
-"$bin/e14_uncertainty_adaptation" --out e14.json >e14_uncertainty_adaptation.txt
-"$bin/e15_fleet_campaign" --out e15.json >/dev/null
+"$bin/dynplat-bench" e13_detection_latency --dump e13_flight.json >e13_detection_latency.txt
+"$bin/dynplat-bench" e14_uncertainty_adaptation --out e14.json >e14_uncertainty_adaptation.txt
+"$bin/dynplat-bench" e15_fleet_campaign --out e15.json >/dev/null
 mkdir -p e16_telemetry
-"$bin/e16_slo_telemetry" --out e16.json --telemetry e16_telemetry >/dev/null
+"$bin/dynplat-bench" e16_slo_telemetry --out e16.json --telemetry e16_telemetry >/dev/null
