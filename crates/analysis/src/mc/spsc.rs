@@ -10,13 +10,17 @@
 //! the two seeded bugs the regression suite re-injects: `tail` published
 //! `Relaxed`, and lanes written after `tail`.
 //!
-//! [`StripeModel`] mirrors the thread-striped metrics flush
-//! (`dynplat_obs::metrics::Counter` cells + the snapshot sum): writers
-//! bump their own cells `Relaxed` and announce completion through a flag;
-//! the reader acquires the flags then sums the cells with `Relaxed` loads.
-//! The model shows the `Relaxed` cell operations are sound *because* the
-//! completion handshake is `Release`/`Acquire` — and catches the lost
-//! counts when the handshake is weakened.
+//! [`StripeModel`] mirrors the two metrics flushes of `dynplat_obs`:
+//! writers update cells with `Relaxed` RMWs and announce completion
+//! through a flag (the thread join); the reader acquires the flags, then
+//! loads the cells `Relaxed`. [`StripeModel::correct`] is the striped
+//! `Counter` (each writer bumps its own cell; the snapshot sums them).
+//! [`StripeModel::shared_fields`] is the `Histogram` flush — `record_n`,
+//! `merge_local` and `merge` are `Relaxed` per-field adds into a bucket
+//! and the totals that every writer shares. The model shows the `Relaxed`
+//! cell operations are sound *because* the completion handshake is
+//! `Release`/`Acquire` — and catches the lost counts when the handshake
+//! is weakened.
 
 use super::{MemOrd, Model, Op};
 
@@ -273,41 +277,50 @@ const CELL1: usize = 1;
 const FLAG0: usize = 2;
 const FLAG1: usize = 3;
 
-/// The thread-striped counter flush: writers 0 and 1 bump their own cells
-/// with `Relaxed` RMWs, then announce completion; the reader (thread 2)
-/// waits on both flags and sums both cells with `Relaxed` loads.
+/// The metrics flush: writers 0 and 1 update the cells with `Relaxed`
+/// RMWs, then announce completion; the reader (thread 2) waits on both
+/// flags and loads both cells with `Relaxed` loads, each of which must
+/// hold [`STRIPE_INCS`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct StripeModel {
     /// Ordering of the writers' completion-flag stores (`Release` models
     /// the real thread-join handshake).
     flag_order: MemOrd,
+    /// `false`: writer `t` bumps cell `t` [`STRIPE_INCS`] times (striped
+    /// counter). `true`: every writer adds once to each cell (a histogram
+    /// bucket and its count, shared by all writers).
+    shared: bool,
     /// Per-writer increments performed (pc while < [`STRIPE_INCS`]).
     incs: [u64; 2],
     flagged: [bool; 2],
     /// Reader pc: 0/1 wait on flags, 2/3 read cells, 4 done.
     reader_pc: u8,
-    sum: u64,
 }
 
 impl StripeModel {
     /// The handshake as the real snapshot path has it.
     pub fn correct() -> Self {
-        StripeModel::with_flag_order(MemOrd::Release)
+        StripeModel::new(MemOrd::Release, false)
     }
 
-    /// Seeded bug: completion announced `Relaxed`, so the reader's sum
-    /// may miss increments.
+    /// The histogram flush: both writers add into the same fields.
+    pub fn shared_fields() -> Self {
+        StripeModel::new(MemOrd::Release, true)
+    }
+
+    /// Seeded bug: completion announced `Relaxed`, so the reader may miss
+    /// increments.
     pub fn broken_relaxed_flag() -> Self {
-        StripeModel::with_flag_order(MemOrd::Relaxed)
+        StripeModel::new(MemOrd::Relaxed, false)
     }
 
-    fn with_flag_order(flag_order: MemOrd) -> Self {
+    fn new(flag_order: MemOrd, shared: bool) -> Self {
         StripeModel {
             flag_order,
+            shared,
             incs: [0, 0],
             flagged: [false, false],
             reader_pc: 0,
-            sum: 0,
         }
     }
 }
@@ -324,7 +337,11 @@ impl Model for StripeModel {
     fn next_op(&self, tid: usize) -> Option<Op> {
         match tid {
             0 | 1 => {
-                let cell = if tid == 0 { CELL0 } else { CELL1 };
+                let cell = match (self.shared, tid) {
+                    (true, _) => [CELL0, CELL1][self.incs[tid] as usize % 2],
+                    (false, 0) => CELL0,
+                    (false, _) => CELL1,
+                };
                 let flag = if tid == 0 { FLAG0 } else { FLAG1 };
                 if self.incs[tid] < STRIPE_INCS {
                     Some(Op::FetchAdd(cell, 1, MemOrd::Relaxed))
@@ -364,14 +381,9 @@ impl Model for StripeModel {
                         Ok(())
                     }
                     _ => {
-                        self.sum += value;
                         self.reader_pc += 1;
-                        if self.reader_pc == 4 && self.sum != 2 * STRIPE_INCS {
-                            return Err(format!(
-                                "lost counts: snapshot sum {} != {}",
-                                self.sum,
-                                2 * STRIPE_INCS
-                            ));
+                        if value != STRIPE_INCS {
+                            return Err(format!("lost counts: cell read {value} != {STRIPE_INCS}"));
                         }
                         Ok(())
                     }

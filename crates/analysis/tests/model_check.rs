@@ -84,6 +84,19 @@ fn stripe_flush_protocol_is_safe_and_exhausted() {
 }
 
 #[test]
+fn shared_field_flush_protocol_is_safe_and_exhausted() {
+    // The histogram flush: both writers add into the same bucket and
+    // count fields, then join.
+    let ex = explore(StripeModel::shared_fields(), &Config::default());
+    assert!(ex.complete);
+    assert!(
+        ex.violation.is_none(),
+        "shared-field flush violated: {:?}",
+        ex.violation
+    );
+}
+
+#[test]
 fn relaxed_stripe_flag_loses_counts() {
     let ex = explore(StripeModel::broken_relaxed_flag(), &Config::default());
     let v = ex

@@ -48,7 +48,7 @@ pub const E16_BUDGET: f64 = 0.05;
 
 /// The four stage sketches exported per arm, with the gauge names their
 /// p99 trajectory is flushed into for the telemetry ring (the sanctioned
-/// sketch→timeseries path).
+/// histogram→timeseries path).
 const STAGES: [(&str, &str); 4] = [
     ("fleet.stage.download_ms", "fleet.stage.download_ms.p99"),
     ("fleet.stage.finalize_ms", "fleet.stage.finalize_ms.p99"),
@@ -202,7 +202,7 @@ pub struct TelemetryResult {
     /// Size of the merged telemetry artifact, bytes.
     pub telemetry_bytes: u64,
     /// The telemetry artifact itself: merged registry snapshot (stage
-    /// sketches included) plus the delta-encoded ring, byte-identical
+    /// histograms included) plus the delta-encoded ring, byte-identical
     /// across shard counts. Not part of [`TelemetryResult::to_json`];
     /// written separately for the CI shard-flip `cmp`.
     pub telemetry: String,
@@ -230,14 +230,14 @@ fn publish_phase(registry: &MetricsRegistry, metrics: &ShardMetrics) {
         &metrics.e2e_ms,
     ];
     for ((name, _), sketch) in STAGES.iter().zip(sketches) {
-        registry.sketch(name).merge(sketch);
+        registry.histogram(name).merge(sketch);
     }
 }
 
-/// Flushes stage-sketch p99s into gauges and samples the ring.
+/// Flushes stage-histogram p99s into gauges and samples the ring.
 fn sample_ring(registry: &MetricsRegistry, ring: &mut TelemetryRing, at: SimTime) {
     for (name, p99_gauge) in STAGES {
-        let p99 = registry.sketch(name).quantile(0.99);
+        let p99 = registry.histogram(name).quantile(0.99);
         registry.gauge(p99_gauge).set(p99 as i64);
     }
     ring.sample(at.as_nanos(), &registry.snapshot());
@@ -379,7 +379,7 @@ pub fn run_telemetry_arm(
         }
     }
 
-    // The telemetry artifact: merged counters and stage sketches plus the
+    // The telemetry artifact: merged counters and stage histograms plus the
     // p99 trajectory ring, sampled once per phase.
     let registry = MetricsRegistry::new();
     let mut ring = TelemetryRing::new(8);

@@ -295,7 +295,8 @@ impl CampaignReport {
     /// `fleet.*` — counters for every pipeline verdict, the wave ledger,
     /// the completion-time distribution as a histogram (bulk-merged with
     /// `record_n`, one call per distinct millisecond value), and the
-    /// per-stage latency sketches.
+    /// per-stage latency sketches merged into histograms of the same
+    /// bucket layout.
     pub fn publish(&self, registry: &MetricsRegistry) {
         let t = &self.totals;
         registry
@@ -337,16 +338,16 @@ impl CampaignReport {
             i = j;
         }
         registry
-            .sketch("fleet.stage.download_ms")
+            .histogram("fleet.stage.download_ms")
             .merge(&self.totals.download_ms);
         registry
-            .sketch("fleet.stage.finalize_ms")
+            .histogram("fleet.stage.finalize_ms")
             .merge(&self.totals.finalize_ms);
         registry
-            .sketch("fleet.stage.stall_ms")
+            .histogram("fleet.stage.stall_ms")
             .merge(&self.totals.stall_ms);
         registry
-            .sketch("fleet.stage.e2e_ms")
+            .histogram("fleet.stage.e2e_ms")
             .merge(&self.totals.e2e_ms);
     }
 }
@@ -633,7 +634,7 @@ mod tests {
             "fleet.stage.e2e_ms",
         ] {
             assert_eq!(
-                snap.sketches[stage].count, snap.counters["fleet.vehicles.admitted"],
+                snap.histograms[stage].count, snap.counters["fleet.vehicles.admitted"],
                 "{stage} must hold one sample per admitted vehicle"
             );
         }

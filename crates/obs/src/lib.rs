@@ -7,16 +7,20 @@
 //! This crate is that substrate, dependency-free by construction:
 //!
 //! * [`metrics`] — a [`MetricsRegistry`] of counters, gauges and
-//!   fixed-bucket histograms keyed by static names. Registration locks
-//!   briefly once per call site; every update afterwards is a single
-//!   relaxed atomic, cheap enough for the fabric's delivery loop;
-//! * [`snapshot`] — point-in-time copies of a registry with two encoders:
-//!   Prometheus text exposition and the machine-readable `BENCH_*.json`
-//!   shape the CI perf gate diffs against a checked-in baseline;
+//!   histograms keyed by static names. Registration locks briefly once
+//!   per call site; every update afterwards is a few relaxed atomics,
+//!   cheap enough for the fabric's delivery loop;
+//! * [`mod@sketch`] — the one log-linear bucket layout (≤ 1/32 relative
+//!   quantile error) shared by [`Histogram`], [`LocalHistogram`] and the
+//!   sparse [`Sketch`], whose merge is associative and commutative, so
+//!   fleet-wide aggregates are byte-identical no matter how vehicles
+//!   were sharded;
+//! * [`snapshot`] — point-in-time copies of a registry, with one
+//!   [`HistogramSnapshot`] type for every quantile structure and two
+//!   encoders: Prometheus text exposition and the machine-readable
+//!   `BENCH_*.json` shape the CI perf gate diffs against a checked-in
+//!   baseline;
 //! * [`json`] — the minimal JSON reader backing snapshot round-trips;
-//! * [`mod@sketch`] — mergeable log-linear quantile sketches whose merge is
-//!   associative and commutative, so fleet-wide aggregates are
-//!   byte-identical no matter how vehicles were sharded;
 //! * [`timeseries`] — fixed-capacity delta-encoded rings of periodic
 //!   registry snapshots (`dynplat.telemetry.v1`);
 //! * [`slo`] — declarative objectives with multi-window burn-rate
@@ -29,7 +33,7 @@
 //!
 //! Instrumented crates (`comm`, `sched`, `core`, `faults`, `monitor`,
 //! `bench`) emit into the process-wide [`global`] registry through the
-//! [`counter!`], [`gauge!`], [`histogram!`] and [`sketch!`] macros,
+//! [`counter!`], [`gauge!`] and [`histogram!`] macros,
 //! which cache the resolved handle in a per-call-site `OnceLock`:
 //!
 //! ```
@@ -53,13 +57,10 @@ pub mod trace;
 
 pub use chrome::SpanRecord;
 pub use exemplar::{Exemplar, ExemplarSet, LocalExemplars, DEFAULT_EXEMPLARS};
-pub use metrics::{
-    bucket_bounds, Counter, Gauge, Histogram, LocalHistogram, MetricsRegistry, BUCKET_COUNT,
-    COUNTER_STRIPES,
-};
+pub use metrics::{Counter, Gauge, Histogram, LocalHistogram, MetricsRegistry, COUNTER_STRIPES};
 pub use sketch::{
-    sketch_bucket_index, sketch_bucket_lower, sketch_bucket_upper, Sketch, SketchCell,
-    SketchSnapshot, SKETCH_MAX_INDEX, SKETCH_SUB, SKETCH_SUBBITS,
+    sketch_bucket_index, sketch_bucket_lower, sketch_bucket_upper, Sketch, SKETCH_MAX_INDEX,
+    SKETCH_SUB, SKETCH_SUBBITS,
 };
 pub use slo::{BurnObservation, BurnTracker, SloKind, SloSpec};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot, SNAPSHOT_SCHEMA};
@@ -120,17 +121,6 @@ macro_rules! histogram {
         static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
             ::std::sync::OnceLock::new();
         HANDLE.get_or_init(|| $crate::global().histogram($name))
-    }};
-}
-
-/// Resolves a quantile sketch in the [`global`] registry, caching the
-/// handle in a per-call-site static.
-#[macro_export]
-macro_rules! sketch {
-    ($name:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::SketchCell>> =
-            ::std::sync::OnceLock::new();
-        HANDLE.get_or_init(|| $crate::global().sketch($name))
     }};
 }
 

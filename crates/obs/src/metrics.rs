@@ -1,19 +1,23 @@
-//! The metrics registry: counters, gauges and fixed-bucket histograms.
+//! The metrics registry: counters, gauges and histograms.
 //!
 //! Design constraints (§3.4 of the paper applied to a host-side
 //! reproduction): instrumentation must be cheap enough to live in the hot
 //! paths of the fabric and the scheduler simulator, deterministic in its
-//! bucket layout, and dependency-free. Every metric is keyed by a
-//! `&'static str` name; registration takes a short-lived lock once per
-//! call site, after which all updates are single atomic operations on a
-//! shared handle.
+//! bucket layout, and dependency-free. Histograms use the one log-linear
+//! bucket layout of [`crate::sketch`]: [`Histogram`] is its dense atomic
+//! form, [`LocalHistogram`] the single-owner form hot loops flush in
+//! batches, and [`Sketch`] the sparse form fleet shards merge.
+//!
+//! Every metric is keyed by a `&'static str` name; registration takes a
+//! short-lived lock once per call site, after which all updates are
+//! single atomic operations on a shared handle.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 use crate::exemplar::{Exemplar, ExemplarSet};
-use crate::sketch::SketchCell;
+use crate::sketch::{sketch_bucket_index, sketch_bucket_upper, Sketch, SKETCH_MAX_INDEX};
 use crate::snapshot::{HistogramSnapshot, MetricsSnapshot};
 
 /// Number of per-thread cells a [`Counter`] is striped over. Each thread
@@ -139,37 +143,16 @@ impl Gauge {
     }
 }
 
-/// Number of fixed histogram buckets: a 1–2–5 series per decade from 1 to
-/// 10^18, plus one overflow bucket.
-pub const BUCKET_COUNT: usize = 3 * 19 + 1;
+/// Number of histogram buckets: the [`crate::sketch`] layout's index range.
+const BUCKETS: usize = SKETCH_MAX_INDEX as usize;
 
-/// The shared, deterministic bucket upper bounds (inclusive): 1, 2, 5, 10,
-/// 20, 50, … 5·10^18, then overflow. Values are typically nanoseconds, so
-/// the range covers 1 ns to ~158 years with ≤ 2.5× quantile error.
-pub fn bucket_bounds() -> &'static [u64; BUCKET_COUNT - 1] {
-    static BOUNDS: std::sync::OnceLock<[u64; BUCKET_COUNT - 1]> = std::sync::OnceLock::new();
-    BOUNDS.get_or_init(|| {
-        let mut b = [0u64; BUCKET_COUNT - 1];
-        let mut i = 0;
-        let mut decade: u64 = 1;
-        while i < BUCKET_COUNT - 1 {
-            for m in [1u64, 2, 5] {
-                if i < BUCKET_COUNT - 1 {
-                    b[i] = m.saturating_mul(decade);
-                    i += 1;
-                }
-            }
-            decade = decade.saturating_mul(10);
-        }
-        b
-    })
-}
-
-/// A fixed-bucket histogram with exact count/sum/min/max and bucketed
-/// quantiles (p50/p95/p99 within one 1–2–5 bucket of the true value).
+/// A histogram with exact count/sum/min/max and bucketed quantiles, on the
+/// log-linear layout of [`crate::sketch`] (p50/p95/p99 within 1/32 of the
+/// true nearest-rank value). The buckets are a dense atomic array, so a
+/// record is a handful of relaxed adds and never locks.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; BUCKET_COUNT],
+    buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -191,16 +174,7 @@ impl Default for Histogram {
 impl Histogram {
     /// Records one observation.
     pub fn record(&self, value: u64) {
-        let idx = bucket_index(value); // first bound >= value
-                                       // relaxed: each field is an independent exact tally (atomic RMW
-                                       // loses nothing); a concurrent snapshot may see the fields
-                                       // mid-update, which histogram consumers tolerate by contract —
-                                       // exact reads happen after writers are synchronized externally.
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed); // relaxed: see above
-        self.sum.fetch_add(value, Ordering::Relaxed); // relaxed: see above
-        self.min.fetch_min(value, Ordering::Relaxed); // relaxed: see above
-        self.max.fetch_max(value, Ordering::Relaxed); // relaxed: see above
+        self.record_n(value, 1);
     }
 
     /// Records `n` identical observations in one shot — the merge primitive
@@ -211,114 +185,26 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let idx = bucket_index(value); // first bound >= value
-                                       // relaxed: same per-field tally argument as `record`.
-        self.buckets[idx].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed); // relaxed: see above
-        self.sum
-            // relaxed: see above
-            .fetch_add(value.saturating_mul(n), Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed); // relaxed: see above
-        self.max.fetch_max(value, Ordering::Relaxed); // relaxed: see above
+        // relaxed: each field is an independent exact tally (atomic RMW
+        // loses nothing); a concurrent snapshot may see the fields
+        // mid-update, which histogram consumers tolerate by contract —
+        // exact reads happen after writers are synchronized externally.
+        self.buckets[sketch_bucket_index(value) as usize].fetch_add(n, Ordering::Relaxed);
+        self.add_totals(n, value.saturating_mul(n), value, value);
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        // relaxed: snapshot read; see `record` for the tally argument.
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
-        // relaxed: snapshot read; see `record`.
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Smallest observation (0 when empty).
-    pub fn min(&self) -> u64 {
-        // relaxed: snapshot read; see `record`.
-        let v = self.min.load(Ordering::Relaxed);
-        if v == u64::MAX {
-            0
-        } else {
-            v
+    /// Folds a pre-aggregated [`Sketch`] into this shared histogram — the
+    /// flush primitive for per-worker sketches (fleet shards). Both sides
+    /// use the same bucket index, so the merge is exact.
+    pub fn merge(&self, sketch: &Sketch) {
+        if sketch.is_empty() {
+            return;
         }
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> u64 {
-        // relaxed: snapshot read; see `record`.
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Upper bound of the bucket holding the `q`-quantile observation
-    /// (`q` in `[0, 1]`), or 0 when empty. The bound is exact for the
-    /// overflow bucket only in the sense of returning [`Histogram::max`].
-    ///
-    /// The bucket array is read in one pass and the rank is taken against
-    /// that same read — not against the separately-updated `count` field —
-    /// so the answer is self-consistent even while striped
-    /// [`Histogram::merge_local`] flushes land concurrently.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let buckets = self.load_buckets();
-        quantile_of(&buckets, q, self.max())
-    }
-
-    /// One coherent pass over the bucket array.
-    fn load_buckets(&self) -> [u64; BUCKET_COUNT] {
-        let mut out = [0u64; BUCKET_COUNT];
-        for (slot, b) in out.iter_mut().zip(self.buckets.iter()) {
-            // relaxed: snapshot read; see `record`.
-            *slot = b.load(Ordering::Relaxed);
+        for &(idx, n) in sketch.nonzero_buckets() {
+            // relaxed: the same per-field tallies as `record_n`.
+            self.buckets[idx as usize].fetch_add(n, Ordering::Relaxed);
         }
-        out
-    }
-
-    /// Non-empty buckets as `(upper_bound, count)` pairs; the overflow
-    /// bucket reports `u64::MAX` as its bound.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        let bounds = bucket_bounds();
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                // relaxed: snapshot read; see `record`.
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| (bounds.get(i).copied().unwrap_or(u64::MAX), n))
-            })
-            .collect()
-    }
-
-    /// Snapshot of this histogram's aggregate state.
-    ///
-    /// The whole snapshot derives from **one** read of the bucket array:
-    /// `count` is that read's total and `p50`/`p95`/`p99` are ranked
-    /// against it, so recomputing a quantile from the snapshot's own
-    /// `buckets` ([`HistogramSnapshot::quantile`]) reproduces the stored
-    /// percentiles exactly — there is no drift between `quantile()` and
-    /// `snapshot()` under concurrent striped flushes. (`sum` is a
-    /// separate atomic and may trail the buckets mid-flush; it is exact
-    /// once writers are synchronized, like every other tally here.)
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets = self.load_buckets();
-        let count: u64 = buckets.iter().sum();
-        let max = self.max();
-        let bounds = bucket_bounds();
-        HistogramSnapshot {
-            count,
-            sum: self.sum(),
-            min: self.min(),
-            max,
-            p50: quantile_of(&buckets, 0.50, max),
-            p95: quantile_of(&buckets, 0.95, max),
-            p99: quantile_of(&buckets, 0.99, max),
-            buckets: buckets
-                .iter()
-                .enumerate()
-                .filter(|&(_, &n)| n > 0)
-                .map(|(i, &n)| (bounds.get(i).copied().unwrap_or(u64::MAX), n))
-                .collect(),
-        }
+        self.add_totals(sketch.count(), sketch.sum(), sketch.min(), sketch.max());
     }
 
     /// Merges a thread-local accumulator into this shared histogram and
@@ -330,20 +216,92 @@ impl Histogram {
         if local.count == 0 {
             return;
         }
-        // relaxed: the flush is a batch of the same per-field tallies as
-        // `record`; the reader that needs exactness (snapshot after join)
-        // is synchronized externally, which `dynplat-analysis`'s
-        // `StripeModel` model-checks.
-        for (shared, &n) in self.buckets.iter().zip(local.buckets.iter()) {
+        let range = local.occupied();
+        for (shared, &n) in self.buckets[range.clone()]
+            .iter()
+            .zip(&local.buckets[range])
+        {
             if n > 0 {
-                shared.fetch_add(n, Ordering::Relaxed); // relaxed: see above
+                // relaxed: the flush is a batch of the same per-field
+                // tallies as `record_n`; the reader that needs exactness
+                // (snapshot after join) is synchronized externally, which
+                // `dynplat-analysis`'s `StripeModel` model-checks.
+                shared.fetch_add(n, Ordering::Relaxed);
             }
         }
-        self.count.fetch_add(local.count, Ordering::Relaxed); // relaxed: see above
-        self.sum.fetch_add(local.sum, Ordering::Relaxed); // relaxed: see above
-        self.min.fetch_min(local.min, Ordering::Relaxed); // relaxed: see above
-        self.max.fetch_max(local.max, Ordering::Relaxed); // relaxed: see above
+        self.add_totals(local.count, local.sum, local.min, local.max);
         local.clear();
+    }
+
+    /// The non-bucket half of every update: count, sum, min and max.
+    fn add_totals(&self, count: u64, sum: u64, min: u64, max: u64) {
+        // relaxed: independent exact tallies, as argued in `record_n`.
+        self.count.fetch_add(count, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed); // relaxed: see above
+        self.min.fetch_min(min, Ordering::Relaxed); // relaxed: see above
+        self.max.fetch_max(max, Ordering::Relaxed); // relaxed: see above
+    }
+
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        // relaxed: snapshot read; see `record_n` for the tally argument.
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Sum of all observations.
+    pub fn sum(&self) -> u64 {
+        // relaxed: snapshot read; see `record_n`.
+        self.sum.load(Ordering::Relaxed)
+    }
+
+    /// Smallest observation (0 when empty).
+    pub fn min(&self) -> u64 {
+        // relaxed: snapshot read; see `record_n`.
+        let v = self.min.load(Ordering::Relaxed);
+        if v == u64::MAX {
+            0
+        } else {
+            v
+        }
+    }
+
+    /// Largest observation.
+    pub fn max(&self) -> u64 {
+        // relaxed: snapshot read; see `record_n`.
+        self.max.load(Ordering::Relaxed)
+    }
+
+    /// Nearest-rank `q`-quantile (`q` in `[0, 1]`): the upper bound of the
+    /// bucket holding it, clamped to `[min, max]`; 0 when empty. Taken
+    /// from one [`Histogram::snapshot`], so it is self-consistent even
+    /// while striped [`Histogram::merge_local`] flushes land concurrently.
+    pub fn quantile(&self, q: f64) -> u64 {
+        self.snapshot().quantile(q)
+    }
+
+    /// Snapshot of this histogram's aggregate state.
+    ///
+    /// The whole snapshot derives from **one** read of the bucket array:
+    /// `count` is that read's total and `p50`/`p95`/`p99` are ranked
+    /// against it, so recomputing a quantile from the snapshot's own
+    /// `buckets` ([`HistogramSnapshot::quantile`]) reproduces the stored
+    /// percentiles exactly — there is no drift between `quantile()` and
+    /// `snapshot()` under concurrent striped flushes. (`sum`, `min` and
+    /// `max` are separate atomics and may trail the buckets mid-flush;
+    /// they are exact once writers are synchronized, like every other
+    /// tally here.)
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets = self
+            .buckets
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| {
+                // relaxed: snapshot read; see `record_n`.
+                let n = b.load(Ordering::Relaxed);
+                (n > 0).then(|| (sketch_bucket_upper(i as u16), n))
+            })
+            .collect();
+        HistogramSnapshot::from_buckets(buckets, self.sum(), self.min(), self.max())
     }
 
     fn reset(&self) {
@@ -358,43 +316,16 @@ impl Histogram {
     }
 }
 
-/// Index of the bucket holding `value` (first bound ≥ `value`, or the
-/// overflow bucket).
-#[inline]
-fn bucket_index(value: u64) -> usize {
-    bucket_bounds().partition_point(|&b| b < value)
-}
-
-/// Nearest-rank quantile over one coherent bucket read, clamped to `max`.
-fn quantile_of(buckets: &[u64; BUCKET_COUNT], q: f64, max: u64) -> u64 {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let target = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-    let bounds = bucket_bounds();
-    let mut acc = 0u64;
-    for (i, &n) in buckets.iter().enumerate() {
-        acc += n;
-        if acc >= target {
-            return if i < bounds.len() {
-                bounds[i].min(max)
-            } else {
-                max
-            };
-        }
-    }
-    max
-}
-
-/// A single-owner histogram accumulator: the same 1–2–5 bucket layout as
+/// A single-owner histogram accumulator: the same bucket layout as
 /// [`Histogram`], but plain `u64`s with no atomics. Hot loops record into
 /// one of these and [`Histogram::merge_local`] folds it into the shared
 /// registry handle once per batch, so per-observation cost is an array
-/// increment instead of five atomic read-modify-writes.
+/// increment instead of five atomic read-modify-writes. Flush and clear
+/// touch only the buckets between the indices of `min` and `max`, and
+/// nothing allocates.
 #[derive(Clone, Debug)]
 pub struct LocalHistogram {
-    buckets: [u64; BUCKET_COUNT],
+    buckets: [u64; BUCKETS],
     count: u64,
     sum: u64,
     min: u64,
@@ -404,7 +335,7 @@ pub struct LocalHistogram {
 impl Default for LocalHistogram {
     fn default() -> Self {
         LocalHistogram {
-            buckets: [0; BUCKET_COUNT],
+            buckets: [0; BUCKETS],
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -422,15 +353,11 @@ impl LocalHistogram {
     /// Records one observation (no atomics).
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.buckets[bucket_index(value)] += 1;
+        self.buckets[sketch_bucket_index(value) as usize] += 1;
         self.count += 1;
-        self.sum += value;
-        if value < self.min {
-            self.min = value;
-        }
-        if value > self.max {
-            self.max = value;
-        }
+        self.sum = self.sum.wrapping_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
     /// Number of observations accumulated since the last flush.
@@ -438,9 +365,22 @@ impl LocalHistogram {
         self.count
     }
 
+    /// The bucket indices that can be non-zero: those of `min` to `max`.
+    fn occupied(&self) -> std::ops::Range<usize> {
+        if self.count == 0 {
+            return 0..0;
+        }
+        sketch_bucket_index(self.min) as usize..sketch_bucket_index(self.max) as usize + 1
+    }
+
     /// Empties the accumulator without flushing.
     pub fn clear(&mut self) {
-        *self = LocalHistogram::default();
+        let range = self.occupied();
+        self.buckets[range].fill(0);
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
     }
 
     /// Flushes into `target` and clears; convenience for
@@ -455,7 +395,6 @@ struct Inner {
     counters: BTreeMap<&'static str, Arc<Counter>>,
     gauges: BTreeMap<&'static str, Arc<Gauge>>,
     histograms: BTreeMap<&'static str, Arc<Histogram>>,
-    sketches: BTreeMap<&'static str, Arc<SketchCell>>,
     exemplars: BTreeMap<&'static str, Arc<ExemplarSet>>,
 }
 
@@ -521,16 +460,6 @@ impl MetricsRegistry {
         Arc::clone(inner.histograms.entry(name).or_default())
     }
 
-    /// Resolves (creating on first use) the quantile sketch `name`
-    /// (capacityless: sketches grow sparsely with observed buckets).
-    pub fn sketch(&self, name: &'static str) -> Arc<SketchCell> {
-        if let Some(s) = self.inner.read().expect("registry lock").sketches.get(name) {
-            return Arc::clone(s);
-        }
-        let mut inner = self.inner.write().expect("registry lock");
-        Arc::clone(inner.sketches.entry(name).or_default())
-    }
-
     /// Resolves (creating on first use) the exemplar set `name`
     /// (default top-K capacity, [`crate::exemplar::DEFAULT_EXEMPLARS`]).
     pub fn exemplars(&self, name: &'static str) -> Arc<ExemplarSet> {
@@ -566,11 +495,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(k, v)| ((*k).to_owned(), v.snapshot()))
                 .collect(),
-            sketches: inner
-                .sketches
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), v.snapshot()))
-                .collect(),
         }
     }
 
@@ -599,9 +523,6 @@ impl MetricsRegistry {
         }
         for h in inner.histograms.values() {
             h.reset();
-        }
-        for s in inner.sketches.values() {
-            s.reset();
         }
         for e in inner.exemplars.values() {
             e.reset();
@@ -688,19 +609,10 @@ mod tests {
     }
 
     #[test]
-    fn bucket_bounds_are_strictly_increasing() {
-        let b = bucket_bounds();
-        for w in b.windows(2) {
-            assert!(w[0] < w[1], "{} !< {}", w[0], w[1]);
-        }
-        assert_eq!(b[0], 1);
-        assert_eq!(b[b.len() - 1], 5_000_000_000_000_000_000);
-    }
-
-    #[test]
     fn histogram_quantiles_land_in_correct_buckets() {
         let h = Histogram::default();
-        // 100 values: 1..=100. p50 -> 50th value = 50, bucket bound 50.
+        // 100 values: 1..=100. Buckets are exact below 64 and two wide
+        // up to 128, so p95 -> 95th value = 95 lands in [94, 95].
         for v in 1..=100u64 {
             h.record(v);
         }
@@ -709,26 +621,26 @@ mod tests {
         assert_eq!(h.min(), 1);
         assert_eq!(h.max(), 100);
         assert_eq!(h.quantile(0.5), 50);
-        assert_eq!(h.quantile(0.95), 100);
-        assert_eq!(h.quantile(0.99), 100);
+        assert_eq!(h.quantile(0.95), 95);
+        assert_eq!(h.quantile(0.99), 99);
         assert_eq!(h.quantile(1.0), 100);
     }
 
     #[test]
     fn histogram_quantile_clamped_to_observed_max() {
         let h = Histogram::default();
-        h.record(3); // bucket bound 5
-        assert_eq!(h.quantile(0.5), 3, "bound must clamp to observed max");
-        assert_eq!(h.quantile(0.0), 3);
+        h.record(1_000); // bucket [992, 1023]
+        assert_eq!(h.quantile(0.5), 1_000, "bound must clamp to observed max");
+        assert_eq!(h.quantile(0.0), 1_000);
     }
 
     #[test]
     fn histogram_overflow_bucket_reports_max() {
         let h = Histogram::default();
-        let big = 6_000_000_000_000_000_000u64; // beyond the last bound
+        let big = u64::MAX - 7; // in the last bucket, bound u64::MAX
         h.record(big);
         assert_eq!(h.quantile(0.99), big);
-        assert_eq!(h.nonzero_buckets(), vec![(u64::MAX, 1)]);
+        assert_eq!(h.snapshot().buckets, vec![(u64::MAX, 1)]);
     }
 
     #[test]
@@ -742,18 +654,23 @@ mod tests {
 
     #[test]
     fn sketches_and_exemplars_live_in_the_registry() {
+        // A worker's sketch is published by merging it into a registry
+        // histogram; the result equals the sketch's own snapshot.
         let r = MetricsRegistry::new();
-        let s = r.sketch("reg.sketch");
-        s.record_n(100, 4);
+        let mut sketch = Sketch::new();
+        sketch.record_n(100, 4);
+        sketch.record(5_000);
+        let h = r.histogram("reg.sketch");
+        h.merge(&sketch);
+        h.merge(&Sketch::new()); // merging an empty sketch is a no-op
         let e = r.exemplars("reg.exemplars");
         e.offer(9_000, crate::TraceCtx::new(0xAB, 2));
         let snap = r.snapshot();
-        assert_eq!(snap.sketches["reg.sketch"].count, 4);
+        assert_eq!(snap.histograms["reg.sketch"], sketch.to_snapshot());
         let ex = r.exemplar_snapshot();
         assert_eq!(ex["reg.exemplars"][0].value, 9_000);
-        assert!(Arc::ptr_eq(&s, &r.sketch("reg.sketch")));
         r.reset();
-        assert_eq!(r.sketch("reg.sketch").count(), 0);
+        assert_eq!(r.histogram("reg.sketch").count(), 0);
         assert!(r.exemplar_snapshot()["reg.exemplars"].is_empty());
     }
 

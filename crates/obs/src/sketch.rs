@@ -1,24 +1,27 @@
-//! Mergeable log-bucketed quantile sketches (DDSketch-style, integer-only).
+//! The one bucket layout of the crate, and the sparse mergeable sketch.
 //!
-//! The fixed 1–2–5 [`crate::Histogram`] answers "what is p99 on *this*
-//! process", but a fleet campaign needs quantiles over 10⁵–10⁶ vehicles
-//! whose observations were aggregated per shard and merged afterwards.
-//! That demands a sketch whose merge is **associative and commutative** —
-//! any shard count, any merge order, byte-identical aggregate — and whose
-//! bucket mapping is exact integer arithmetic, because a `log()` call is
-//! exactly the kind of libm dispersion the workspace bans from
-//! deterministic paths (see [`crate::trace`] on wall time and
+//! Every quantile structure here — the atomic [`crate::Histogram`], the
+//! single-owner [`crate::LocalHistogram`] and the sparse [`Sketch`] —
+//! indexes its buckets through [`sketch_bucket_index`]. The mapping is
+//! HDR-style log-linear and pure integer arithmetic: values below 32 are
+//! exact, and every power-of-two range above is split into 32 linear
+//! sub-buckets, so the relative quantile error is bounded by 1/32 ≈ 3.1 %
+//! over the whole `u64` range, and the index range is bounded by
+//! [`SKETCH_MAX_INDEX`] (1920), small enough for a dense array. No `log()`
+//! call is involved, because libm dispersion is exactly what the workspace
+//! bans from deterministic paths (see [`crate::trace`] on wall time and
 //! `monitor::uncertainty::normal_cdf` on erf).
 //!
-//! The mapping is HDR-style log-linear: values below 32 are exact, and
-//! every power-of-two range above is split into 32 linear sub-buckets, so
-//! the relative quantile error is bounded by 1/32 ≈ 3.1 % over the whole
-//! `u64` range. Buckets are kept sparse (sorted `(index, count)` pairs):
-//! an empty sketch is 5 words, and a latency distribution typically
-//! occupies a few dozen buckets, cheap enough to embed one per pipeline
-//! stage in every `fleet::ShardMetrics`.
+//! [`Sketch`] keeps the same buckets sparse (sorted `(index, count)`
+//! pairs): an empty sketch is 5 words, and a latency distribution
+//! typically occupies a few dozen buckets, cheap enough to clone, compare
+//! and embed one per pipeline stage in every `fleet::ShardMetrics`. Its
+//! merge is **associative and commutative** — any shard count, any merge
+//! order, identical aggregate — which is what keeps fleet aggregates
+//! byte-identical across shard counts. A merged sketch is published into a
+//! registry [`crate::Histogram`] with [`crate::Histogram::merge`].
 
-use std::sync::Mutex;
+use crate::snapshot::{merge_buckets, nearest_rank, HistogramSnapshot};
 
 /// Number of linear sub-buckets per power-of-two range, as a bit count.
 pub const SKETCH_SUBBITS: u32 = 5;
@@ -144,38 +147,7 @@ impl Sketch {
         if other.count == 0 {
             return;
         }
-        let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (
-            self.buckets.iter().peekable(),
-            other.buckets.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(ia, na)), Some(&&(ib, nb))) => {
-                    if ia < ib {
-                        merged.push((ia, na));
-                        a.next();
-                    } else if ib < ia {
-                        merged.push((ib, nb));
-                        b.next();
-                    } else {
-                        merged.push((ia, na + nb));
-                        a.next();
-                        b.next();
-                    }
-                }
-                (Some(&&e), None) => {
-                    merged.push(e);
-                    a.next();
-                }
-                (None, Some(&&e)) => {
-                    merged.push(e);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        self.buckets = merged;
+        self.buckets = merge_buckets(&self.buckets, &other.buckets);
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
@@ -224,18 +196,15 @@ impl Sketch {
     /// (nearest rank, `q` in `[0, 1]`), clamped to the exact observed
     /// min/max; 0 when empty. Relative error ≤ 1/32.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut acc = 0u64;
-        for &(idx, n) in &self.buckets {
-            acc += n;
-            if acc >= target {
-                return sketch_bucket_upper(idx).clamp(self.min, self.max);
-            }
-        }
-        self.max
+        nearest_rank(
+            self.buckets
+                .iter()
+                .map(|&(i, n)| (sketch_bucket_upper(i), n)),
+            self.count,
+            q,
+            self.min,
+            self.max,
+        )
     }
 
     /// Observations in buckets that lie entirely at or above `threshold`
@@ -261,140 +230,18 @@ impl Sketch {
         &self.buckets
     }
 
-    /// A serializable point-in-time copy.
-    pub fn to_snapshot(&self) -> SketchSnapshot {
-        SketchSnapshot {
-            count: self.count,
-            sum: self.sum,
-            min: self.min(),
-            max: self.max,
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
-            buckets: self.buckets.clone(),
-        }
-    }
-}
-
-/// Aggregate state of one [`Sketch`] at snapshot time. The derived
-/// quantiles (`p50`/`p95`/`p99`) are recomputed on merge, so a merged
-/// snapshot equals the snapshot of the merged sketch.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SketchSnapshot {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations (saturating).
-    pub sum: u64,
-    /// Smallest observation (0 when empty).
-    pub min: u64,
-    /// Largest observation.
-    pub max: u64,
-    /// Median estimate (bucket upper bound, clamped to `[min, max]`).
-    pub p50: u64,
-    /// 95th-percentile estimate.
-    pub p95: u64,
-    /// 99th-percentile estimate.
-    pub p99: u64,
-    /// Sparse non-empty `(bucket_index, count)` pairs, sorted by index.
-    pub buckets: Vec<(u16, u64)>,
-}
-
-impl SketchSnapshot {
-    /// Mean observation, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Quantile estimate recomputed from the stored buckets (nearest
-    /// rank), clamped to `[min, max]`; 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut acc = 0u64;
-        for &(idx, n) in &self.buckets {
-            acc += n;
-            if acc >= target {
-                return sketch_bucket_upper(idx).clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Folds `other` into `self`, recomputing the derived quantiles.
-    /// Associative and commutative like [`Sketch::merge`].
-    pub fn merge(&mut self, other: &SketchSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        let mut sk = Sketch {
-            buckets: std::mem::take(&mut self.buckets),
-            count: self.count,
-            sum: self.sum,
-            min: if self.count == 0 { u64::MAX } else { self.min },
-            max: self.max,
-        };
-        let rhs = Sketch {
-            buckets: other.buckets.clone(),
-            count: other.count,
-            sum: other.sum,
-            min: other.min,
-            max: other.max,
-        };
-        sk.merge(&rhs);
-        *self = sk.to_snapshot();
-    }
-}
-
-/// A shared, thread-safe sketch handle for the
-/// [`crate::MetricsRegistry`]. Sketches are coarse-grained (a short
-/// mutex-guarded update, not a hot-path atomic): the sanctioned pattern is
-/// to accumulate into an owned [`Sketch`] per worker and merge once per
-/// batch, exactly like [`crate::LocalHistogram`] flushes.
-#[derive(Debug, Default)]
-pub struct SketchCell {
-    inner: Mutex<Sketch>,
-}
-
-impl SketchCell {
-    /// Records one observation.
-    pub fn record(&self, value: u64) {
-        self.inner.lock().expect("sketch lock").record(value);
-    }
-
-    /// Records `n` identical observations.
-    pub fn record_n(&self, value: u64, n: u64) {
-        self.inner.lock().expect("sketch lock").record_n(value, n);
-    }
-
-    /// Folds a pre-aggregated sketch into the shared cell — the flush
-    /// primitive for per-worker accumulators.
-    pub fn merge(&self, other: &Sketch) {
-        self.inner.lock().expect("sketch lock").merge(other);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.inner.lock().expect("sketch lock").count()
-    }
-
-    /// Quantile estimate (see [`Sketch::quantile`]).
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.inner.lock().expect("sketch lock").quantile(q)
-    }
-
-    /// A serializable point-in-time copy.
-    pub fn snapshot(&self) -> SketchSnapshot {
-        self.inner.lock().expect("sketch lock").to_snapshot()
-    }
-
-    pub(crate) fn reset(&self) {
-        *self.inner.lock().expect("sketch lock") = Sketch::new();
+    /// A serializable point-in-time copy, in the same layout-independent
+    /// shape a [`crate::Histogram`] snapshot has.
+    pub fn to_snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot::from_buckets(
+            self.buckets
+                .iter()
+                .map(|&(i, n)| (sketch_bucket_upper(i), n))
+                .collect(),
+            self.sum,
+            self.min(),
+            self.max,
+        )
     }
 }
 
@@ -540,21 +387,5 @@ mod tests {
         direct.merge(&b);
         assert_eq!(via_snapshot, direct.to_snapshot());
         assert_eq!(via_snapshot.quantile(0.95), via_snapshot.p95);
-    }
-
-    #[test]
-    fn cell_roundtrips_and_resets() {
-        let cell = SketchCell::default();
-        cell.record(5);
-        cell.record_n(50, 3);
-        let mut local = Sketch::new();
-        local.record(500);
-        cell.merge(&local);
-        assert_eq!(cell.count(), 5);
-        let snap = cell.snapshot();
-        assert_eq!(snap.count, 5);
-        assert_eq!(snap.max, 500);
-        cell.reset();
-        assert_eq!(cell.count(), 0);
     }
 }

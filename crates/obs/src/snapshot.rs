@@ -3,27 +3,38 @@
 //! Two output shapes, one source of truth:
 //!
 //! * **Prometheus exposition** ([`MetricsSnapshot::to_prometheus`]) for
-//!   humans and scrapers — names are sanitized (`.` → `_`), histograms
-//!   are emitted with cumulative `_bucket{le=…}` rows;
+//!   humans and scrapers — names are sanitized (`.` → `_`), and every
+//!   histogram is one Prometheus `histogram` with cumulative
+//!   `_bucket{le=…}` rows over its non-empty buckets;
 //! * **`BENCH_*.json`** ([`MetricsSnapshot::to_json`] /
 //!   [`MetricsSnapshot::from_json`]) — the machine-readable benchmark
 //!   artifact CI uploads and the perf gate diffs. The JSON round-trips
 //!   losslessly (see tests), so a checked-in baseline can be compared
-//!   field by field.
+//!   field by field, and the decoder rejects histograms whose buckets do
+//!   not add up.
+//!
+//! [`HistogramSnapshot`] is the one snapshot type of every quantile
+//! structure: [`crate::Histogram::snapshot`] and
+//! [`crate::Sketch::to_snapshot`] both produce it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::json::{self, JsonValue};
-use crate::sketch::SketchSnapshot;
 
 /// Schema tag stamped into every JSON snapshot.
 pub const SNAPSHOT_SCHEMA: &str = "dynplat.bench.v1";
 
-/// Aggregate state of one histogram at snapshot time.
+/// Aggregate state of one histogram or sketch at snapshot time.
+///
+/// Buckets are layout-independent `(upper_bound, count)` pairs (inclusive
+/// upper bounds, strictly ascending, non-empty only), so snapshots decode
+/// and merge without knowing the bucket layout that produced them. The
+/// quantiles follow one rule: the upper bound of the bucket holding the
+/// nearest-rank observation, clamped to `[min, max]`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Number of observations.
+    /// Number of observations (the sum of the bucket counts).
     pub count: u64,
     /// Sum of observations.
     pub sum: u64,
@@ -31,17 +42,35 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest observation.
     pub max: u64,
-    /// Median (bucket upper bound, clamped to `max`).
+    /// Median (bucket upper bound, clamped to `[min, max]`).
     pub p50: u64,
-    /// 95th percentile (bucket upper bound, clamped to `max`).
+    /// 95th percentile (bucket upper bound, clamped to `[min, max]`).
     pub p95: u64,
-    /// 99th percentile (bucket upper bound, clamped to `max`).
+    /// 99th percentile (bucket upper bound, clamped to `[min, max]`).
     pub p99: u64,
-    /// Non-empty `(upper_bound, count)` buckets; `u64::MAX` = overflow.
+    /// Non-empty `(upper_bound, count)` buckets, ascending by bound.
     pub buckets: Vec<(u64, u64)>,
 }
 
 impl HistogramSnapshot {
+    /// Builds a snapshot from its buckets: `count` is their total and the
+    /// stored quantiles are ranked against that same read, so
+    /// [`HistogramSnapshot::quantile`] reproduces them exactly.
+    pub(crate) fn from_buckets(buckets: Vec<(u64, u64)>, sum: u64, min: u64, max: u64) -> Self {
+        let mut snap = HistogramSnapshot {
+            count: buckets.iter().fold(0, |acc, &(_, n)| acc.saturating_add(n)),
+            sum,
+            min,
+            max,
+            buckets,
+            ..Default::default()
+        };
+        snap.p50 = snap.quantile(0.50);
+        snap.p95 = snap.quantile(0.95);
+        snap.p99 = snap.quantile(0.99);
+        snap
+    }
+
     /// Mean observation, or 0.0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -51,28 +80,21 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Nearest-rank quantile recomputed from the stored buckets, clamped
-    /// to `max`; 0 when empty. On a snapshot taken by
-    /// [`crate::Histogram::snapshot`] this reproduces the stored
-    /// `p50`/`p95`/`p99` exactly (both derive from the same bucket read).
+    /// Nearest-rank quantile recomputed from the stored buckets (`q` in
+    /// `[0, 1]`), clamped to `[min, max]`; 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut acc = 0u64;
-        for &(bound, n) in &self.buckets {
-            acc += n;
-            if acc >= target {
-                return bound.min(self.max);
-            }
-        }
-        self.max
+        nearest_rank(
+            self.buckets.iter().copied(),
+            self.count,
+            q,
+            self.min,
+            self.max,
+        )
     }
 
     /// Folds `other` into `self`, summing counts bucket-wise and
     /// recomputing the derived quantiles. Associative and commutative
-    /// (order-invariant), so per-shard histogram snapshots can be merged
+    /// like [`crate::Sketch::merge`], so per-shard snapshots can be merged
     /// in any tree without changing the aggregate.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         if other.count == 0 {
@@ -82,18 +104,63 @@ impl HistogramSnapshot {
             *self = other.clone();
             return;
         }
-        let mut merged: BTreeMap<u64, u64> = self.buckets.iter().copied().collect();
-        for &(bound, n) in &other.buckets {
-            *merged.entry(bound).or_insert(0) += n;
+        *self = HistogramSnapshot::from_buckets(
+            merge_buckets(&self.buckets, &other.buckets),
+            self.sum.saturating_add(other.sum),
+            self.min.min(other.min),
+            self.max.max(other.max),
+        );
+    }
+}
+
+/// The one quantile rule: the upper bound of the bucket holding the
+/// nearest-rank observation out of `count`, clamped to `[min, max]`; 0
+/// when empty. `buckets` yields `(upper_bound, count)` in ascending order.
+pub(crate) fn nearest_rank(
+    buckets: impl IntoIterator<Item = (u64, u64)>,
+    count: u64,
+    q: f64,
+    min: u64,
+    max: u64,
+) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let target = ((count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
+    let mut acc = 0u64;
+    for (upper, n) in buckets {
+        acc = acc.saturating_add(n);
+        if acc >= target {
+            // Not `clamp`: a snapshot racing concurrent flushes may read
+            // `min` newer than `max`, and a quantile must not panic.
+            return upper.max(min).min(max);
         }
-        self.buckets = merged.into_iter().collect();
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.p50 = self.quantile(0.50);
-        self.p95 = self.quantile(0.95);
-        self.p99 = self.quantile(0.99);
+    }
+    max
+}
+
+/// Merges two bucket lists sorted by key, summing the counts of equal
+/// keys. Associative and commutative.
+pub(crate) fn merge_buckets<K: Ord + Copy>(a: &[(K, u64)], b: &[(K, u64)]) -> Vec<(K, u64)> {
+    let mut merged = Vec::with_capacity(a.len() + b.len());
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some(&&(ka, na)), Some(&&(kb, nb))) => match ka.cmp(&kb) {
+                std::cmp::Ordering::Less => a.next().copied(),
+                std::cmp::Ordering::Greater => b.next().copied(),
+                std::cmp::Ordering::Equal => {
+                    a.next();
+                    b.next();
+                    Some((ka, na.saturating_add(nb)))
+                }
+            },
+            _ => a.next().or_else(|| b.next()).copied(),
+        };
+        match next {
+            Some(e) => merged.push(e),
+            None => return merged,
+        }
     }
 }
 
@@ -106,8 +173,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Histogram aggregates by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Quantile-sketch aggregates by name.
-    pub sketches: BTreeMap<String, SketchSnapshot>,
 }
 
 /// Replaces every character outside `[a-zA-Z0-9_:]` with `_` (Prometheus
@@ -152,19 +217,6 @@ impl MetricsSnapshot {
             let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", h.count);
             let _ = writeln!(out, "{n}_sum {}", h.sum);
             let _ = writeln!(out, "{n}_count {}", h.count);
-        }
-        // Sketches expose as Prometheus summaries: pre-computed quantiles
-        // plus sum/count (the sparse log-linear buckets have no faithful
-        // `le=`-histogram shape, and a summary is what a scraper expects
-        // of a quantile sketch).
-        for (name, s) in &self.sketches {
-            let n = sanitize(name);
-            let _ = writeln!(out, "# TYPE {n} summary");
-            for (q, v) in [("0.5", s.p50), ("0.95", s.p95), ("0.99", s.p99)] {
-                let _ = writeln!(out, "{n}{{quantile=\"{q}\"}} {v}");
-            }
-            let _ = writeln!(out, "{n}_sum {}", s.sum);
-            let _ = writeln!(out, "{n}_count {}", s.count);
         }
         out
     }
@@ -223,35 +275,6 @@ impl MetricsSnapshot {
             }
             out.push_str("]}");
         }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"sketches\": {");
-        let mut first = true;
-        for (name, s) in &self.sketches {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": [",
-                json::escape(name),
-                s.count,
-                s.sum,
-                s.min,
-                s.max,
-                s.p50,
-                s.p95,
-                s.p99
-            );
-            for (i, (idx, count)) in s.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "[{idx}, {count}]");
-            }
-            out.push_str("]}");
-        }
         out.push_str(if first { "}\n" } else { "\n  }\n" });
         out.push_str("}\n");
         out
@@ -306,6 +329,7 @@ impl MetricsSnapshot {
                     p99: field("p99")?,
                     buckets: Vec::new(),
                 };
+                let mut total = 0u64;
                 if let Some(buckets) = v.get("buckets") {
                     for pair in buckets
                         .as_array()
@@ -323,52 +347,27 @@ impl MetricsSnapshot {
                         let count = pair[1]
                             .as_u64()
                             .ok_or_else(|| format!("histogram {k} bucket count not u64"))?;
+                        if h.buckets.last().is_some_and(|&(prev, _)| prev >= bound) {
+                            return Err(format!(
+                                "histogram {k} bucket bounds not strictly ascending"
+                            ));
+                        }
+                        total = total
+                            .checked_add(count)
+                            .ok_or_else(|| format!("histogram {k} bucket counts overflow"))?;
                         h.buckets.push((bound, count));
                     }
                 }
-                snap.histograms.insert(k.clone(), h);
-            }
-        }
-        if let Some(sketches) = obj.get("sketches") {
-            let m = sketches.as_object().ok_or("sketches must be an object")?;
-            for (k, v) in m {
-                let field = |name: &str| -> Result<u64, String> {
-                    v.get(name)
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| format!("sketch {k} missing {name}"))
-                };
-                let mut s = SketchSnapshot {
-                    count: field("count")?,
-                    sum: field("sum")?,
-                    min: field("min")?,
-                    max: field("max")?,
-                    p50: field("p50")?,
-                    p95: field("p95")?,
-                    p99: field("p99")?,
-                    buckets: Vec::new(),
-                };
-                if let Some(buckets) = v.get("buckets") {
-                    for pair in buckets
-                        .as_array()
-                        .ok_or_else(|| format!("sketch {k} buckets must be an array"))?
-                    {
-                        let pair = pair
-                            .as_array()
-                            .ok_or_else(|| format!("sketch {k} bucket must be a pair"))?;
-                        if pair.len() != 2 {
-                            return Err(format!("sketch {k} bucket must be a pair"));
-                        }
-                        let idx = pair[0]
-                            .as_u64()
-                            .and_then(|i| u16::try_from(i).ok())
-                            .ok_or_else(|| format!("sketch {k} bucket index not u16"))?;
-                        let count = pair[1]
-                            .as_u64()
-                            .ok_or_else(|| format!("sketch {k} bucket count not u64"))?;
-                        s.buckets.push((idx, count));
-                    }
+                if total != h.count {
+                    return Err(format!(
+                        "histogram {k} bucket counts sum to {total}, not count {}",
+                        h.count
+                    ));
                 }
-                snap.sketches.insert(k.clone(), s);
+                if h.count > 0 && h.min > h.max {
+                    return Err(format!("histogram {k} min {} > max {}", h.min, h.max));
+                }
+                snap.histograms.insert(k.clone(), h);
             }
         }
         Ok(snap)
@@ -401,7 +400,7 @@ mod tests {
         for v in [100u64, 200, 900] {
             sk.record(v);
         }
-        snap.sketches
+        snap.histograms
             .insert("fleet.stage.download_ms".into(), sk.to_snapshot());
         snap
     }
@@ -436,10 +435,14 @@ mod tests {
         assert!(text.contains("comm_fabric_latency_ns_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("comm_fabric_latency_ns_sum 60"));
         assert!(text.contains("comm_fabric_latency_ns_count 3"));
-        // Sketches come out as summaries.
-        assert!(text.contains("# TYPE fleet_stage_download_ms summary"));
-        assert!(text.contains("fleet_stage_download_ms{quantile=\"0.5\"}"));
+        // A sketch's snapshot is a histogram like any other, its rows at
+        // the log-linear bucket upper bounds.
+        assert!(text.contains("# TYPE fleet_stage_download_ms histogram"));
+        assert!(text.contains("fleet_stage_download_ms_bucket{le=\"101\"} 1"));
+        assert!(text.contains("fleet_stage_download_ms_bucket{le=\"203\"} 2"));
+        assert!(text.contains("fleet_stage_download_ms_bucket{le=\"911\"} 3"));
         assert!(text.contains("fleet_stage_download_ms_count 3"));
+        assert!(!text.contains("summary"));
     }
 
     #[test]
@@ -483,6 +486,32 @@ mod tests {
         assert!(MetricsSnapshot::from_json(r#"{"counters": {"a": "x"}}"#).is_err());
         assert!(MetricsSnapshot::from_json(r#"{"histograms": {"h": {"count": 1}}}"#).is_err());
         assert!(MetricsSnapshot::from_json("[]").is_err());
+    }
+
+    #[test]
+    fn inconsistent_histogram_buckets_rejected() {
+        // Bucket counts that overflow `u64` on the way to `count`: a
+        // later quantile or merge would overflow on them.
+        let overflow = r#"{"histograms":{"h":{"count":18446744073709551615,"sum":0,"min":1,"max":2,"p50":1,"p95":2,"p99":2,"buckets":[[1,10],[2,18446744073709551615]]}}}"#;
+        assert!(MetricsSnapshot::from_json(overflow).is_err());
+        let entry = |count: u64, min: u64, buckets: &str| {
+            format!(
+                r#"{{"histograms":{{"h":{{"count":{count},"sum":0,"min":{min},"max":2,"p50":1,"p95":2,"p99":2,"buckets":{buckets}}}}}}}"#
+            )
+        };
+        assert!(MetricsSnapshot::from_json(&entry(2, 1, "[[1,1],[2,1]]")).is_ok());
+        for (count, min, buckets) in [
+            (5, 1, "[[1,1],[2,1]]"), // counts do not sum to `count`
+            (2, 1, "[[2,1],[1,1]]"), // bounds descending
+            (2, 1, "[[2,1],[2,1]]"), // bounds repeated
+            (2, 3, "[[1,1],[2,1]]"), // min > max
+        ] {
+            let doc = entry(count, min, buckets);
+            assert!(MetricsSnapshot::from_json(&doc).is_err(), "{doc}");
+        }
+        // The checked-in perf baseline still loads.
+        let baseline = include_str!("../../../BENCH_baseline.json");
+        assert!(MetricsSnapshot::from_json(baseline).is_ok());
     }
 
     #[test]

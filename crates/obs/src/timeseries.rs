@@ -4,7 +4,8 @@
 //! A [`crate::MetricsSnapshot`] is one instant; fleet operations need the
 //! *trajectory* — error fractions per wave, queue depths per window —
 //! without shipping a full snapshot per sample. A [`TelemetryRing`] keeps
-//! the last `capacity` periodic samples of counters and gauges and
+//! the last `capacity` periodic samples of counters and gauges (a
+//! histogram's quantile trajectory rides along as a gauge) and
 //! exports them delta-encoded: the first point is absolute, every later
 //! point carries only the names whose values changed, counters as
 //! wrapping `u64` deltas (lossless even across resets, since
@@ -79,10 +80,10 @@ impl TelemetryRing {
     }
 
     /// Records one sample of `snapshot` at `t_ns`, evicting the oldest
-    /// sample when full. Histogram and sketch aggregates are not carried
-    /// per point — flush the quantiles you need into gauges first (that
-    /// is the sanctioned sketch/timeseries path; see the
-    /// `no-snapshot-in-hot-path` lint).
+    /// sample when full. Histograms are not carried per point — flush
+    /// the quantiles you need into gauges first (that is the sanctioned
+    /// histogram/timeseries path; see the `no-snapshot-in-hot-path`
+    /// lint).
     pub fn sample(&mut self, t_ns: u64, snapshot: &MetricsSnapshot) {
         self.push(SeriesPoint {
             t_ns,

@@ -37,7 +37,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo test --doc"
 cargo test -q --doc --workspace
 
-echo "==> SPSC ring property suite (wrap-around, spill, cross-thread)"
+echo "==> SPSC ring + quantile-structure property suites (ring wrap-around, spill, cross-thread; merge algebra, 1/32 accuracy, concurrent flush)"
 cargo test -q --test properties5
 
 echo "==> perf smoke gate (bench vs BENCH_baseline.json, alloc gate armed)"

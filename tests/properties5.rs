@@ -1,5 +1,6 @@
-//! Property-based tests, part 5: the lock-free SPSC event ring and the
-//! frame-id recycling contract behind the zero-copy fabric fast path.
+//! Property-based tests, part 5: the lock-free SPSC event ring, the
+//! frame-id recycling contract behind the zero-copy fabric fast path, and
+//! the one quantile structure of `obs`.
 //!
 //! * FIFO order survives arbitrary push/pop interleavings across many
 //!   wrap-arounds of a small ring (checked against a model deque);
@@ -18,6 +19,11 @@
 //!   order-invariant over arbitrary shardings and merge trees — the
 //!   property that makes fleet aggregates byte-identical across shard
 //!   counts;
+//! * the one bucket layout is accurate and shared: snapshot p50/p95/p99
+//!   lie within 1/32 of the exact nearest-rank quantile, and
+//!   `Histogram::record`, ragged `LocalHistogram` flushes,
+//!   `Histogram::merge` of sketches and `Sketch::to_snapshot` give equal
+//!   snapshots of the same multiset;
 //! * histogram snapshots stay self-consistent under concurrent striped
 //!   flushes: every mid-flight snapshot's quantiles derive from the same
 //!   bucket read as its count (the quantile/snapshot drift regression).
@@ -317,6 +323,19 @@ fn tailed_value(rng: &mut SplitMix64) -> u64 {
     rng.gen_range(0..1u64 << shift.max(1))
 }
 
+/// A seeded stream of one of three shapes: uniform, heavy-tailed, or all
+/// below 32 (the exact buckets).
+fn stream(rng: &mut SplitMix64, n: usize) -> Vec<u64> {
+    let shape = rng.gen_range(0..3u32);
+    (0..n)
+        .map(|_| match shape {
+            0 => rng.gen_range(0..1_000_000u64),
+            1 => tailed_value(rng),
+            _ => rng.gen_range(0..32u64),
+        })
+        .collect()
+}
+
 #[test]
 fn sketch_merge_conserves_and_is_order_invariant() {
     for case in 0..24u64 {
@@ -375,39 +394,128 @@ fn sketch_merge_conserves_and_is_order_invariant() {
 fn histogram_snapshot_merge_conserves_and_is_order_invariant() {
     for case in 0..24u64 {
         let mut rng = case_rng(6, case);
-        let n = rng.gen_range(1..1_500) as usize;
+        let n = rng.gen_range(1..2_000) as usize;
         let values: Vec<u64> = (0..n).map(|_| tailed_value(&mut rng)).collect();
 
-        let direct = Histogram::default();
-        let shards_n = rng.gen_range(1..7) as usize;
-        let shards: Vec<Histogram> = (0..shards_n).map(|_| Histogram::default()).collect();
+        // A random sharding of the values, kept as sketches (the fleet
+        // shards' accumulator) and as histograms.
+        let shards_n = rng.gen_range(1..9) as usize;
+        let mut sketches = vec![Sketch::new(); shards_n];
+        let histograms: Vec<Histogram> = (0..shards_n).map(|_| Histogram::default()).collect();
+        let mut direct = Sketch::new();
         for &v in &values {
+            let shard = rng.gen_range(0..shards_n as u64) as usize;
+            sketches[shard].record(v);
+            histograms[shard].record(v);
             direct.record(v);
-            shards[rng.gen_range(0..shards_n as u64) as usize].record(v);
         }
 
-        let fold = |order: Vec<&Histogram>| {
+        // Snapshot merges of either source, in either order, equal the
+        // direct snapshot, and their quantiles rederive from the merged
+        // buckets exactly like a direct snapshot's do.
+        let expect = direct.to_snapshot();
+        let snaps: Vec<HistogramSnapshot> = sketches
+            .iter()
+            .map(Sketch::to_snapshot)
+            .chain(histograms.iter().map(Histogram::snapshot))
+            .collect();
+        for (label, order) in [
+            ("sketches", snaps[..shards_n].iter().collect::<Vec<_>>()),
+            (
+                "histograms reversed",
+                snaps[shards_n..].iter().rev().collect(),
+            ),
+        ] {
             let mut acc = HistogramSnapshot::default();
-            for h in order {
-                acc.merge(&h.snapshot());
+            for s in order {
+                acc.merge(s);
             }
-            acc
-        };
-        let fwd = fold(shards.iter().collect());
-        let rev = fold(shards.iter().rev().collect());
-        assert_eq!(fwd, rev, "case {case}: merge order must be invisible");
+            assert_eq!(acc, expect, "case {case}: {label} merge equals direct fold");
+            assert_eq!(acc.count, n as u64);
+            assert_eq!(acc.sum, values.iter().copied().sum::<u64>());
+            assert_eq!(acc.p50, acc.quantile(0.50));
+            assert_eq!(acc.p95, acc.quantile(0.95));
+            assert_eq!(acc.p99, acc.quantile(0.99));
+        }
+    }
+}
+
+#[test]
+fn snapshot_quantiles_stay_within_one_32nd_of_exact() {
+    for case in 0..48u64 {
+        let mut rng = case_rng(8, case);
+        let n = rng.gen_range(1..3_000) as usize;
+        let values = stream(&mut rng, n);
+        let h = Histogram::default();
+        for &v in &values {
+            h.record(v);
+        }
+        let snap = h.snapshot();
+        let mut sorted = values.clone();
+        sorted.sort_unstable();
+        for (q, est) in [(0.50, snap.p50), (0.95, snap.p95), (0.99, snap.p99)] {
+            let rank = ((n as f64) * q).ceil().max(1.0) as usize;
+            let exact = sorted[rank - 1];
+            // The estimate is the bucket's upper bound, never below the
+            // exact value, and a bucket spans less than 1/32 of its lower
+            // bound.
+            assert!(
+                est >= exact && u128::from(est - exact) * 32 <= u128::from(exact),
+                "case {case}: q{q} estimate {est} vs exact {exact}"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_feed_path_gives_the_same_snapshot() {
+    for case in 0..32u64 {
+        let mut rng = case_rng(9, case);
+        let n = rng.gen_range(0..3_000) as usize;
+        let values = stream(&mut rng, n);
+
+        let recorded = Histogram::default();
+        let flushed = Histogram::default();
+        let merged = Histogram::default();
+        let mut local = LocalHistogram::new();
+        let mut sketch = Sketch::new();
+        let mut whole = Sketch::new();
+        for &v in &values {
+            recorded.record(v);
+            local.record(v);
+            sketch.record(v);
+            whole.record(v);
+            // Ragged batches: flush the local accumulator and publish the
+            // sketch at random points, so partial buckets meet partial
+            // buckets.
+            if rng.gen_bool(0.05) {
+                local.flush_into(&flushed);
+            }
+            if rng.gen_bool(0.05) {
+                merged.merge(&sketch);
+                sketch = Sketch::new();
+            }
+        }
+        local.flush_into(&flushed);
+        merged.merge(&sketch);
+
+        let expect = recorded.snapshot();
+        assert_eq!(expect.count, n as u64);
         assert_eq!(
-            fwd,
-            direct.snapshot(),
-            "case {case}: merge equals direct fold"
+            flushed.snapshot(),
+            expect,
+            "case {case}: LocalHistogram flushes"
         );
-        assert_eq!(fwd.count, n as u64);
-        assert_eq!(fwd.sum, values.iter().copied().sum::<u64>());
-        // Merged quantiles rederive from merged buckets, exactly like a
-        // direct snapshot's do.
-        assert_eq!(fwd.p50, fwd.quantile(0.50));
-        assert_eq!(fwd.p95, fwd.quantile(0.95));
-        assert_eq!(fwd.p99, fwd.quantile(0.99));
+        assert_eq!(
+            merged.snapshot(),
+            expect,
+            "case {case}: Histogram::merge(&Sketch)"
+        );
+        assert_eq!(
+            whole.to_snapshot(),
+            expect,
+            "case {case}: Sketch::to_snapshot"
+        );
     }
 }
 
@@ -423,10 +531,17 @@ fn snapshots_stay_self_consistent_under_concurrent_striped_flushes() {
     const PER_WRITER: u64 = 12_000;
     let hist = Histogram::default();
     let done = AtomicBool::new(false);
+    let reader_started = AtomicBool::new(false);
     std::thread::scope(|s| {
         for w in 0..WRITERS {
             let hist = &hist;
+            let reader_started = &reader_started;
             s.spawn(move || {
+                // Hold the writers until the reader has taken its first
+                // snapshot, so it cannot miss the race entirely.
+                while !reader_started.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
                 let mut rng = case_rng(7, w);
                 let mut local = LocalHistogram::new();
                 for i in 0..PER_WRITER {
@@ -455,6 +570,7 @@ fn snapshots_stay_self_consistent_under_concurrent_striped_flushes() {
                 assert!(snap.count >= last_count, "flushed counts never regress");
                 last_count = snap.count;
                 observed += 1;
+                reader_started.store(true, Ordering::Release);
             }
             observed
         });
