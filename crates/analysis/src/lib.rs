@@ -16,11 +16,10 @@
 //! 2. **The schedule-exploration model checker** ([`mc`]): virtual
 //!    atomics with a release/acquire/relaxed view semantics plus a
 //!    bounded-preemption DFS scheduler, exhaustively interleaving models
-//!    of the fabric's SPSC publish protocol and the thread-striped
-//!    metrics flush ([`mc::spsc`]). The shipped protocols pass under
-//!    every explored interleaving; seeded weakenings (a `Relaxed` tail
-//!    publish, lanes written after `tail`, a `Relaxed` join handshake)
-//!    are caught with a concrete violating schedule.
+//!    of the metrics registry's striped and shared-field flushes
+//!    ([`mc::stripe`]). The shipped protocols pass under every explored
+//!    interleaving; a seeded weakening (a `Relaxed` join handshake) is
+//!    caught with a concrete violating schedule.
 //!
 //! Both run in `scripts/ci.sh` as gating steps; the linter's JSON report
 //! (`dynplat.analysis.v1`) is uploaded as a CI artifact on failure.

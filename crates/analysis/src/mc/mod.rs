@@ -1,9 +1,10 @@
 //! A miniature schedule-exploration model checker (a "mini-loom").
 //!
-//! The lock-free fabric's correctness rests on an ordering argument prose
-//! alone carries (`crates/comm/src/ring.rs` top docs): the producer's
-//! `Release` store of `tail` is what makes the consumer's `Relaxed` lane
-//! loads safe. This module turns that argument into an exhaustive check:
+//! The metrics registry's correctness rests on an ordering argument prose
+//! alone carries (`crates/obs/src/metrics.rs`): writers flush counters and
+//! histogram buckets with `Relaxed` adds, and it is the `Release`/`Acquire`
+//! thread-join handshake that makes the snapshot's `Relaxed` loads see
+//! every count. This module turns that argument into an exhaustive check:
 //! modeled threads run against **virtual atomics** with a weak-memory
 //! semantics, and a DFS scheduler explores every interleaving *and* every
 //! stale read the memory model permits, within a preemption bound.
@@ -30,9 +31,9 @@
 //! Reading *from the future* is impossible by construction (a store that
 //! has not executed yet is not in the modification order), so the model
 //! soundly rejects only behaviors real hardware forbids, while permitting
-//! every stale read `Relaxed` allows. Publishing `tail` with `Relaxed`
-//! therefore lets the modeled consumer observe the new `tail` but stale
-//! lanes — the seeded-bug regression in `tests/model_check.rs`.
+//! every stale read `Relaxed` allows. Announcing a writer's completion
+//! with `Relaxed` therefore lets the modeled reader observe the flag but
+//! stale cells — the seeded-bug regression in `tests/model_check.rs`.
 //!
 //! # Scheduler
 //!
@@ -41,17 +42,17 @@
 //! that could still run costs one preemption; running a thread to its
 //! next blocking point is free — the classic context-bounding result that
 //! most concurrency bugs need very few preemptions), a **visited-state
-//! set** (spin loops — a consumer polling an empty ring — revisit states
+//! set** (spin loops — a reader polling an unset flag — revisit states
 //! and are pruned instead of diverging), and a **state-count cap** that
 //! marks the exploration incomplete rather than running away.
 
-pub mod spsc;
+pub mod stripe;
 
 use std::collections::HashSet;
 
 /// Memory orderings the virtual atomics understand. `SeqCst` is
-/// deliberately absent: the fabric's protocols use only these three, and
-/// the linter keeps it that way.
+/// deliberately absent: the modeled protocols use only these, and the
+/// linter keeps it that way.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MemOrd {
     Relaxed,

@@ -7,9 +7,10 @@
 //! `BENCH_*.json` snapshot (`--out PATH`, schema `dynplat.bench.v1`) plus a
 //! Prometheus-style exposition on stdout.
 //!
-//! With `--check`, throughput gauges are compared against the baseline
-//! snapshot; a drop of more than 30% on any gated gauge prints the delta
-//! and exits non-zero. This is the CI perf smoke gate.
+//! Every comm phase must deliver exactly the messages it sent; a mismatch
+//! exits non-zero. With `--check`, throughput gauges are compared against
+//! the baseline snapshot; a drop of more than 30% on any gated gauge prints
+//! the delta and exits non-zero. This is the CI perf smoke gate.
 //!
 //! With `--threads N`, every phase runs on `N` OS threads concurrently
 //! against the shared global registry; the gauges then report *aggregate*
@@ -49,8 +50,7 @@ use std::time::Instant;
 
 /// Gauges gated by `--check`: current must stay above
 /// `PERF_GATE_RATIO x baseline`.
-const GATED_GAUGES: [&str; 4] = [
-    "bench.comm.publish_ops_per_sec",
+const GATED_GAUGES: [&str; 3] = [
     "bench.comm.deliver_ops_per_sec",
     "bench.hw.route_ops_per_sec",
     "bench.sched.dispatch_ops_per_sec",
@@ -411,21 +411,16 @@ pub fn run(flags: &Flags) -> Outcome {
     if threads == 1 {
         alloc_gate::arm();
     }
-    let ([published, event_delivered], event_elapsed) = contended(threads, budget, run_event_phase);
-    let ([rpc_calls, rpc_completed], rpc_elapsed) = contended(threads, budget, run_rpc_phase);
-    let ([frames_sent, frames_delivered], stream_elapsed) =
-        contended(threads, budget, run_stream_phase);
+    let (event, event_elapsed) = contended(threads, budget, run_event_phase);
+    let (rpc, rpc_elapsed) = contended(threads, budget, run_rpc_phase);
+    let (stream, stream_elapsed) = contended(threads, budget, run_stream_phase);
     let ([routes_resolved], route_elapsed) = contended(threads, budget, run_route_phase);
     let comm_allocs = alloc_gate::total();
     let ([dispatch_completions], sched_elapsed) = contended(threads, budget, run_sched_phase);
     let sched_allocs = alloc_gate::total() - comm_allocs;
 
-    let publish_ops = published + rpc_calls + frames_sent;
-    let deliver_ops = event_delivered + rpc_completed + frames_delivered;
+    let deliver_ops = event[1] + rpc[1] + stream[1];
     let comm_elapsed = event_elapsed + rpc_elapsed + stream_elapsed;
-    registry
-        .gauge("bench.comm.publish_ops_per_sec")
-        .set(ops_per_sec(publish_ops, comm_elapsed));
     registry
         .gauge("bench.comm.deliver_ops_per_sec")
         .set(ops_per_sec(deliver_ops, comm_elapsed));
@@ -450,15 +445,21 @@ pub fn run(flags: &Flags) -> Outcome {
     registry.gauge("bench.comm.arena_free").set(arena_free);
     registry.gauge("bench.comm.arena_bytes").set(arena_bytes);
 
-    // Per-phase throughput diagnostics: the gated gauges aggregate the
+    // Per-phase throughput diagnostics: the gated gauge aggregates the
     // three comm phases, so a regression in one can hide behind the others
-    // without this breakdown.
-    for (name, ops, elapsed) in [
-        ("event.deliver", event_delivered, event_elapsed),
-        ("rpc.complete", rpc_completed, rpc_elapsed),
-        ("stream.deliver", frames_delivered, stream_elapsed),
+    // without this breakdown. Every phase must deliver exactly what it sent.
+    let mut lost = false;
+    for (name, [sent, delivered], elapsed) in [
+        ("event.deliver", event, event_elapsed),
+        ("rpc.complete", rpc, rpc_elapsed),
+        ("stream.deliver", stream, stream_elapsed),
     ] {
-        eprintln!("bench: phase {name}: {} ops/s", ops_per_sec(ops, elapsed));
+        let ops = ops_per_sec(delivered, elapsed);
+        eprintln!("bench: phase {name}: {ops} ops/s");
+        if delivered != sent {
+            eprintln!("bench: DELIVERY MISMATCH in {name}: sent {sent}, delivered {delivered}");
+            lost = true;
+        }
     }
 
     // Steady-state allocation accounting (single-thread runs only). The
@@ -529,6 +530,10 @@ pub fn run(flags: &Flags) -> Outcome {
             return Ok(ExitCode::from(2));
         }
         eprintln!("bench: wrote snapshot to {path}");
+    }
+
+    if lost {
+        return Ok(ExitCode::FAILURE);
     }
 
     if let Some(path) = flags.get("--check") {

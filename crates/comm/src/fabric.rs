@@ -14,9 +14,9 @@
 //! and every fault-injection campaign. Steady state performs **zero heap
 //! allocations** (enforced by the bench bin's counting allocator):
 //!
-//! * per-bus `TxDone` events ride lock-free SPSC rings ([`SpscRing`]) —
-//!   O(1) push/pop on uncontended cache lines — with a spill path to a
-//!   shared binary heap when a ring is full, so semantics never change;
+//! * per-bus `TxDone` events ride fixed-capacity rings ([`SpscRing`]) —
+//!   O(1) push/pop — with a spill path to a shared binary heap when a
+//!   ring is full, so semantics never change;
 //! * scheduled polls are a *scalar* `(time, seq)` pair per bus (at most
 //!   one poll is ever pending per bus), replacing heap traffic entirely;
 //! * the event loop takes the global minimum `(time, seq)` across the
@@ -50,7 +50,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// Capacity of each per-bus SPSC ring. The fabric keeps at most one
+/// Capacity of each per-bus `TxDone` ring. The fabric keeps at most one
 /// outstanding `TxDone` per bus (transmissions serialize on `bus_free`),
 /// so 8 entries leave generous headroom before the heap spill path.
 const RING_CAPACITY: usize = 8;
@@ -639,6 +639,8 @@ where
                         seq: txdone_seq,
                         slot: tx.frame.id.raw(),
                     };
+                    // The bus's last `TxDone` sorts before the poll granting this one.
+                    debug_assert!(self.rings[bi].is_empty(), "second TxDone on one bus");
                     if !self.rings[bi].try_push(entry) {
                         self.spills_n += 1;
                         self.pending

@@ -23,7 +23,7 @@
 //! * [`retry`] — client-side robustness: per-request timeout, capped
 //!   exponential backoff with deterministic jitter, and a circuit breaker
 //!   per (client, service) edge;
-//! * [`ring`] — the lock-free SPSC event ring the fabric hot path rides
+//! * [`ring`] — the fixed-capacity event ring the fabric hot path rides
 //!   (per-bus `TxDone` queues with a heap spill path);
 //! * [`arena`] — the per-fabric payload arena behind the zero-copy wire
 //!   path: one staged frame shared by every fanout leg.

@@ -1,45 +1,17 @@
-//! Lock-free single-producer/single-consumer event ring.
+//! Fixed-capacity event ring.
 //!
 //! The fabric keeps one [`SpscRing`] per bus for its in-flight `TxDone`
-//! events: a fixed-capacity ring of `(time, seq, slot)` triples with plain
-//! atomic head/tail cursors, no locks and no external dependencies. In the
-//! single-owner fabric loop push/pop are a handful of uncontended atomic
-//! operations (compared to the `O(log n)` binary-heap path it replaces),
-//! and the same structure is safe when producer and consumer live on
-//! different threads — which is what the contended `bench --threads N`
-//! mode and the `tests/properties5.rs` suite exercise.
-//!
-//! # Design
-//!
-//! The crate forbids `unsafe`, so the classic `UnsafeCell` slot array is
-//! out. Instead each entry is split across three parallel *atomic lanes*
-//! (`time: AtomicU64`, `seq: AtomicU64`, `slot: AtomicU32`):
-//!
-//! * the producer writes all three lanes with `Relaxed` stores, then
-//!   publishes the entry with a `Release` store of `tail`;
-//! * the consumer `Acquire`-loads `tail`; observing the new value
-//!   synchronizes with the producer's `Release`, so the `Relaxed` lane
-//!   loads that follow are guaranteed to see the published entry;
-//! * slot reuse is ordered the same way in reverse through `head`
-//!   (consumer `Release`-stores it after reading, producer
-//!   `Acquire`-loads it before overwriting).
-//!
-//! This is the standard Lamport SPSC queue; the lanes are individually
-//! atomic, so there is no data race to make unsafe in the first place —
-//! only the ordering argument above is needed for logical correctness.
+//! events: power-of-two arrays of `(time, seq, slot)` triples with plain
+//! `usize` head and tail cursors. The ring is owned by the fabric's
+//! single-threaded event loop, so push and pop take `&mut self` and need no
+//! synchronization; determinism comes from the loop's `(time, seq)` order,
+//! not from the queue.
 //!
 //! A full ring never blocks and never drops: [`SpscRing::try_push`]
 //! returns `false` and the fabric spills the event to its binary-heap
 //! overflow path, preserving ordering and conservation invariants.
 
 use dynplat_common::time::SimTime;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-
-/// A head or tail cursor on its own cache line, so the producer's tail
-/// writes never invalidate the consumer's head line and vice versa.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct Cursor(AtomicUsize);
 
 /// One ring entry: an event timestamp, its global FIFO tie-break sequence
 /// number, and the message-slab slot it refers to.
@@ -53,15 +25,21 @@ pub struct RingEntry {
     pub slot: u32,
 }
 
-/// Fixed-capacity lock-free SPSC ring of [`RingEntry`] values.
+/// Fixed-capacity FIFO ring of [`RingEntry`] values.
+///
+/// Entries are kept as three parallel lanes rather than one
+/// `Box<[RingEntry]>`: copying a whole padded entry in and out makes the
+/// pop's wide loads miss store-to-load forwarding from the push's narrow
+/// stores, which tripled the cost of a push/pop pair.
 #[derive(Debug)]
 pub struct SpscRing {
     mask: usize,
-    head: Cursor,
-    tail: Cursor,
-    time: Box<[AtomicU64]>,
-    seq: Box<[AtomicU64]>,
-    slot: Box<[AtomicU32]>,
+    /// Free-running cursors; the lane index is `cursor & mask`.
+    head: usize,
+    tail: usize,
+    time: Box<[SimTime]>,
+    seq: Box<[u64]>,
+    slot: Box<[u32]>,
 }
 
 impl SpscRing {
@@ -71,11 +49,11 @@ impl SpscRing {
         let cap = capacity.max(2).next_power_of_two();
         SpscRing {
             mask: cap - 1,
-            head: Cursor::default(),
-            tail: Cursor::default(),
-            time: (0..cap).map(|_| AtomicU64::new(0)).collect(),
-            seq: (0..cap).map(|_| AtomicU64::new(0)).collect(),
-            slot: (0..cap).map(|_| AtomicU32::new(0)).collect(),
+            head: 0,
+            tail: 0,
+            time: vec![SimTime::ZERO; cap].into(),
+            seq: vec![0; cap].into(),
+            slot: vec![0; cap].into(),
         }
     }
 
@@ -84,76 +62,48 @@ impl SpscRing {
         self.mask + 1
     }
 
-    /// Entries currently queued (approximate under concurrent access,
-    /// exact from either endpoint's own perspective).
+    /// Entries currently queued.
     pub fn len(&self) -> usize {
-        let tail = self.tail.0.load(Ordering::Acquire);
-        let head = self.head.0.load(Ordering::Acquire);
-        tail.wrapping_sub(head)
+        self.tail.wrapping_sub(self.head)
     }
 
     /// Whether the ring is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.head == self.tail
     }
 
-    /// Producer side: appends an entry. Returns `false` (without writing
-    /// anything) when the ring is full — the caller must take its spill
-    /// path.
-    pub fn try_push(&self, entry: RingEntry) -> bool {
-        // relaxed: the producer is the only thread that stores `tail`, so
-        // its own last store is always visible to it.
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        let head = self.head.0.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) > self.mask {
-            return false; // full
+    /// Appends an entry. Returns `false` (without writing anything) when
+    /// the ring is full — the caller must take its spill path.
+    pub fn try_push(&mut self, entry: RingEntry) -> bool {
+        if self.len() > self.mask {
+            return false;
         }
-        let i = tail & self.mask;
-        // relaxed: the three lane stores are published as a unit by the
-        // `Release` store of `tail` below; the consumer's `Acquire` load
-        // of `tail` is what orders them (model-checked in
-        // `dynplat-analysis`, tests/model_check.rs).
-        self.time[i].store(entry.time.as_nanos(), Ordering::Relaxed);
-        self.seq[i].store(entry.seq, Ordering::Relaxed); // relaxed: see above
-        self.slot[i].store(entry.slot, Ordering::Relaxed); // relaxed: see above
-        self.tail.0.store(tail.wrapping_add(1), Ordering::Release);
+        let i = self.tail & self.mask;
+        self.time[i] = entry.time;
+        self.seq[i] = entry.seq;
+        self.slot[i] = entry.slot;
+        self.tail = self.tail.wrapping_add(1);
         true
     }
 
-    /// Consumer side: the front entry without removing it.
+    /// The front entry without removing it.
     pub fn peek(&self) -> Option<RingEntry> {
-        // relaxed: the consumer is the sole writer of `head`.
-        let head = self.head.0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Acquire);
-        if head == tail {
+        if self.is_empty() {
             return None;
         }
-        Some(self.read(head))
+        let i = self.head & self.mask;
+        Some(RingEntry {
+            time: self.time[i],
+            seq: self.seq[i],
+            slot: self.slot[i],
+        })
     }
 
-    /// Consumer side: removes and returns the front entry.
-    pub fn pop(&self) -> Option<RingEntry> {
-        // relaxed: the consumer is the sole writer of `head`.
-        let head = self.head.0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        let entry = self.read(head);
-        self.head.0.store(head.wrapping_add(1), Ordering::Release);
+    /// Removes and returns the front entry.
+    pub fn pop(&mut self) -> Option<RingEntry> {
+        let entry = self.peek()?;
+        self.head = self.head.wrapping_add(1);
         Some(entry)
-    }
-
-    fn read(&self, head: usize) -> RingEntry {
-        let i = head & self.mask;
-        // relaxed: only reached after the caller's `Acquire` load of
-        // `tail` observed the producer's `Release` publish, which makes
-        // these lane values visible (model-checked in `dynplat-analysis`).
-        RingEntry {
-            time: SimTime::from_nanos(self.time[i].load(Ordering::Relaxed)),
-            seq: self.seq[i].load(Ordering::Relaxed), // relaxed: see above
-            slot: self.slot[i].load(Ordering::Relaxed), // relaxed: see above
-        }
     }
 }
 
@@ -178,7 +128,7 @@ mod tests {
 
     #[test]
     fn fifo_order_and_wraparound() {
-        let ring = SpscRing::new(4);
+        let mut ring = SpscRing::new(4);
         // Several times around the ring to exercise index wrapping.
         let mut next = 0u64;
         for _ in 0..10 {
@@ -197,7 +147,7 @@ mod tests {
 
     #[test]
     fn full_ring_rejects_without_overwriting() {
-        let ring = SpscRing::new(2);
+        let mut ring = SpscRing::new(2);
         assert!(ring.try_push(entry(1)));
         assert!(ring.try_push(entry(2)));
         assert!(!ring.try_push(entry(3)), "full ring must refuse");

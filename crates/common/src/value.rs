@@ -315,7 +315,10 @@ impl Value {
             DataType::Str => Value::Str(r.take_string()?),
             DataType::Blob => Value::Blob(r.take_len_prefixed(1 << 24)?.to_vec()),
             DataType::Array(elem, len) => {
-                let mut items = Vec::with_capacity(*len);
+                // The schema's length is untrusted: reserve no more elements
+                // than there are bytes left, so a too-long array ends in
+                // `UnexpectedEnd` instead of a huge allocation.
+                let mut items = Vec::with_capacity((*len).min(r.remaining()));
                 for _ in 0..*len {
                     items.push(Self::decode_from(r, elem)?);
                 }
@@ -418,6 +421,13 @@ mod tests {
         let mut bytes = Value::U8(1).encode();
         bytes.push(0);
         assert!(Value::decode(&bytes, &DataType::U8).is_err());
+    }
+
+    #[test]
+    fn decode_of_oversized_array_schema_is_unexpected_end() {
+        let ty = DataType::array(DataType::U8, 1_000_000_000_000_000_000);
+        let err = Value::decode(&[1, 2, 3, 4], &ty).unwrap_err();
+        assert!(matches!(err, CodecError::UnexpectedEnd { .. }), "got {err}");
     }
 
     #[test]

@@ -231,9 +231,16 @@ fn lex(input: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
 
 // --------------------------------------------------------------- parser --
 
+/// Deepest data-type nesting (arrays and records) [`parse_model`] accepts.
+/// The limit bounds the type parser's recursion, so hostile input gets a
+/// [`ParseError`] instead of overflowing the stack.
+const MAX_TYPE_DEPTH: usize = 64;
+
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// Current [`Parser::data_type`] recursion depth.
+    depth: usize,
 }
 
 impl Parser {
@@ -336,6 +343,16 @@ impl Parser {
     // -- types -----------------------------------------------------------
 
     fn data_type(&mut self) -> Result<DataType, ParseError> {
+        if self.depth == MAX_TYPE_DEPTH {
+            return Err(self.err(format!("type nesting deeper than {MAX_TYPE_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let ty = self.data_type_unbounded();
+        self.depth -= 1;
+        ty
+    }
+
+    fn data_type_unbounded(&mut self) -> Result<DataType, ParseError> {
         match self.peek().clone() {
             Tok::Ident(s) => match s.as_str() {
                 "bool" => {
@@ -757,7 +774,12 @@ impl Parser {
 /// Returns a [`ParseError`] with line information on malformed input.
 pub fn parse_model(input: &str) -> Result<SystemModel, ParseError> {
     let toks = lex(input)?;
-    Parser { toks, pos: 0 }.system()
+    Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    }
+    .system()
 }
 
 // -------------------------------------------------------------- printer --
@@ -1056,6 +1078,28 @@ system {
         let src = "# header\nsystem { # inline\n hardware { } deployment { } }";
         let model = parse_model(src).unwrap();
         assert_eq!(model.hardware.ecu_count(), 0);
+    }
+
+    /// A model whose one event payload is `u8` nested in `depth` arrays.
+    fn nested_payload(depth: usize) -> String {
+        format!(
+            r#"system {{
+  hardware {{ ecu "a" {{ id 0 class low }} }}
+  interface "i" {{ id 1 owner 1 version 1 event "e" {{ id 1 payload {}u8{} }} }}
+  deployment {{ }}
+}}"#,
+            "[".repeat(depth),
+            "; 1]".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn deeply_nested_types_are_rejected_not_overflowed() {
+        assert!(parse_model(&nested_payload(MAX_TYPE_DEPTH - 1)).is_ok());
+        let err = parse_model(&nested_payload(MAX_TYPE_DEPTH)).unwrap_err();
+        assert!(err.message.contains("nesting"), "got: {err}");
+        let err = parse_model(&nested_payload(200_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "got: {err}");
     }
 
     #[test]

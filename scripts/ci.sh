@@ -22,7 +22,7 @@ echo "==> dynplat-analysis --workspace (invariant lint, allowlist-gated)"
 cargo run --release -q -p dynplat-analysis -- \
   --workspace --report ANALYSIS_findings.json
 
-echo "==> schedule-exploration model checker (SPSC ring + stripe flush)"
+echo "==> schedule-exploration model checker (striped + shared-field metrics flush)"
 cargo test -q -p dynplat-analysis --test model_check
 
 echo "==> cargo fmt --check"
@@ -37,7 +37,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo test --doc"
 cargo test -q --doc --workspace
 
-echo "==> SPSC ring + quantile-structure property suites (ring wrap-around, spill, cross-thread; merge algebra, 1/32 accuracy, concurrent flush)"
+echo "==> ring + quantile-structure property suites (ring wrap-around, spill, frame-id recycling; merge algebra, 1/32 accuracy, concurrent flush)"
 cargo test -q --test properties5
 
 echo "==> perf smoke gate (bench vs BENCH_baseline.json, alloc gate armed)"
