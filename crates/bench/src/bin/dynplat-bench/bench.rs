@@ -19,17 +19,25 @@
 //! lock, a widened critical section) shows up here even when the
 //! single-thread numbers look fine.
 //!
+//! A fourth stream phase runs over a fabric whose backbone is a TSN-gated
+//! port (`BusPort::tsn_for`): 60 KiB frames of 41 MTU segments each, so
+//! 802.1Qbv gate arbitration sits on its path. Its rate is reported as the
+//! ungated `bench.net.tsn_ops_per_sec` and kept out of
+//! `bench.comm.deliver_ops_per_sec`; it is held to the same
+//! delivered == sent check.
+//!
 //! On a single-thread run the scenario also counts heap allocations made
-//! inside the comm and sched phases' steady-state loops (after a warmup
-//! batch that fills every scratch buffer to its high-water mark) via a
-//! counting global allocator, and emits `bench.comm.allocs_per_delivery`
-//! and `bench.sched.allocs_per_dispatch`. With `--check` the gate fails if
-//! either number is non-zero: the fabric's deliver path and a reused
-//! scheduler simulator are required to be allocation-free once warmed.
+//! inside the comm, TSN and sched phases' steady-state loops (after a
+//! warmup batch that fills every scratch buffer to its high-water mark) via
+//! a counting global allocator, and emits `bench.comm.allocs_per_delivery`,
+//! `bench.net.tsn_allocs_per_frame` and `bench.sched.allocs_per_dispatch`.
+//! With `--check` the gate fails if any of them is non-zero: the fabric's
+//! deliver path, TSN gate arbitration and a reused scheduler simulator are
+//! required to be allocation-free once warmed.
 
 use crate::{alloc_gate, Flags, Outcome};
 use dynplat_bench::Table;
-use dynplat_comm::fabric::Fabric;
+use dynplat_comm::fabric::{BusPort, Fabric};
 use dynplat_comm::paradigm::{
     run_rpc_into, run_stream_into, EventBus, EventScratch, Publication, RpcCall, RpcScratch,
     StreamScratch, StreamSpec,
@@ -40,7 +48,7 @@ use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{AppId, BusId, EcuId, EventGroupId, ServiceId, TaskId};
 use dynplat_hw::ecu::{EcuClass, EcuSpec};
 use dynplat_hw::topology::{BusKind, BusSpec, HwTopology};
-use dynplat_net::TrafficClass;
+use dynplat_net::{GateControlList, TrafficClass};
 use dynplat_obs::MetricsSnapshot;
 use dynplat_obs::TraceCtx;
 use dynplat_sched::simulate::{Policy, SchedSimConfig, Simulator};
@@ -240,35 +248,59 @@ fn run_rpc_phase(budget: std::time::Duration) -> ([u64; 2], std::time::Duration)
     ([issued, completed], elapsed)
 }
 
-/// Stream paradigm: frame batches. Returns `([sent, delivered], elapsed)`.
-fn run_stream_phase(budget: std::time::Duration) -> ([u64; 2], std::time::Duration) {
-    let topo = four_ecu_ethernet();
-    let spec = StreamSpec {
+/// A stream from ECU 0 to ECU 1 of [`four_ecu_ethernet`].
+fn stream_spec(frames: usize, interval: SimDuration, frame_payload: usize) -> StreamSpec {
+    StreamSpec {
         start: SimTime::ZERO,
-        frames: 100,
-        interval: SimDuration::from_millis(5),
-        frame_payload: 4096,
+        frames,
+        interval,
+        frame_payload,
         src: EcuId(0),
         dst: EcuId(1),
         class: TrafficClass::Stream,
         priority: 4,
         trace: TraceCtx::NONE,
-    };
-    let mut fabric = Fabric::new(topo);
+    }
+}
+
+/// Runs `spec` over `fabric` in batches until `budget` elapses, after two
+/// warmup batches. Returns `([sent, delivered], elapsed)`.
+fn stream_batches(
+    mut fabric: Fabric,
+    spec: &StreamSpec,
+    budget: std::time::Duration,
+) -> ([u64; 2], std::time::Duration) {
     let mut scratch = StreamScratch::new();
-    run_stream_into(&mut fabric, &spec, &mut scratch);
-    run_stream_into(&mut fabric, &spec, &mut scratch);
+    run_stream_into(&mut fabric, spec, &mut scratch);
+    run_stream_into(&mut fabric, spec, &mut scratch);
     let (mut sent, mut delivered) = (0u64, 0u64);
     alloc_gate::set_counting(true);
     let start = Instant::now();
     while start.elapsed() < budget {
-        let stats = run_stream_into(&mut fabric, &spec, &mut scratch);
+        let stats = run_stream_into(&mut fabric, spec, &mut scratch);
         sent += stats.sent as u64;
         delivered += stats.delivered as u64;
     }
     let elapsed = start.elapsed();
     alloc_gate::set_counting(false);
     ([sent, delivered], elapsed)
+}
+
+/// Stream paradigm: frame batches. Returns `([sent, delivered], elapsed)`.
+fn run_stream_phase(budget: std::time::Duration) -> ([u64; 2], std::time::Duration) {
+    let spec = stream_spec(100, SimDuration::from_millis(5), 4096);
+    stream_batches(Fabric::new(four_ecu_ethernet()), &spec, budget)
+}
+
+/// TSN-gated stream: 60 KiB frames (41 MTU segments each) through an
+/// 802.1Qbv port with a 1 ms mixed-criticality list on the backbone.
+/// Returns `([sent, delivered], elapsed)`.
+fn run_tsn_phase(budget: std::time::Duration) -> ([u64; 2], std::time::Duration) {
+    let spec = stream_spec(20, SimDuration::from_millis(20), 60 * 1024);
+    let mut fabric = Fabric::new(four_ecu_ethernet());
+    let gcl = GateControlList::mixed_criticality(SimDuration::from_millis(1), 0.2);
+    fabric.set_port(BusId(0), BusPort::tsn_for(BusKind::ethernet_100m(), gcl));
+    stream_batches(fabric, &spec, budget)
 }
 
 /// A 24-ECU gateway mesh: six CAN/Ethernet leaf segments bridged onto an
@@ -418,6 +450,8 @@ pub fn run(flags: &Flags) -> Outcome {
     let comm_allocs = alloc_gate::total();
     let ([dispatch_completions], sched_elapsed) = contended(threads, budget, run_sched_phase);
     let sched_allocs = alloc_gate::total() - comm_allocs;
+    let (tsn, tsn_elapsed) = contended(threads, budget, run_tsn_phase);
+    let tsn_allocs = alloc_gate::total() - comm_allocs - sched_allocs;
 
     let deliver_ops = event[1] + rpc[1] + stream[1];
     let comm_elapsed = event_elapsed + rpc_elapsed + stream_elapsed;
@@ -430,6 +464,9 @@ pub fn run(flags: &Flags) -> Outcome {
     registry
         .gauge("bench.sched.dispatch_ops_per_sec")
         .set(ops_per_sec(dispatch_completions, sched_elapsed));
+    registry
+        .gauge("bench.net.tsn_ops_per_sec")
+        .set(ops_per_sec(tsn[1], tsn_elapsed));
 
     // Republish the event-phase fabric's occupancy (see run_event_phase):
     // the snapshot's slab/arena gauges should describe the 3-subscriber
@@ -447,12 +484,14 @@ pub fn run(flags: &Flags) -> Outcome {
 
     // Per-phase throughput diagnostics: the gated gauge aggregates the
     // three comm phases, so a regression in one can hide behind the others
-    // without this breakdown. Every phase must deliver exactly what it sent.
+    // without this breakdown. Every phase, the TSN stream included, must
+    // deliver exactly what it sent.
     let mut lost = false;
     for (name, [sent, delivered], elapsed) in [
         ("event.deliver", event, event_elapsed),
         ("rpc.complete", rpc, rpc_elapsed),
         ("stream.deliver", stream, stream_elapsed),
+        ("tsn.stream.deliver", tsn, tsn_elapsed),
     ] {
         let ops = ops_per_sec(delivered, elapsed);
         eprintln!("bench: phase {name}: {ops} ops/s");
@@ -474,6 +513,7 @@ pub fn run(flags: &Flags) -> Outcome {
     };
     let allocs_per_delivery = per_op(comm_allocs, deliver_ops);
     let allocs_per_dispatch = per_op(sched_allocs, dispatch_completions);
+    let tsn_allocs_per_frame = per_op(tsn_allocs, tsn[1]);
     registry
         .gauge("bench.comm.steady_allocs")
         .set(comm_allocs as i64);
@@ -486,10 +526,15 @@ pub fn run(flags: &Flags) -> Outcome {
     registry
         .gauge("bench.sched.allocs_per_dispatch")
         .set(allocs_per_dispatch);
+    registry
+        .gauge("bench.net.tsn_allocs_per_frame")
+        .set(tsn_allocs_per_frame);
     if threads == 1 {
         eprintln!(
             "bench: steady-state heap allocations: {comm_allocs} across {deliver_ops} deliveries, \
-             {sched_allocs} across {dispatch_completions} dispatches"
+             {tsn_allocs} across {} TSN stream frames, \
+             {sched_allocs} across {dispatch_completions} dispatches",
+            tsn[1]
         );
     }
 
@@ -555,6 +600,14 @@ pub fn run(flags: &Flags) -> Outcome {
             eprintln!(
                 "bench: ALLOCATION REGRESSION: {comm_allocs} heap allocations in the \
                  steady-state deliver loop (expected 0; {deliver_ops} deliveries)"
+            );
+            return Ok(ExitCode::FAILURE);
+        }
+        if threads == 1 && tsn_allocs_per_frame > 0 {
+            eprintln!(
+                "bench: ALLOCATION REGRESSION: {tsn_allocs} heap allocations in the \
+                 steady-state TSN stream loop (expected 0; {} frames)",
+                tsn[1]
             );
             return Ok(ExitCode::FAILURE);
         }

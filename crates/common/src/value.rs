@@ -29,6 +29,11 @@
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use std::fmt;
 
+/// Elements of zero-sized arrays one decode may produce. A zero-sized
+/// element consumes no input, so the input length cannot bound how many of
+/// them a schema asks for; this cap does.
+const MAX_ZERO_SIZED_ELEMENTS: usize = 1 << 16;
+
 /// A self-describing interface data type.
 ///
 /// These are the types interface DSL definitions are written in; the
@@ -107,6 +112,17 @@ impl DataType {
                 let (lo, hi) = t.encoded_size_bounds();
                 (alo + lo, ahi + hi)
             }),
+        }
+    }
+
+    /// `true` if every value of this type encodes to zero bytes: records
+    /// and arrays with no leaf inside. The same as
+    /// `encoded_size_bounds().0 == 0`, without its multiplications.
+    fn is_zero_sized(&self) -> bool {
+        match self {
+            DataType::Array(elem, len) => *len == 0 || elem.is_zero_sized(),
+            DataType::Record(fields) => fields.iter().all(|(_, t)| t.is_zero_sized()),
+            _ => false,
         }
     }
 
@@ -302,8 +318,21 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncated or invalid input.
+    /// Returns a [`CodecError`] on truncated or invalid input, and
+    /// [`CodecError::LengthOutOfRange`] when the schema's arrays of
+    /// zero-sized elements ask for more than 65 536 elements in total.
     pub fn decode_from(r: &mut ByteReader<'_>, ty: &DataType) -> Result<Value, CodecError> {
+        let mut zero_sized_left = MAX_ZERO_SIZED_ELEMENTS;
+        Self::decode_counted(r, ty, &mut zero_sized_left)
+    }
+
+    /// [`Value::decode_from`], charging every element of a zero-sized array
+    /// against `zero_sized_left`.
+    fn decode_counted(
+        r: &mut ByteReader<'_>,
+        ty: &DataType,
+        zero_sized_left: &mut usize,
+    ) -> Result<Value, CodecError> {
         Ok(match ty {
             DataType::Bool => Value::Bool(r.take_u8()? != 0),
             DataType::U8 => Value::U8(r.take_u8()?),
@@ -317,17 +346,27 @@ impl Value {
             DataType::Array(elem, len) => {
                 // The schema's length is untrusted: reserve no more elements
                 // than there are bytes left, so a too-long array ends in
-                // `UnexpectedEnd` instead of a huge allocation.
+                // `UnexpectedEnd` instead of a huge allocation. Elements that
+                // consume no bytes never reach the end, so they are capped.
+                if elem.is_zero_sized() {
+                    *zero_sized_left =
+                        zero_sized_left
+                            .checked_sub(*len)
+                            .ok_or(CodecError::LengthOutOfRange {
+                                len: *len,
+                                max: *zero_sized_left,
+                            })?;
+                }
                 let mut items = Vec::with_capacity((*len).min(r.remaining()));
                 for _ in 0..*len {
-                    items.push(Self::decode_from(r, elem)?);
+                    items.push(Self::decode_counted(r, elem, zero_sized_left)?);
                 }
                 Value::Array(items)
             }
             DataType::Record(fields) => {
                 let mut vals = Vec::with_capacity(fields.len());
                 for (name, ft) in fields {
-                    vals.push((name.clone(), Self::decode_from(r, ft)?));
+                    vals.push((name.clone(), Self::decode_counted(r, ft, zero_sized_left)?));
                 }
                 Value::Record(vals)
             }
@@ -428,6 +467,43 @@ mod tests {
         let ty = DataType::array(DataType::U8, 1_000_000_000_000_000_000);
         let err = Value::decode(&[1, 2, 3, 4], &ty).unwrap_err();
         assert!(matches!(err, CodecError::UnexpectedEnd { .. }), "got {err}");
+    }
+
+    #[test]
+    fn decode_of_zero_sized_array_schema_is_bounded() {
+        let empty = DataType::record(Vec::<(String, DataType)>::new());
+        let huge = DataType::array(empty.clone(), 1_000_000_000_000_000_000);
+        let err = Value::decode(&[], &huge).unwrap_err();
+        assert!(
+            matches!(err, CodecError::LengthOutOfRange { .. }),
+            "got {err}"
+        );
+        // Nested: each level fits the cap, their product does not.
+        let nested = DataType::array(DataType::array(empty.clone(), 60_000), 60_000);
+        assert!(Value::decode(&[], &nested).is_err());
+        // The cap spans the whole decode, not one array: 1000 one-byte
+        // elements of 100 zero-sized elements each exceed it.
+        let spread = DataType::array(
+            DataType::record([("b", DataType::U8), ("z", DataType::array(empty, 100))]),
+            1000,
+        );
+        assert!(Value::decode(&[0; 1000], &spread).is_err());
+    }
+
+    #[test]
+    fn small_zero_sized_arrays_round_trip() {
+        let empty = DataType::record(Vec::<(String, DataType)>::new());
+        for ty in [
+            DataType::array(empty, 3),
+            DataType::array(DataType::array(DataType::U64, 0), 5),
+            DataType::record([
+                ("n", DataType::U8),
+                ("z", DataType::array(DataType::Str, 0)),
+            ]),
+        ] {
+            let v = ty.default_value();
+            assert_eq!(Value::decode(&v.encode(), &ty).unwrap(), v);
+        }
     }
 
     #[test]

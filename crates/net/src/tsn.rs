@@ -7,6 +7,13 @@
 //! deterministic communication". [`TsnGatedPort`] implements one egress port
 //! with a repeating [`GateControlList`] and guard-band semantics: a frame
 //! may only start if it finishes before its window closes.
+//!
+//! Arbitration allocates nothing in steady state. The list keeps its
+//! windows sorted by offset (once, at construction), so
+//! [`GateControlList::earliest_fit`] is a scan over at most twice the
+//! window count. A poll computes one fit per distinct `(class, payload)`
+//! pair among the queued frames — the MTU segments of one message share
+//! both — and is otherwise one linear pass over the queue.
 
 use crate::ethernet::ethernet_frame_time;
 use crate::{Arbiter, Frame, Grant, TrafficClass, Transmission};
@@ -65,6 +72,11 @@ impl std::error::Error for GclError {}
 pub struct GateControlList {
     cycle: SimDuration,
     windows: Vec<GateWindow>,
+    /// `windows` stably sorted by offset: the scan order of `earliest_fit`.
+    by_offset: Vec<GateWindow>,
+    /// Longest window per class (indexed by `TrafficClass as usize`), or
+    /// `None` for a class without a window.
+    longest: [Option<SimDuration>; 3],
 }
 
 impl GateControlList {
@@ -85,16 +97,26 @@ impl GateControlList {
                 return Err(GclError::WindowBeyondCycle(i));
             }
         }
-        let mut sorted: Vec<(usize, &GateWindow)> = windows.iter().enumerate().collect();
-        sorted.sort_by_key(|(_, w)| w.offset);
-        for pair in sorted.windows(2) {
-            let (ia, a) = pair[0];
-            let (ib, b) = pair[1];
+        let mut order: Vec<usize> = (0..windows.len()).collect();
+        order.sort_by_key(|&i| windows[i].offset);
+        for pair in order.windows(2) {
+            let (a, b) = (&windows[pair[0]], &windows[pair[1]]);
             if a.offset + a.length > b.offset {
-                return Err(GclError::OverlappingWindows(ia, ib));
+                return Err(GclError::OverlappingWindows(pair[0], pair[1]));
             }
         }
-        Ok(GateControlList { cycle, windows })
+        let by_offset = order.iter().map(|&i| windows[i].clone()).collect();
+        let mut longest = [None; 3];
+        for w in &windows {
+            let slot: &mut Option<SimDuration> = &mut longest[w.class as usize];
+            *slot = Some(slot.map_or(w.length, |l| l.max(w.length)));
+        }
+        Ok(GateControlList {
+            cycle,
+            windows,
+            by_offset,
+            longest,
+        })
     }
 
     /// The canonical mixed-criticality list of the paper's discussion: an
@@ -134,36 +156,34 @@ impl GateControlList {
 
     /// `true` if `class` has at least one window.
     pub fn serves(&self, class: TrafficClass) -> bool {
-        self.windows.iter().any(|w| w.class == class)
+        self.longest[class as usize].is_some()
     }
 
     /// Earliest instant `t >= now` at which a transmission of `class`
     /// lasting `tx` may start such that it completes within its window
     /// (guard band). Returns `None` if no window of the class can ever fit
     /// a transmission of that length.
+    ///
+    /// O(1) for a transmission longer than every window of its class, else
+    /// one scan of the offset-sorted windows of this cycle and the next:
+    /// O(windows), no allocation.
     pub fn earliest_fit(
         &self,
         now: SimTime,
         class: TrafficClass,
         tx: SimDuration,
     ) -> Option<SimTime> {
-        let fits_any = self
-            .windows
-            .iter()
-            .any(|w| w.class == class && w.length >= tx);
-        if !fits_any {
+        if self.longest[class as usize].is_none_or(|l| l < tx) {
             return None;
         }
         let cycle_start = now - (now % self.cycle);
         // Search this cycle and the next (a fitting window repeats each cycle).
         for k in 0..2u64 {
             let base = cycle_start + self.cycle * k;
-            let mut candidates: Vec<&GateWindow> = self
-                .windows
+            let candidates = self
+                .by_offset
                 .iter()
-                .filter(|w| w.class == class && w.length >= tx)
-                .collect();
-            candidates.sort_by_key(|w| w.offset);
+                .filter(|w| w.class == class && w.length >= tx);
             for w in candidates {
                 let open = base + w.offset;
                 let close = open + w.length;
@@ -220,6 +240,48 @@ impl TsnGatedPort {
     }
 }
 
+/// One poll's `earliest_fit` results keyed by `(class, payload)`: at one
+/// poll instant and a fixed bitrate the fit depends on nothing else. A
+/// fixed-size array on the stack; once it is full, further pairs are
+/// computed directly.
+struct FitMemo {
+    len: usize,
+    slots: [(TrafficClass, usize, Option<SimTime>); FitMemo::SLOTS],
+}
+
+impl FitMemo {
+    const SLOTS: usize = 8;
+
+    fn new() -> Self {
+        FitMemo {
+            len: 0,
+            slots: [(TrafficClass::BestEffort, 0, None); FitMemo::SLOTS],
+        }
+    }
+
+    /// The memoised fit of `(class, payload)`, computing it with `fit` on
+    /// a miss.
+    fn get(
+        &mut self,
+        class: TrafficClass,
+        payload: usize,
+        fit: impl FnOnce() -> Option<SimTime>,
+    ) -> Option<SimTime> {
+        let hit = self.slots[..self.len]
+            .iter()
+            .find(|&&(c, p, _)| c == class && p == payload);
+        if let Some(&(_, _, start)) = hit {
+            return start;
+        }
+        let start = fit();
+        if self.len < FitMemo::SLOTS {
+            self.slots[self.len] = (class, payload, start);
+            self.len += 1;
+        }
+        start
+    }
+}
+
 impl Arbiter for TsnGatedPort {
     fn enqueue(&mut self, now: SimTime, frame: Frame) {
         let seq = self.seq;
@@ -228,19 +290,28 @@ impl Arbiter for TsnGatedPort {
     }
 
     fn poll(&mut self, now: SimTime) -> Grant {
-        // Discard frames that can never fit any window (oversized). Among
-        // the rest: if any may start right now, grant the highest-priority
-        // one; otherwise report the earliest future start.
-        let mut unfit: Vec<u64> = Vec::new();
-        let mut now_best: Option<(u32, u64)> = None;
+        // One pass: discard frames that can never fit any window
+        // (oversized). Among the rest: if any may start right now, grant
+        // the highest-priority one; otherwise report the earliest future
+        // start.
+        let (gcl, bitrate) = (&self.gcl, self.bitrate);
+        let mut fits = FitMemo::new();
+        // (priority, seq, index among the kept frames)
+        let mut now_best: Option<(u32, u64, usize)> = None;
         let mut future_best: Option<SimTime> = None;
-        for (prio, seq, _, frame) in &self.queue {
-            let tx = ethernet_frame_time(frame.payload, self.bitrate);
-            match self.gcl.earliest_fit(now, frame.class, tx) {
+        let (queued, mut kept) = (self.queue.len(), 0usize);
+        self.queue.retain(|(prio, seq, _, frame)| {
+            let fit = fits.get(frame.class, frame.payload, || {
+                gcl.earliest_fit(
+                    now,
+                    frame.class,
+                    ethernet_frame_time(frame.payload, bitrate),
+                )
+            });
+            match fit {
                 Some(start) if start == now => {
-                    let key = (*prio, *seq);
-                    if now_best.is_none_or(|bk| key < bk) {
-                        now_best = Some(key);
+                    if now_best.is_none_or(|(p, s, _)| (*prio, *seq) < (p, s)) {
+                        now_best = Some((*prio, *seq, kept));
                     }
                 }
                 Some(start) => {
@@ -248,19 +319,13 @@ impl Arbiter for TsnGatedPort {
                         future_best = Some(start);
                     }
                 }
-                None => unfit.push(*seq),
+                None => return false,
             }
-        }
-        if !unfit.is_empty() {
-            self.queue.retain(|(_, seq, _, _)| !unfit.contains(seq));
-            self.dropped += unfit.len() as u64;
-        }
-        if let Some((_, chosen_seq)) = now_best {
-            let idx = self
-                .queue
-                .iter()
-                .position(|(_, seq, _, _)| *seq == chosen_seq)
-                .expect("chosen frame is in the queue");
+            kept += 1;
+            true
+        });
+        self.dropped += (queued - kept) as u64;
+        if let Some((_, _, idx)) = now_best {
             let (_, _, arrival, frame) = self.queue.swap_remove(idx);
             let tx = ethernet_frame_time(frame.payload, self.bitrate);
             return Grant::Tx(Transmission {

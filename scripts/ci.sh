@@ -42,8 +42,8 @@ cargo test -q --test properties5
 
 echo "==> perf smoke gate (bench vs BENCH_baseline.json, alloc gate armed)"
 # Single-threaded, so the counting allocator is armed: any heap allocation
-# in a steady-state deliver or dispatch loop fails this step, not just a
-# perf drop.
+# in a steady-state deliver, TSN stream or dispatch loop fails this step,
+# not just a perf drop.
 cargo run --release -p dynplat-bench -- bench \
   --quick --out BENCH_snapshot.json --check BENCH_baseline.json >/dev/null
 

@@ -16,11 +16,11 @@ use dynplat::core::campaign::{
 };
 use dynplat::core::sync::ReplicaState;
 use dynplat::core::update::update_path;
-use dynplat::net::analysis::{EthFlowSpec, EthernetAnalysis};
-use dynplat::net::ethernet::StrictPriorityPort;
+use dynplat::net::analysis::{worst_case_gate_delay, EthFlowSpec, EthernetAnalysis};
+use dynplat::net::ethernet::{ethernet_frame_time, StrictPriorityPort};
 use dynplat::net::flexray::{FlexRayBus, FlexRayConfig, SlotAssignment};
 use dynplat::net::tsn::{GateControlList, GateWindow, TsnGatedPort};
-use dynplat::net::{simulate, Frame, TrafficClass, TxEvent};
+use dynplat::net::{simulate, Arbiter, Frame, Grant, TrafficClass, Transmission, TxEvent};
 use dynplat::security::authz::{AccessControlMatrix, Permission};
 use dynplat::security::package::Version;
 use std::collections::BTreeMap;
@@ -111,6 +111,229 @@ fn tsn_transmissions_always_respect_their_class_windows() {
         sorted.sort_by_key(|t| t.start);
         for pair in sorted.windows(2) {
             assert!(pair[1].start >= pair[0].end, "case {case}");
+        }
+    }
+}
+
+/// A 1 ms cycle cut into 2–7 slots with one window of a random class each
+/// (so a class usually owns several windows, and sometimes none). Windows
+/// leave random gaps, may be zero-length or too short for a full frame,
+/// and are listed in shuffled order rather than by offset.
+fn arb_multi_window_gcl(rng: &mut SplitMix64) -> GateControlList {
+    let n = rng.gen_range(2u64..8);
+    let slot = 1_000_000 / n;
+    let mut windows: Vec<GateWindow> = (0..n)
+        .map(|i| {
+            let open = rng.gen_range(0..slot / 4);
+            let length = if rng.gen_bool(0.1) {
+                0
+            } else {
+                rng.gen_range(slot / 8..=slot - open)
+            };
+            GateWindow::new(
+                class_of(rng.gen_range(0usize..3)),
+                SimDuration::from_nanos(i * slot + open),
+                SimDuration::from_nanos(length),
+            )
+        })
+        .collect();
+    for i in (1..windows.len()).rev() {
+        windows.swap(i, rng.gen_range(0..=i));
+    }
+    GateControlList::new(SimDuration::from_millis(1), windows)
+        .expect("windows stay inside their own slots")
+}
+
+/// The TSN port as first written: one `earliest_fit` per queued frame per
+/// poll, each sorting a freshly collected list of the class's windows —
+/// kept here only as the oracle for [`TsnGatedPort`].
+struct NaiveTsnPort {
+    bitrate: u64,
+    gcl: GateControlList,
+    queue: Vec<(u32, u64, SimTime, Frame)>,
+    seq: u64,
+    dropped: u64,
+}
+
+impl NaiveTsnPort {
+    fn new(bitrate: u64, gcl: GateControlList) -> Self {
+        NaiveTsnPort {
+            bitrate,
+            gcl,
+            queue: Vec::new(),
+            seq: 0,
+            dropped: 0,
+        }
+    }
+
+    fn earliest_fit(&self, now: SimTime, class: TrafficClass, tx: SimDuration) -> Option<SimTime> {
+        let cycle = self.gcl.cycle();
+        let windows = self.gcl.windows();
+        if !windows.iter().any(|w| w.class == class && w.length >= tx) {
+            return None;
+        }
+        let cycle_start = now - (now % cycle);
+        for k in 0..2u64 {
+            let base = cycle_start + cycle * k;
+            let mut candidates: Vec<&GateWindow> = windows
+                .iter()
+                .filter(|w| w.class == class && w.length >= tx)
+                .collect();
+            candidates.sort_by_key(|w| w.offset);
+            for w in candidates {
+                let open = base + w.offset;
+                let close = open + w.length;
+                let start = if now > open { now } else { open };
+                if start + tx <= close {
+                    return Some(start);
+                }
+            }
+        }
+        None
+    }
+}
+
+impl Arbiter for NaiveTsnPort {
+    fn enqueue(&mut self, now: SimTime, frame: Frame) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push((frame.priority, seq, now, frame));
+    }
+
+    fn poll(&mut self, now: SimTime) -> Grant {
+        let mut unfit: Vec<u64> = Vec::new();
+        let mut now_best: Option<(u32, u64)> = None;
+        let mut future_best: Option<SimTime> = None;
+        for (prio, seq, _, frame) in &self.queue {
+            let tx = ethernet_frame_time(frame.payload, self.bitrate);
+            match self.earliest_fit(now, frame.class, tx) {
+                Some(start) if start == now => {
+                    let key = (*prio, *seq);
+                    if now_best.is_none_or(|bk| key < bk) {
+                        now_best = Some(key);
+                    }
+                }
+                Some(start) => {
+                    if future_best.is_none_or(|b| start < b) {
+                        future_best = Some(start);
+                    }
+                }
+                None => unfit.push(*seq),
+            }
+        }
+        if !unfit.is_empty() {
+            self.queue.retain(|(_, seq, _, _)| !unfit.contains(seq));
+            self.dropped += unfit.len() as u64;
+        }
+        if let Some((_, chosen_seq)) = now_best {
+            let idx = self
+                .queue
+                .iter()
+                .position(|(_, seq, _, _)| *seq == chosen_seq)
+                .expect("chosen frame is in the queue");
+            let (_, _, arrival, frame) = self.queue.swap_remove(idx);
+            let tx = ethernet_frame_time(frame.payload, self.bitrate);
+            return Grant::Tx(Transmission {
+                frame,
+                arrival,
+                start: now,
+                end: now + tx,
+            });
+        }
+        match future_best {
+            Some(t) => Grant::WaitUntil(t),
+            None => Grant::Idle,
+        }
+    }
+
+    fn pending(&self) -> usize {
+        self.queue.len()
+    }
+}
+
+/// Random messages as the fabric queues them: a message above the MTU
+/// becomes a run of equal-size 1500-byte segments plus a remainder, all
+/// arriving together with one class and priority. Some single frames are
+/// oversized (longer than any window) and priorities tie often.
+fn arb_frame_mix(rng: &mut SplitMix64) -> Vec<TxEvent> {
+    let mut events = Vec::new();
+    for _ in 0..rng.gen_range(1usize..12) {
+        let arrival = SimTime::from_nanos(rng.gen_range(0u64..5_000_000));
+        let class = class_of(rng.gen_range(0usize..3));
+        let priority = rng.gen_range(0u32..4);
+        let segments = match rng.gen_range(0u32..4) {
+            0 => {
+                let bytes = rng.gen_range(1_501usize..60_000);
+                let mut run = vec![1500; bytes / 1500];
+                if bytes % 1500 != 0 {
+                    run.push(bytes % 1500);
+                }
+                run
+            }
+            // Longer than the whole 1 ms cycle at 100 Mbit/s.
+            1 => vec![rng.gen_range(20_000usize..40_000)],
+            _ => vec![rng.gen_range(1usize..=1500)],
+        };
+        for payload in segments {
+            let id = MessageId(events.len() as u32);
+            events.push(TxEvent {
+                arrival,
+                frame: Frame::new(id, payload)
+                    .with_priority(priority)
+                    .with_class(class),
+            });
+        }
+    }
+    events
+}
+
+#[test]
+fn tsn_port_matches_the_naive_oracle() {
+    for case in 0..CASES {
+        let mut rng = case_rng(9, case);
+        let gcl = arb_multi_window_gcl(&mut rng);
+        let events = arb_frame_mix(&mut rng);
+        let mut naive = NaiveTsnPort::new(MBIT100, gcl.clone());
+        let mut port = TsnGatedPort::new(MBIT100, gcl);
+        let expected = simulate(&mut naive, events.clone());
+        assert_eq!(simulate(&mut port, events), expected, "case {case}");
+        assert_eq!(port.dropped(), naive.dropped, "case {case}");
+        assert_eq!(port.pending(), 0, "case {case}");
+    }
+}
+
+#[test]
+fn tsn_idle_port_wait_never_exceeds_the_gate_delay_bound() {
+    for case in 0..CASES {
+        let mut rng = case_rng(10, case);
+        let gcl = arb_multi_window_gcl(&mut rng);
+        for _ in 0..16 {
+            let class = class_of(rng.gen_range(0usize..3));
+            let payload = if rng.gen_bool(0.1) {
+                rng.gen_range(1_501usize..20_000)
+            } else {
+                rng.gen_range(1usize..=1500)
+            };
+            let tx = ethernet_frame_time(payload, MBIT100);
+            let arrival = SimTime::from_nanos(rng.gen_range(0u64..3_000_000));
+            let mut port = TsnGatedPort::new(MBIT100, gcl.clone());
+            let done = simulate(
+                &mut port,
+                vec![TxEvent {
+                    arrival,
+                    frame: Frame::new(MessageId(1), payload).with_class(class),
+                }],
+            );
+            match worst_case_gate_delay(&gcl, class, tx) {
+                Some(bound) => {
+                    let wait = done[0].start.saturating_since(arrival);
+                    assert!(wait <= bound, "case {case}: {wait} > {bound}");
+                }
+                None => {
+                    assert!(done.is_empty(), "case {case}: unfittable frame sent");
+                    assert_eq!(port.dropped(), 1, "case {case}");
+                }
+            }
         }
     }
 }
