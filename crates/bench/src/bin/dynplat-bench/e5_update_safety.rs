@@ -7,16 +7,16 @@
 //! mixed-version window grows linearly with clock error and collapses
 //! entirely when the coordinator fails.
 
+use dynplat_bench::fleet::e5d_spec;
 use dynplat_bench::{ms, Table};
 use dynplat_common::time::{SimDuration, SimTime};
-use dynplat_common::VehicleId;
 use dynplat_common::{AppId, AppKind, Asil, EcuId};
 use dynplat_core::app::AppManifest;
-use dynplat_core::campaign::{CampaignPolicy, UpdateCampaign, UpdateRequirements, VehicleConfig};
 use dynplat_core::update::{
     centralized_switch_update, staged_update, stop_restart_update, StagedParams, StopRestartParams,
 };
 use dynplat_core::DynamicPlatform;
+use dynplat_fleet::UpdateMaster;
 use dynplat_hw::ecu::{EcuClass, EcuSpec};
 use dynplat_model::ir::AppModel;
 use dynplat_security::package::{KeyRegistry, Version};
@@ -119,54 +119,32 @@ pub fn run() {
         failed.phases
     );
 
-    // -- fleet campaign: per-vehicle backend validation + canary halt ---------
+    // -- fleet campaign: per-vehicle admission + canary halt -----------------
     let table = Table::new(
-        "E5d — fleet campaign (1000 heterogeneous vehicles) vs field failure rate",
+        "E5d — fleet campaign (10000 heterogeneous vehicles) vs verify failure rate",
         &[
-            "field_failure_pct",
+            "verify_failure_pct",
             "updated",
             "rejected",
             "failed",
-            "protected",
+            "storm",
+            "skipped",
+            "waves",
             "halted",
         ],
     );
-    let fleet: Vec<VehicleConfig> = (0..1000u32)
-        .map(|i| {
-            let mut v = VehicleConfig::new(
-                VehicleId(i),
-                if i % 17 == 0 { 256 } else { 4096 }, // some lack overlap memory
-                0.5,
-            );
-            if i % 23 != 0 {
-                // most have the app installed; a few never got v1
-                v.installed.insert(AppId(1), Version::new(1, 0, 0));
-            }
-            v
-        })
-        .collect();
     for failure_pct in [0u32, 2, 10, 40] {
-        let req = UpdateRequirements {
-            app: AppId(1),
-            version: Version::new(1, 1, 0),
-            staged_memory_kib: 1024,
-            utilization: 0.2,
-            depends_on: BTreeMap::new(),
-        };
-        let report = UpdateCampaign::new(req)
-            .with_field_failures(f64::from(failure_pct) / 100.0, 77)
-            .with_policy(CampaignPolicy {
-                waves: vec![0.02, 0.2, 1.0],
-                max_wave_failure_rate: 0.05,
-            })
-            .run(&fleet);
-        let protected = fleet.len() - report.updated() - report.failed() - report.rejected();
+        let report = UpdateMaster::new(e5d_spec(failure_pct), 2).run();
+        let t = &report.totals;
+        let promoted = report.waves.iter().filter(|w| w.promoted).count();
         table.row(&[
             failure_pct.to_string(),
-            report.updated().to_string(),
-            report.rejected().to_string(),
-            report.failed().to_string(),
-            protected.to_string(),
+            (t.updated - report.storm_total()).to_string(),
+            (t.rejected_flash + t.rejected_config).to_string(),
+            t.verify_failed.to_string(),
+            report.storm_total().to_string(),
+            report.skipped.to_string(),
+            format!("{promoted}/{}", report.waves.len()),
             report.halted.to_string(),
         ]);
     }

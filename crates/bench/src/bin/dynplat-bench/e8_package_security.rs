@@ -12,7 +12,7 @@ use dynplat_bench::{us, Table};
 use dynplat_common::time::SimDuration;
 use dynplat_common::{AppId, EcuId};
 use dynplat_hw::ecu::CryptoSupport;
-use dynplat_security::master::{RedundantMasters, UpdateMaster, WeakEcuVerifier};
+use dynplat_security::master::{RedundantMasters, VoucherIssuer, WeakEcuVerifier};
 use dynplat_security::package::{InstallGate, KeyRegistry, SignedPackage, UpdatePackage, Version};
 use dynplat_security::sign::KeyPair;
 use std::time::Instant;
@@ -96,8 +96,8 @@ pub fn run() {
 
     // -- update master for weak ECUs -------------------------------------------
     let psk = [0x55u8; 32];
-    let mut m1 = UpdateMaster::new(registry.clone());
-    let mut m2 = UpdateMaster::new(registry.clone());
+    let mut m1 = VoucherIssuer::new(registry.clone());
+    let mut m2 = VoucherIssuer::new(registry.clone());
     m1.enroll(EcuId(0), psk);
     m2.enroll(EcuId(0), psk);
     let weak = WeakEcuVerifier::new(EcuId(0), psk);

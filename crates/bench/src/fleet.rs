@@ -26,7 +26,7 @@ use crate::Table;
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::BusId;
 use dynplat_faults::FaultPlan;
-use dynplat_fleet::{CampaignReport, CampaignSpec, UpdateMaster};
+use dynplat_fleet::{standard_mix, CampaignReport, CampaignSpec, HwVariant, UpdateMaster};
 
 /// One arm of the E15 experiment.
 #[derive(Clone, Debug)]
@@ -241,6 +241,55 @@ pub fn run_arms(seed: u64, vehicles: u32, shards: usize) -> Vec<FleetResult> {
         .iter()
         .map(|arm| run_arm(seed, vehicles, shards, arm))
         .collect()
+}
+
+/// E5d fleet size. The 2 % canary (200 vehicles) must span several of the
+/// wave gate's 32-vehicle batches, or the gate cannot judge it and a broken
+/// release halts only after a later wave's rollback storm.
+pub const E5D_VEHICLES: u32 = 10_000;
+
+/// The E5d campaign (§3.2) at a per-vehicle verification failure rate of
+/// `failure_pct` percent: one ECU generation in four configurations (most
+/// fit the standard image; some lack overlap memory or CPU headroom, some
+/// never installed the app), rolled out in a 2 % canary, an 18 % ramp and
+/// the remaining 80 %. Nobody is offline and the network is quiet, so only
+/// admission and the wave gate shape the outcome.
+pub fn e5d_spec(failure_pct: u32) -> CampaignSpec {
+    let base = HwVariant {
+        good_image_verify_failure: f64::from(failure_pct) / 100.0,
+        ..standard_mix()[1]
+    };
+    let mix = vec![
+        HwVariant {
+            name: "configured",
+            share: 88,
+            ..base
+        },
+        HwVariant {
+            name: "no-overlap-memory",
+            share: 6,
+            free_memory_kib: 16 * 1024,
+            ..base
+        },
+        HwVariant {
+            name: "app-not-installed",
+            share: 4,
+            installed: &[],
+            ..base
+        },
+        HwVariant {
+            name: "no-cpu-headroom",
+            share: 2,
+            cpu_headroom: 0.05,
+            ..base
+        },
+    ];
+    CampaignSpec {
+        offline_rate: 0.0,
+        mix,
+        waves: vec![0.02, 0.18, 0.8],
+        ..CampaignSpec::standard(77, E5D_VEHICLES, FaultPlan::quiet(77))
+    }
 }
 
 #[cfg(test)]

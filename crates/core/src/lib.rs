@@ -25,8 +25,6 @@
 //!   Full → Degraded → LimpHome under fault pressure, shedding
 //!   non-deterministic load before deterministic load, with hysteresis on
 //!   recovery;
-//! * [`campaign`] — fleet update campaigns: per-vehicle backend validation
-//!   and canary-wave rollout with automatic halt (§3.2);
 //! * [`sync`] — versioned replica state with snapshot/delta transfer, the
 //!   "synchronize internal states" machinery of §3.2 phase 2 and §3.3.
 
@@ -34,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod app;
-pub mod campaign;
 pub mod degradation;
 pub mod node;
 pub mod platform;
@@ -44,7 +41,6 @@ pub mod sync;
 pub mod update;
 
 pub use app::{AppManifest, LifecycleState};
-pub use campaign::{CampaignPolicy, CampaignReport, UpdateCampaign, VehicleConfig, VehicleOutcome};
 pub use degradation::{DegradationConfig, DegradationManager, UncertaintyGates};
 pub use node::{NodeError, PlatformNode};
 pub use platform::{DynamicPlatform, PlatformError};

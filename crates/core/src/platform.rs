@@ -14,7 +14,7 @@ use dynplat_common::{AppId, EcuId, InstanceId, ServiceId};
 use dynplat_hw::EcuSpec;
 use dynplat_model::ir::{AppModel, PortKind};
 use dynplat_security::authz::{AccessControlMatrix, Permission};
-use dynplat_security::master::UpdateMaster;
+use dynplat_security::master::VoucherIssuer;
 use dynplat_security::package::{InstallGate, KeyRegistry, PackageError, SignedPackage, Version};
 use dynplat_security::sha256::sha256;
 use std::collections::BTreeMap;
@@ -90,7 +90,7 @@ pub struct DynamicPlatform {
     matrix: AccessControlMatrix,
     registry: KeyRegistry,
     gate: InstallGate,
-    master: Option<UpdateMaster>,
+    master: Option<VoucherIssuer>,
 }
 
 impl DynamicPlatform {
@@ -113,7 +113,7 @@ impl DynamicPlatform {
 
     /// Configures the update master that verifies packages for crypto-less
     /// ECUs (§4.1).
-    pub fn set_update_master(&mut self, master: UpdateMaster) {
+    pub fn set_update_master(&mut self, master: VoucherIssuer) {
         self.master = Some(master);
     }
 
@@ -445,7 +445,7 @@ mod tests {
         // With a master enrolled for ecu0 it works.
         let mut registry = KeyRegistry::new();
         registry.trust(authority.public());
-        let mut master = UpdateMaster::new(registry);
+        let mut master = VoucherIssuer::new(registry);
         master.enroll(EcuId(0), [9; 32]);
         platform.set_update_master(master);
         platform

@@ -6,7 +6,8 @@
 //!
 //! 1. **Rollout waves** — the fleet is split into staged waves (canary →
 //!    early → broad → rest). A wave's vehicles are admission-checked per
-//!    hardware variant, offered the image spread over a window, and
+//!    hardware variant (A/B flash, then the vehicle configuration the
+//!    image requires), offered the image spread over a window, and
 //!    simulated to their terminal state on the shard pool;
 //! 2. **Verification gating** — per-vehicle verification verdicts are
 //!    folded into `(good, bad)` batches in completion order and fed to a
@@ -161,6 +162,8 @@ pub struct WaveReport {
     pub admitted: u64,
     /// Vehicles rejected at admission (flash too small for A/B).
     pub rejected_flash: u64,
+    /// Vehicles rejected at admission for their configuration.
+    pub rejected_config: u64,
     /// Vehicles unreachable at wave open.
     pub offline: u64,
     /// Vehicles that verified the new version.
@@ -306,6 +309,9 @@ impl CampaignReport {
         registry
             .counter("fleet.vehicles.rejected_flash")
             .add(t.rejected_flash);
+        registry
+            .counter("fleet.vehicles.rejected_config")
+            .add(t.rejected_config);
         registry.counter("fleet.vehicles.offline").add(t.offline);
         registry.counter("fleet.vehicles.updated").add(t.updated);
         registry
@@ -464,6 +470,7 @@ impl UpdateMaster {
                 hi,
                 admitted: metrics.admitted,
                 rejected_flash: metrics.rejected_flash,
+                rejected_config: metrics.rejected_config,
                 offline: metrics.offline,
                 updated: metrics.updated,
                 verify_failed: metrics.verify_failed,
@@ -529,7 +536,9 @@ mod tests {
         assert_eq!(report.storm_total(), 0);
         assert_eq!(report.outcomes.len(), 6_000);
         assert!(report.totals.conserves());
-        // The legacy variant (2/12 of the mix) is rejected at admission.
+        // The legacy variant (2/12 of the mix) is rejected at admission,
+        // for flash; every standard variant fits the image's configuration.
+        assert_eq!(report.totals.rejected_config, 0);
         let rejected = report.totals.rejected_flash as f64 / report.totals.simulated as f64;
         assert!(
             (rejected - 2.0 / 12.0).abs() < 0.03,
@@ -619,6 +628,7 @@ mod tests {
         assert_eq!(
             snap.counters["fleet.vehicles.admitted"]
                 + snap.counters["fleet.vehicles.rejected_flash"]
+                + snap.counters["fleet.vehicles.rejected_config"]
                 + snap.counters["fleet.vehicles.offline"],
             snap.counters["fleet.vehicles.simulated"]
         );

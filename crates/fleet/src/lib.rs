@@ -9,7 +9,10 @@
 //! deterministic substrate:
 //!
 //! * [`variant`] — heterogeneous [`HwVariant`]s and per-variant admission
-//!   (A/B flash headroom), the scaling problem of fleet campaigns;
+//!   ([`HwVariant::admit`]): A/B flash headroom, then §3.2's check of the
+//!   update "against the current configuration of the installing vehicle"
+//!   (installed versions, overlap memory and CPU, dependencies) — the
+//!   scaling problem of fleet campaigns;
 //! * [`vehicle`] — the closed-form per-vehicle OTA pipeline (admission →
 //!   chunked download → install → verify) under a `dynplat_faults`
 //!   [`FaultPlan`](dynplat_faults::FaultPlan), with all randomness keyed
@@ -37,5 +40,5 @@ pub mod vehicle;
 
 pub use campaign::{CampaignReport, CampaignSpec, UpdateMaster, WaveGate, WaveReport};
 pub use shard::{ShardMetrics, ShardPool};
-pub use variant::{pick_variant, standard_mix, HwVariant, ImageSpec};
+pub use variant::{pick_variant, standard_mix, HwVariant, ImageSpec, Reject};
 pub use vehicle::{region_of, simulate_vehicle, VehicleOutcome, VehicleVerdict};

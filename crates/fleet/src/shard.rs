@@ -11,6 +11,7 @@
 //! is what E15 and the root `e15_fleet_campaign` test pin.
 
 use crate::campaign::CampaignSpec;
+use crate::variant::Reject;
 use crate::vehicle::{simulate_vehicle, VehicleOutcome, VehicleVerdict};
 use dynplat_common::time::SimTime;
 use dynplat_common::{ShardId, VehicleId};
@@ -29,8 +30,11 @@ pub struct ShardMetrics {
     pub simulated: u64,
     /// Vehicles that passed admission.
     pub admitted: u64,
-    /// Vehicles rejected at admission (flash too small).
+    /// Vehicles rejected at admission for flash (too small for A/B).
     pub rejected_flash: u64,
+    /// Vehicles rejected at admission for their configuration (app
+    /// missing or current, overlap memory/CPU, dependencies).
+    pub rejected_config: u64,
     /// Vehicles unreachable at wave open.
     pub offline: u64,
     /// Vehicles that verified the new version.
@@ -58,7 +62,8 @@ impl ShardMetrics {
     pub fn observe(&mut self, outcome: &VehicleOutcome) {
         self.simulated += 1;
         match outcome.verdict {
-            VehicleVerdict::RejectedFlash => self.rejected_flash += 1,
+            VehicleVerdict::Rejected(Reject::Flash) => self.rejected_flash += 1,
+            VehicleVerdict::Rejected(_) => self.rejected_config += 1,
             VehicleVerdict::Offline => self.offline += 1,
             VehicleVerdict::Updated | VehicleVerdict::WaveRolledBack => {
                 self.admitted += 1;
@@ -84,6 +89,7 @@ impl ShardMetrics {
         self.simulated += other.simulated;
         self.admitted += other.admitted;
         self.rejected_flash += other.rejected_flash;
+        self.rejected_config += other.rejected_config;
         self.offline += other.offline;
         self.updated += other.updated;
         self.verify_failed += other.verify_failed;
@@ -96,11 +102,11 @@ impl ShardMetrics {
     }
 
     /// `true` iff the counters conserve vehicles: every simulated vehicle
-    /// is admitted, rejected or offline, every admitted vehicle either
-    /// updated or failed verification, and every stage sketch holds
-    /// exactly one observation per admitted vehicle.
+    /// is admitted, rejected (flash or config) or offline, every admitted
+    /// vehicle either updated or failed verification, and every stage
+    /// sketch holds exactly one observation per admitted vehicle.
     pub fn conserves(&self) -> bool {
-        self.admitted + self.rejected_flash + self.offline == self.simulated
+        self.admitted + self.rejected_flash + self.rejected_config + self.offline == self.simulated
             && self.updated + self.verify_failed == self.admitted
             && self.download_ms.count() == self.admitted
             && self.finalize_ms.count() == self.admitted

@@ -16,7 +16,7 @@
 //! the entropy.
 
 use crate::campaign::CampaignSpec;
-use crate::variant::pick_variant;
+use crate::variant::{pick_variant, Reject};
 use dynplat_common::rng::{seeded_rng, split_seed, truncated_normal_factor, Rng};
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{BusId, VehicleId};
@@ -34,8 +34,9 @@ const MAX_CHUNK_RETRIES: u32 = 16;
 /// Terminal state of one vehicle in one campaign.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VehicleVerdict {
-    /// Admission refused: the variant's flash cannot hold an A/B image.
-    RejectedFlash,
+    /// Admission refused: the variant's flash cannot hold an A/B image, or
+    /// its configuration does not fit the update. Never offered the image.
+    Rejected(Reject),
     /// The vehicle was unreachable when its wave opened (parked offline,
     /// no connectivity); it is skipped, not failed.
     Offline,
@@ -99,7 +100,7 @@ impl VehicleOutcome {
     pub fn admitted(&self) -> bool {
         !matches!(
             self.verdict,
-            VehicleVerdict::RejectedFlash | VehicleVerdict::Offline
+            VehicleVerdict::Rejected(_) | VehicleVerdict::Offline
         )
     }
 }
@@ -144,10 +145,11 @@ pub fn simulate_vehicle(
         retries,
     };
 
-    // Admission: per-variant resource check, then reachability.
-    if !variant.admits(&spec.image) {
+    // Admission: per-variant flash and configuration check, then
+    // reachability.
+    if let Err(reject) = variant.admit(&spec.image) {
         return done(
-            VehicleVerdict::RejectedFlash,
+            VehicleVerdict::Rejected(reject),
             started,
             started,
             SimDuration::ZERO,

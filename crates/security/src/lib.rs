@@ -36,7 +36,7 @@ pub mod sign;
 
 pub use authn::{AuthError, KeyServer, SecureChannel};
 pub use authz::{AccessControlMatrix, AccessDecision, Permission};
-pub use master::{UpdateMaster, Voucher};
+pub use master::{Voucher, VoucherIssuer};
 pub use package::{KeyRegistry, PackageError, SignedPackage, UpdatePackage, Version};
 pub use sha256::{hmac_sha256, sha256, Sha256};
 pub use sign::{KeyPair, PublicKey, Signature};

@@ -6,7 +6,7 @@
 //! point of failure, the update master would need to be instantiated in a
 //! redundant fashion."
 //!
-//! An [`UpdateMaster`] holds the trust registry and verifies signed
+//! A [`VoucherIssuer`] holds the trust registry and verifies signed
 //! packages on behalf of weak ECUs. It re-authenticates the verified
 //! package to each weak ECU with a [`Voucher`]: an HMAC over the package
 //! digest under the pre-shared key of that ECU — a symmetric operation
@@ -30,16 +30,16 @@ pub struct Voucher {
 
 /// A capable ECU that verifies packages for crypto-less peers.
 #[derive(Clone, Debug)]
-pub struct UpdateMaster {
+pub struct VoucherIssuer {
     registry: KeyRegistry,
     // Pre-shared symmetric keys with the weak ECUs it serves.
     psk: BTreeMap<EcuId, [u8; 32]>,
 }
 
-impl UpdateMaster {
+impl VoucherIssuer {
     /// Creates a master trusting `registry`.
     pub fn new(registry: KeyRegistry) -> Self {
-        UpdateMaster {
+        VoucherIssuer {
             registry,
             psk: BTreeMap::new(),
         }
@@ -126,7 +126,7 @@ impl WeakEcuVerifier {
 /// backup takes over (no single point of failure, §4.1).
 #[derive(Clone, Debug)]
 pub struct RedundantMasters {
-    masters: Vec<UpdateMaster>,
+    masters: Vec<VoucherIssuer>,
     failed: Vec<bool>,
 }
 
@@ -137,7 +137,7 @@ impl RedundantMasters {
     /// # Panics
     ///
     /// Panics if `masters` is empty.
-    pub fn new(masters: Vec<UpdateMaster>) -> Self {
+    pub fn new(masters: Vec<VoucherIssuer>) -> Self {
         assert!(!masters.is_empty(), "need at least one master");
         let failed = vec![false; masters.len()];
         RedundantMasters { masters, failed }
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn master_verifies_and_weak_ecu_accepts() {
         let (_, registry, signed) = setup();
-        let mut master = UpdateMaster::new(registry);
+        let mut master = VoucherIssuer::new(registry);
         let psk = [0x42; 32];
         master.enroll(EcuId(5), psk);
         let (package, voucher) = master.verify_for(&signed, EcuId(5)).unwrap();
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn voucher_does_not_transfer_between_ecus() {
         let (_, registry, signed) = setup();
-        let mut master = UpdateMaster::new(registry);
+        let mut master = VoucherIssuer::new(registry);
         master.enroll(EcuId(5), [0x42; 32]);
         master.enroll(EcuId(6), [0x43; 32]);
         let (_, voucher5) = master.verify_for(&signed, EcuId(5)).unwrap();
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn tampered_payload_fails_at_weak_ecu() {
         let (_, registry, signed) = setup();
-        let mut master = UpdateMaster::new(registry);
+        let mut master = VoucherIssuer::new(registry);
         let psk = [0x42; 32];
         master.enroll(EcuId(5), psk);
         let (_, voucher) = master.verify_for(&signed, EcuId(5)).unwrap();
@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn unenrolled_ecu_is_refused() {
         let (_, registry, signed) = setup();
-        let master = UpdateMaster::new(registry);
+        let master = VoucherIssuer::new(registry);
         assert!(master.verify_for(&signed, EcuId(9)).is_err());
         assert_eq!(master.enrolled(), 0);
     }
@@ -239,7 +239,7 @@ mod tests {
         let rogue = KeyPair::from_seed(b"rogue");
         let package = UpdatePackage::new(AppId(3), Version::new(9, 9, 9), 99, vec![6, 6, 6]);
         let signed = SignedPackage::create(&package, &rogue);
-        let mut master = UpdateMaster::new(KeyRegistry::new());
+        let mut master = VoucherIssuer::new(KeyRegistry::new());
         master.enroll(EcuId(5), [0; 32]);
         assert!(master.verify_for(&signed, EcuId(5)).is_err());
     }
@@ -248,8 +248,8 @@ mod tests {
     fn redundant_masters_fail_over() {
         let (_, registry, signed) = setup();
         let psk = [1; 32];
-        let mut m1 = UpdateMaster::new(registry.clone());
-        let mut m2 = UpdateMaster::new(registry);
+        let mut m1 = VoucherIssuer::new(registry.clone());
+        let mut m2 = VoucherIssuer::new(registry);
         m1.enroll(EcuId(5), psk);
         m2.enroll(EcuId(5), psk);
         let mut group = RedundantMasters::new(vec![m1, m2]);

@@ -6,26 +6,24 @@
 //!    configuration absorbs);
 //! 2. watch a vehicle's monitoring telemetry drift toward its deadline and
 //!    catch it *before* the first hard violation;
-//! 3. react with a fleet update campaign: per-vehicle backend validation,
-//!    canary wave, automatic halt if the fix misbehaves in the field;
-//! 4. roll the fix out at fleet scale through the staged update master,
-//!    read the waves as an SLO burn-rate summary, and chase the worst
-//!    completion latencies by exemplar trace id.
+//! 3. roll the fix out at fleet scale through the staged update master:
+//!    per-variant admission (flash, then configuration) with a rejection
+//!    triage, canary wave and automatic halt if the fix misbehaves in the
+//!    field, the waves read as an SLO burn-rate summary, and the worst
+//!    completion latencies chased by exemplar trace id.
 //!
 //! Run with: `cargo run --example fleet_operations`
 
 use dynplat::common::rng::seeded_rng;
 use dynplat::common::time::SimDuration;
-use dynplat::common::{AppId, TaskId, VehicleId};
-use dynplat::core::campaign::{CampaignPolicy, UpdateCampaign, UpdateRequirements, VehicleConfig};
+use dynplat::common::TaskId;
 use dynplat::faults::FaultPlan;
-use dynplat::fleet::{CampaignSpec, UpdateMaster};
+use dynplat::fleet::{CampaignSpec, ImageSpec, Reject, UpdateMaster, VehicleVerdict};
 use dynplat::hw::reference::{ecus, reference_vehicle};
 use dynplat::monitor::anomaly::{DriftDetector, DriftVerdict};
 use dynplat::obs::TraceCtx;
 use dynplat::sched::sensitivity::critical_scaling_factor;
 use dynplat::sched::task::{TaskSet, TaskSpec};
-use dynplat::security::package::Version;
 use dynplat_common::rng::Rng;
 use std::collections::BTreeMap;
 
@@ -94,80 +92,37 @@ fn main() {
     );
     assert!(first_violation.is_none_or(|v| warn < v));
 
-    // -- 3. the fix ships as a campaign -----------------------------------------
-    let mut rng = seeded_rng(11);
-    let fleet: Vec<VehicleConfig> = (0..5_000u32)
-        .map(|i| {
-            let mut v = VehicleConfig::new(
-                VehicleId(i),
-                rng.gen_range(512..8192),
-                rng.gen_range(0.1..0.9),
-            );
-            // 95% of the fleet runs lane-keep v2.3; a few are still on 2.2.
-            let minor = if rng.gen_bool(0.95) { 3 } else { 2 };
-            v.installed.insert(AppId(1), Version::new(2, minor, 0));
-            // Fusion dependency at various patch levels.
-            v.installed
-                .insert(AppId(2), Version::new(1, rng.gen_range(0..4), 0));
-            v
-        })
-        .collect();
-    let req = UpdateRequirements {
-        app: AppId(1),
-        version: Version::new(2, 4, 0),
-        staged_memory_kib: 2048,
-        utilization: 0.2,
-        depends_on: [(AppId(2), Version::new(1, 2, 0))].into_iter().collect(),
-    };
-    let campaign = UpdateCampaign::new(req)
-        .with_field_failures(0.01, 99)
-        .with_policy(CampaignPolicy {
-            waves: vec![0.01, 0.1, 1.0],
-            max_wave_failure_rate: 0.08,
-        });
-    let report = campaign.run(&fleet);
-    println!("\nlane-keep 2.4.0 campaign over {} vehicles:", fleet.len());
-    for w in &report.waves {
-        println!(
-            "  wave {}: attempted {:4}, updated {:4}, rejected {:3}, failed {:2} (rate {:.3})",
-            w.wave,
-            w.attempted,
-            w.updated,
-            w.rejected,
-            w.failed,
-            w.failure_rate()
-        );
-    }
-    println!(
-        "totals: updated {}, rejected {}, failed {}, halted: {}",
-        report.updated(),
-        report.rejected(),
-        report.failed(),
-        report.halted
-    );
-    let mut reasons: BTreeMap<String, usize> = BTreeMap::new();
-    for outcome in report.outcomes.values() {
-        if let dynplat::core::campaign::VehicleOutcome::Rejected(r) = outcome {
-            *reasons.entry(r.to_string()).or_insert(0) += 1;
-        }
-    }
-    println!("rejection reasons:");
-    for (reason, n) in reasons {
-        println!("  {n:4} × {reason}");
-    }
-
-    // -- 4. staged rollout, SLO summary, exemplar trace ids --------------------
-    // The same fix at fleet scale: the sharded update master stages the
-    // rollout in waves, and each wave promotes only while the burn-rate
-    // gate stays under the verification error budget.
+    // -- 3. the fix ships as a staged fleet campaign ---------------------------
+    // The sharded update master checks every vehicle's variant against the
+    // image before offering it: A/B flash, then the configuration (the fix
+    // needs a 64 MiB staged overlap, more than the low-end variant has
+    // free). Admitted vehicles roll out in waves, and each wave promotes
+    // only while the burn-rate gate stays under the verification error
+    // budget.
     let plan = FaultPlan::quiet(23).with_message_faults(0.02, 0.05, 0.0);
-    let spec = CampaignSpec::standard(23, 20_000, plan);
+    let spec = CampaignSpec {
+        image: ImageSpec {
+            staged_memory_kib: 64 * 1024,
+            ..ImageSpec::standard()
+        },
+        ..CampaignSpec::standard(23, 20_000, plan)
+    };
     let report = UpdateMaster::new(spec, 4).run();
     println!(
         "\nstaged rollout over {} vehicles ({} updated, halted: {}):",
         report.vehicles, report.totals.updated, report.halted
     );
     print!("{}", report.slo_summary());
+    let mut triage: BTreeMap<Reject, u64> = BTreeMap::new();
+    for o in &report.outcomes {
+        if let VehicleVerdict::Rejected(reject) = o.verdict {
+            *triage.entry(reject).or_default() += 1;
+        }
+    }
+    println!("rejection triage:");
+    for (reject, n) in triage {
+        println!("  {n:5} × {reject:?}");
+    }
 
     // The slowest end-to-end completions, each tagged with a trace id
     // derived from the vehicle id — the handle an operator would feed to

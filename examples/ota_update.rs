@@ -19,7 +19,7 @@ use dynplat::core::update::{
 use dynplat::core::DynamicPlatform;
 use dynplat::hw::ecu::{EcuClass, EcuSpec};
 use dynplat::model::ir::AppModel;
-use dynplat::security::master::{RedundantMasters, UpdateMaster, WeakEcuVerifier};
+use dynplat::security::master::{RedundantMasters, VoucherIssuer, WeakEcuVerifier};
 use dynplat::security::package::{KeyRegistry, SignedPackage, UpdatePackage, Version};
 use dynplat::security::sign::KeyPair;
 use dynplat::sim::jitter::ClockModel;
@@ -64,8 +64,8 @@ fn main() {
 
     // -- update master for the crypto-less ECU -------------------------------
     let psk = [0x42u8; 32];
-    let mut m1 = UpdateMaster::new(registry.clone());
-    let mut m2 = UpdateMaster::new(registry.clone());
+    let mut m1 = VoucherIssuer::new(registry.clone());
+    let mut m2 = VoucherIssuer::new(registry.clone());
     m1.enroll(EcuId(0), psk);
     m2.enroll(EcuId(0), psk);
     let mut masters = RedundantMasters::new(vec![m1, m2]);

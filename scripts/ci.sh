@@ -40,6 +40,13 @@ cargo test -q --doc --workspace
 echo "==> ring + quantile-structure property suites (ring wrap-around, spill, frame-id recycling; merge algebra, 1/32 accuracy, concurrent flush)"
 cargo test -q --test properties5
 
+echo "==> examples (every examples/*.rs runs to completion)"
+# Tier-1 compiles the examples but never runs them; an example that panics
+# on its own asserts fails here.
+for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
+
 echo "==> perf smoke gate (bench vs BENCH_baseline.json, alloc gate armed)"
 # Single-threaded, so the counting allocator is armed: any heap allocation
 # in a steady-state deliver, TSN stream or dispatch loop fails this step,

@@ -175,6 +175,54 @@ fn e5_shape_centralized_switch_window_scales() {
     assert!(window(20) == ms(40) && window(20) > window(5));
 }
 
+/// E5d: admission rejects misconfigured vehicles before any flash, a
+/// healthy image promotes every wave, and a broken one halts early enough
+/// to strand most of the fleet.
+#[test]
+fn e5d_shape_fleet_campaign_rejects_then_halts() {
+    use dynplat::fleet::{Reject, UpdateMaster, VehicleVerdict};
+    use dynplat_bench::fleet::{e5d_spec, E5D_VEHICLES};
+    use std::collections::BTreeSet;
+    let run = |pct| UpdateMaster::new(e5d_spec(pct), 2).run();
+    let fleet = u64::from(E5D_VEHICLES);
+    for pct in [0, 2] {
+        let report = run(pct);
+        assert!(!report.halted, "{pct}%: a healthy image must not halt");
+        assert_eq!(report.waves.len(), 3);
+        assert!(report.waves.iter().all(|w| w.promoted));
+        assert_eq!(report.skipped, 0);
+        let rejects: BTreeSet<Reject> = report
+            .outcomes
+            .iter()
+            .filter_map(|o| match o.verdict {
+                VehicleVerdict::Rejected(reject) => Some(reject),
+                _ => None,
+            })
+            .collect();
+        assert!(!rejects.contains(&Reject::Flash));
+        assert!(
+            rejects.len() >= 2,
+            "{pct}%: the mix must hit several configuration checks: {rejects:?}"
+        );
+    }
+    // 40 %: the canary's gate trips and the rest of the fleet is never
+    // offered the image.
+    let report = run(40);
+    assert!(report.halted);
+    assert_eq!(report.waves.len(), 1, "40% must halt after the canary");
+    assert!(report.skipped * 100 >= fleet * 95);
+    // 10 %: the 200-vehicle canary is too small for the gate to be
+    // confident at this rate on every seed, so the halt may come after the
+    // ramp; the last 80 % of the fleet is never offered the image.
+    let report = run(10);
+    assert!(report.halted);
+    assert!(
+        report.waves.len() <= 2,
+        "10% must halt before the last wave"
+    );
+    assert!(report.skipped * 100 >= fleet * 80);
+}
+
 /// E11: the same defect reproduces at the same step on every level, with
 /// MiL ≪ SiL ≪ HiL wall clock.
 #[test]

@@ -8,7 +8,7 @@ use dynplat::model::dsl::parse_model;
 use dynplat::model::generate::access_matrix;
 use dynplat::security::authn::{service_accept_ticket, KeyServer, Principal, SecureChannel};
 use dynplat::security::authz::Permission;
-use dynplat::security::master::{UpdateMaster, WeakEcuVerifier};
+use dynplat::security::master::{VoucherIssuer, WeakEcuVerifier};
 use dynplat::security::package::{
     KeyRegistry, PackageError, SignedPackage, UpdatePackage, Version,
 };
@@ -103,7 +103,7 @@ fn weak_ecu_install_path_uses_master_end_to_end() {
     registry.trust(authority.public());
 
     let psk = [0x77u8; 32];
-    let mut master = UpdateMaster::new(registry.clone());
+    let mut master = VoucherIssuer::new(registry.clone());
     master.enroll(EcuId(0), psk);
 
     let mut platform = DynamicPlatform::new(registry);

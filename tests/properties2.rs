@@ -1,5 +1,5 @@
 //! Property-based tests, part 2: TSN/FlexRay media invariants, Ethernet
-//! analysis soundness, replica state synchronization, update campaigns,
+//! analysis soundness, replica state synchronization, fleet campaigns,
 //! typed endpoints and update paths.
 //!
 //! Implemented as seeded-random loop tests on `dynplat::common::rng` (no
@@ -10,12 +10,11 @@ use dynplat::common::ids::ServiceInstance;
 use dynplat::common::rng::{seeded_rng, split_seed, Rng, SplitMix64};
 use dynplat::common::time::{SimDuration, SimTime};
 use dynplat::common::value::{DataType, Value};
-use dynplat::common::{AppId, EventGroupId, MessageId, MethodId, ServiceId, VehicleId};
-use dynplat::core::campaign::{
-    CampaignPolicy, UpdateCampaign, UpdateRequirements, VehicleConfig, VehicleOutcome,
-};
+use dynplat::common::{AppId, EventGroupId, MessageId, MethodId, ServiceId};
 use dynplat::core::sync::ReplicaState;
 use dynplat::core::update::update_path;
+use dynplat::faults::FaultPlan;
+use dynplat::fleet::{standard_mix, CampaignSpec, HwVariant, Reject, UpdateMaster, VehicleVerdict};
 use dynplat::net::analysis::{worst_case_gate_delay, EthFlowSpec, EthernetAnalysis};
 use dynplat::net::ethernet::{ethernet_frame_time, StrictPriorityPort};
 use dynplat::net::flexray::{FlexRayBus, FlexRayConfig, SlotAssignment};
@@ -23,7 +22,6 @@ use dynplat::net::tsn::{GateControlList, GateWindow, TsnGatedPort};
 use dynplat::net::{simulate, Arbiter, Frame, Grant, TrafficClass, Transmission, TxEvent};
 use dynplat::security::authz::{AccessControlMatrix, Permission};
 use dynplat::security::package::Version;
-use std::collections::BTreeMap;
 
 const MBIT100: u64 = 100_000_000;
 const SUITE_SEED: u64 = 0x5EED_0002;
@@ -459,58 +457,101 @@ fn replica_sync_converges_under_random_operations() {
 
 // -------------------------------------------------------------- campaign --
 
+/// A random variant: one of the standard ECU generations (the legacy one
+/// fails flash), with a random verification noise floor and, half the
+/// time, one configuration defect against the standard image.
+fn arb_variant(rng: &mut SplitMix64) -> HwVariant {
+    let mix = standard_mix();
+    let mut v = HwVariant {
+        good_image_verify_failure: rng.gen_range(0.0..0.4),
+        share: rng.gen_range(1u32..6),
+        ..mix[rng.gen_range(0..mix.len())]
+    };
+    match rng.gen_range(0u32..10) {
+        0 => v.installed = &[],
+        1 => v.installed = const { &[(AppId(1), Version::new(2, 0, 0))] },
+        2 => v.free_memory_kib = rng.gen_range(0..32 * 1024),
+        3 => v.cpu_headroom = rng.gen_range(0.0..0.1),
+        4 => v.installed = const { &[(AppId(1), Version::new(1, 4, 0))] },
+        _ => {}
+    }
+    v
+}
+
 #[test]
 fn campaign_accounting_is_conserved() {
     for case in 0..CASES {
         let mut rng = case_rng(5, case);
-        let fleet_size = rng.gen_range(1usize..120);
-        let failure_pct = rng.gen_range(0u32..50);
-        let bad_fraction = rng.gen_range(0u32..50);
         let seed: u64 = rng.gen();
-        let fleet: Vec<VehicleConfig> = (0..fleet_size)
-            .map(|i| {
-                let mut v = VehicleConfig::new(VehicleId(i as u32), 4096, 0.5);
-                if (i as u32) % 100 >= 100 - bad_fraction {
-                    v // not installed -> rejected
-                } else {
-                    v.installed.insert(AppId(1), Version::new(1, 0, 0));
-                    v
-                }
-            })
+        let variants = rng.gen_range(1usize..5);
+        let mut spec =
+            CampaignSpec::standard(seed, rng.gen_range(1u32..1_500), FaultPlan::quiet(seed));
+        spec.mix = (0..variants).map(|_| arb_variant(&mut rng)).collect();
+        spec.waves = (0..rng.gen_range(1usize..5))
+            .map(|_| rng.gen_range(0.01..1.0))
             .collect();
-        let req = UpdateRequirements {
-            app: AppId(1),
-            version: Version::new(2, 0, 0),
-            staged_memory_kib: 512,
-            utilization: 0.1,
-            depends_on: BTreeMap::new(),
-        };
-        let campaign = UpdateCampaign::new(req)
-            .with_field_failures(f64::from(failure_pct) / 100.0, seed)
-            .with_policy(CampaignPolicy {
-                waves: vec![0.1, 0.5, 1.0],
-                max_wave_failure_rate: 0.25,
-            });
-        let report = campaign.run(&fleet);
-        // Conservation: every vehicle has exactly one outcome.
-        assert_eq!(report.outcomes.len(), fleet_size, "case {case}");
-        let attempted: usize = report.waves.iter().map(|w| w.attempted).sum();
-        let untouched = report
-            .outcomes
-            .values()
-            .filter(|o| **o == VehicleOutcome::NotAttempted)
-            .count();
-        assert_eq!(attempted + untouched, fleet_size, "case {case}");
+        spec.gate.batch = rng.gen_range(4usize..33);
+        let shards = rng.gen_range(1usize..5);
+        let bounds = spec.wave_bounds();
+        let report = UpdateMaster::new(spec.clone(), shards).run();
+
+        // Conservation: every vehicle is simulated once or skipped.
         assert_eq!(
-            report.updated() + report.failed() + report.rejected(),
-            attempted,
+            report.outcomes.len() as u64 + report.skipped,
+            u64::from(spec.vehicles),
             "case {case}"
         );
-        // A halted campaign never attempts later waves.
-        if report.halted {
-            assert!(report.waves.len() < 3 || untouched == 0, "case {case}");
-        } else {
-            assert_eq!(untouched, 0, "case {case}");
+        assert!(report.totals.conserves(), "case {case}");
+
+        // Rejected configurations are never flashed: a vehicle is rejected
+        // exactly when its variant fails admission, for that reason; it never
+        // downloads or retries, and it is counted as rejected, so it stays
+        // out of the stage sketches (`conserves`) and the storm.
+        let mut rejected = [0u64; 2];
+        for o in &report.outcomes {
+            let admission = spec.mix[o.variant].admit(&spec.image);
+            let VehicleVerdict::Rejected(reject) = o.verdict else {
+                assert_eq!(admission, Ok(()), "case {case} {:?}", o.vehicle);
+                continue;
+            };
+            assert_eq!(admission, Err(reject), "case {case} {:?}", o.vehicle);
+            assert!(
+                o.started == o.downloaded && o.downloaded == o.completed && o.retries == 0,
+                "case {case}: rejected {:?} entered the pipeline",
+                o.vehicle
+            );
+            rejected[usize::from(reject != Reject::Flash)] += 1;
+        }
+        let t = &report.totals;
+        assert_eq!(
+            rejected,
+            [t.rejected_flash, t.rejected_config],
+            "case {case}"
+        );
+
+        // A halted campaign opens no wave after the one that tripped.
+        let opened = report.waves.len();
+        let promoted = report.waves.iter().take_while(|w| w.promoted).count();
+        assert_eq!(promoted + usize::from(report.halted), opened, "case {case}");
+        assert!(report.halted || opened == bounds.len(), "case {case}");
+        let stranded: u64 = bounds[opened..]
+            .iter()
+            .map(|&(lo, hi)| u64::from(hi - lo))
+            .sum();
+        assert_eq!(report.skipped, stranded, "case {case}");
+
+        // The shard count is invisible in the report.
+        for other in [1, 3] {
+            let again = UpdateMaster::new(spec.clone(), other).run();
+            let case = format!("case {case}, {shards} vs {other} shards");
+            assert!(again.waves == report.waves, "{case}");
+            assert!(again.totals == report.totals, "{case}");
+            assert!(again.outcomes == report.outcomes, "{case}");
+            assert_eq!(
+                (again.skipped, again.halted, again.completed_at),
+                (report.skipped, report.halted, report.completed_at),
+                "{case}"
+            );
         }
     }
 }
