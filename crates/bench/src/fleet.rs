@@ -135,7 +135,7 @@ impl FleetResult {
             p90_ms: percentile(&ms, 0.90),
             p99_ms: percentile(&ms, 0.99),
             max_ms: ms.last().copied().unwrap_or(0),
-            stragglers: report.straggler_count(4.0),
+            stragglers: CampaignReport::stragglers_in(&ms, 4.0),
             sim_end_ms: report.completed_at.as_millis(),
         }
     }

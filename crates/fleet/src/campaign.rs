@@ -27,7 +27,7 @@
 //! of the campaign seed: reports serialize byte-identically across reruns
 //! and across shard counts.
 
-use crate::shard::{ShardMetrics, ShardPool};
+use crate::shard::{GateSample, ShardMetrics, ShardPool};
 use crate::variant::{standard_mix, HwVariant, ImageSpec};
 use crate::vehicle::{VehicleOutcome, VehicleVerdict};
 use dynplat_common::time::{SimDuration, SimTime};
@@ -249,12 +249,18 @@ impl CampaignReport {
     /// Vehicles whose completion took more than `factor` × the median —
     /// the straggler tail a partitioned region produces.
     pub fn straggler_count(&self, factor: f64) -> u64 {
-        let ms = self.completion_ms_sorted();
-        if ms.is_empty() {
+        Self::stragglers_in(&self.completion_ms_sorted(), factor)
+    }
+
+    /// [`CampaignReport::straggler_count`] over an already sorted
+    /// completion distribution (as [`CampaignReport::completion_ms_sorted`]
+    /// returns it), for callers that hold one.
+    pub fn stragglers_in(sorted_ms: &[u64], factor: f64) -> u64 {
+        let Some(&median) = sorted_ms.get(sorted_ms.len() / 2) else {
             return 0;
-        }
-        let median = ms[ms.len() / 2] as f64;
-        ms.iter().filter(|&&d| d as f64 > median * factor).count() as u64
+        };
+        let bound = median as f64 * factor;
+        sorted_ms.iter().filter(|&&d| d as f64 > bound).count() as u64
     }
 
     /// Admission throughput on the simulated clock: vehicles admitted per
@@ -397,6 +403,7 @@ impl UpdateMaster {
         let mut now = SimTime::ZERO;
         let mut waves = Vec::new();
         let mut outcomes: Vec<VehicleOutcome> = Vec::with_capacity(spec.vehicles as usize);
+        let mut finished: Vec<GateSample> = Vec::new();
         let mut totals = ShardMetrics::default();
         let mut halted = false;
         let mut skipped = 0u64;
@@ -407,17 +414,19 @@ impl UpdateMaster {
                 skipped += u64::from(hi - lo);
                 continue;
             }
-            let (mut wave_outcomes, metrics) = self.pool.run_wave(index as u32, lo, hi, now);
-            totals.merge(&metrics);
-
             // Failure-rate series: admitted vehicles in completion order,
             // batched; the estimator judges the wave on the distribution.
-            let mut finished: Vec<(SimTime, bool)> = wave_outcomes
-                .iter()
-                .filter(|o| o.admitted())
-                .map(|o| (o.completed, o.verdict == VehicleVerdict::VerifyFailed))
-                .collect();
-            finished.sort_unstable_by_key(|&(at, failed)| (at, failed));
+            let wave_at = outcomes.len();
+            let metrics = self.pool.run_wave_into(
+                index as u32,
+                lo,
+                hi,
+                now,
+                &mut outcomes,
+                Some(&mut finished),
+            );
+            totals.merge(&metrics);
+            let wave_outcomes = &mut outcomes[wave_at..];
             self.gate.reset();
             // The gate is edge-triggered: a live master watches the
             // failure stream and halts the moment the estimator is
@@ -451,7 +460,7 @@ impl UpdateMaster {
                 .unwrap_or(now);
             let mut rolled_back = 0u64;
             if tripped {
-                for o in &mut wave_outcomes {
+                for o in wave_outcomes.iter_mut() {
                     if o.verdict == VehicleVerdict::Updated {
                         o.verdict = VehicleVerdict::WaveRolledBack;
                         rolled_back += 1;
@@ -483,12 +492,14 @@ impl UpdateMaster {
                 started: now,
                 completed: wave_end,
             });
-            outcomes.extend(wave_outcomes);
             completed_at = completed_at.max(wave_end);
             now = wave_end.max(now) + spec.soak;
         }
 
-        outcomes.sort_unstable_by_key(|o| o.vehicle);
+        debug_assert!(
+            outcomes.windows(2).all(|w| w[0].vehicle < w[1].vehicle),
+            "waves tile the fleet in id order, so outcomes arrive sorted"
+        );
         CampaignReport {
             seed: spec.seed,
             vehicles: spec.vehicles,

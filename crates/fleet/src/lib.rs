@@ -17,9 +17,9 @@
 //!   chunked download → install → verify) under a `dynplat_faults`
 //!   [`FaultPlan`](dynplat_faults::FaultPlan), with all randomness keyed
 //!   by vehicle id;
-//! * [`shard`] — the [`ShardPool`]: one sim kernel per thread, vehicles
-//!   tiled round-robin, canonical merge that is byte-identical across
-//!   shard counts;
+//! * [`shard`] — the [`ShardPool`]: one sim kernel per thread, each wave
+//!   tiled into contiguous vehicle-id slices, so the merge is a
+//!   concatenation that is byte-identical across shard counts;
 //! * [`campaign`] — the [`UpdateMaster`]: staged rollout waves, a
 //!   wave-promotion gate driven by `dynplat_monitor`'s
 //!   [`BoundaryEstimator`](dynplat_monitor::uncertainty::BoundaryEstimator)

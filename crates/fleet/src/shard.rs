@@ -5,10 +5,12 @@
 //! the closed-form vehicle kernel over its slice of every wave. Shards are
 //! pure workers: a vehicle's entire stochastic behavior comes from its
 //! per-vehicle stream (see [`crate::vehicle`]), so which shard simulates it
-//! is invisible in the results. The pool merges each wave canonically —
-//! replies collected in shard-index order, outcomes sorted by vehicle id —
-//! which makes the merged campaign byte-identical across shard counts and
-//! is what E15 and the root `e15_fleet_campaign` test pin.
+//! is invisible in the results. Each shard owns one contiguous id slice of
+//! the wave, so replies collected in shard-index order are already in
+//! vehicle-id order and the merge is a concatenation. Each shard also
+//! sorts its own admitted `(completed, failed)` gate stream, leaving the
+//! master one k-way merge. Both merges are byte-identical across shard
+//! counts, which is what E15 and the root `e15_fleet_campaign` test pin.
 
 use crate::campaign::CampaignSpec;
 use crate::variant::Reject;
@@ -115,14 +117,21 @@ impl ShardMetrics {
     }
 }
 
+/// One verification sample of the wave gate: an admitted vehicle's
+/// completion instant and whether its verification failed.
+pub(crate) type GateSample = (SimTime, bool);
+
 /// Command from the master to one shard worker.
 enum ShardCmd {
-    /// Simulate this shard's slice of wave `[lo, hi)` starting at `start`.
+    /// Simulate this shard's slice of wave `[lo, hi)` starting at `start`
+    /// into the empty buffers, which the master sized to the slice.
     Wave {
         wave: u32,
         lo: u32,
         hi: u32,
         start: SimTime,
+        outcomes: Vec<VehicleOutcome>,
+        gate: Vec<GateSample>,
     },
     /// Drain and exit.
     Shutdown,
@@ -132,7 +141,10 @@ enum ShardCmd {
 struct WaveBatch {
     shard: ShardId,
     wave: u32,
+    /// The slice's outcomes, in vehicle-id order.
     outcomes: Vec<VehicleOutcome>,
+    /// The slice's admitted vehicles as gate samples, sorted.
+    gate: Vec<GateSample>,
     metrics: ShardMetrics,
 }
 
@@ -144,10 +156,11 @@ struct ShardWorker {
 
 /// A pool of persistent shard workers, one sim kernel per thread.
 ///
-/// Vehicles tile the shards round-robin (`vehicle % shards`), so every
-/// shard sees a representative slice of each wave. The pool lives for the
-/// whole campaign; waves are dispatched over channels and merged in shard
-/// order.
+/// Shard `k` of `s` simulates the contiguous slice
+/// `[lo + n·k/s, lo + n·(k+1)/s)` of a wave `[lo, hi)` of `n` vehicles, so
+/// the slices tile the wave in shard order and its merge is a
+/// concatenation. The pool lives for the whole campaign; waves are
+/// dispatched over channels and merged in shard order.
 pub struct ShardPool {
     workers: Vec<ShardWorker>,
 }
@@ -186,8 +199,12 @@ impl ShardPool {
     }
 
     /// Runs wave `[lo, hi)` across all shards and returns the canonical
-    /// merge: outcomes sorted by vehicle id plus summed counters. The
+    /// merge: outcomes in vehicle-id order plus summed counters. The
     /// result is independent of the shard count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi`, or if a shard worker died.
     pub fn run_wave(
         &mut self,
         wave: u32,
@@ -195,7 +212,36 @@ impl ShardPool {
         hi: u32,
         start: SimTime,
     ) -> (Vec<VehicleOutcome>, ShardMetrics) {
-        for worker in &self.workers {
+        let mut outcomes = Vec::new();
+        let metrics = self.run_wave_into(wave, lo, hi, start, &mut outcomes, None);
+        (outcomes, metrics)
+    }
+
+    /// [`ShardPool::run_wave`], appending the wave's outcomes to
+    /// `outcomes` in vehicle-id order. With `gate`, the buffer is
+    /// overwritten with the wave's sorted gate stream: the shards' sorted
+    /// streams, k-way merged.
+    pub(crate) fn run_wave_into(
+        &mut self,
+        wave: u32,
+        lo: u32,
+        hi: u32,
+        start: SimTime,
+        outcomes: &mut Vec<VehicleOutcome>,
+        gate: Option<&mut Vec<GateSample>>,
+    ) -> ShardMetrics {
+        assert!(
+            lo <= hi,
+            "wave {wave} range [{lo}, {hi}) is inverted: lo must not exceed hi"
+        );
+        // The master allocates the buffers it frees after the merge: freed
+        // here, a worker-allocated buffer would stay cached in the worker
+        // thread's allocator arena and hold peak RSS up by a wave's worth
+        // of outcomes.
+        let shards = self.workers.len();
+        for (idx, worker) in self.workers.iter().enumerate() {
+            let (first, last) = slice_of(lo, hi, idx, shards);
+            let len = (last - first) as usize;
             worker
                 .cmds
                 .send(ShardCmd::Wave {
@@ -203,23 +249,57 @@ impl ShardPool {
                     lo,
                     hi,
                     start,
+                    outcomes: Vec::with_capacity(len),
+                    gate: Vec::with_capacity(len),
                 })
                 .expect("fleet shard hung up before the wave was dispatched");
         }
-        let mut outcomes = Vec::with_capacity((hi - lo) as usize);
+        outcomes.reserve((hi - lo) as usize);
+        let mut streams = Vec::with_capacity(shards);
         let mut metrics = ShardMetrics::default();
         for (idx, worker) in self.workers.iter().enumerate() {
-            let batch = worker
+            let mut batch = worker
                 .replies
                 .recv()
                 .expect("fleet shard died mid-wave (panicked worker?)");
             debug_assert_eq!(batch.shard, ShardId(idx as u16));
             debug_assert_eq!(batch.wave, wave);
             metrics.merge(&batch.metrics);
-            outcomes.extend(batch.outcomes);
+            outcomes.append(&mut batch.outcomes);
+            streams.push(batch.gate);
         }
-        outcomes.sort_unstable_by_key(|o| o.vehicle);
-        (outcomes, metrics)
+        if let Some(gate) = gate {
+            merge_sorted(&streams, gate);
+        }
+        metrics
+    }
+}
+
+/// Overwrites `out` with the merge of the sorted `streams`. Equal samples
+/// are indistinguishable, so the merge is the full sort of their union.
+fn merge_sorted(streams: &[Vec<GateSample>], out: &mut Vec<GateSample>) {
+    out.clear();
+    out.reserve(streams.iter().map(Vec::len).sum());
+    let mut rest: Vec<&[GateSample]> = streams
+        .iter()
+        .map(Vec::as_slice)
+        .filter(|s| !s.is_empty())
+        .collect();
+    while rest.len() > 1 {
+        let mut k = 0;
+        for j in 1..rest.len() {
+            if rest[j][0] < rest[k][0] {
+                k = j;
+            }
+        }
+        out.push(rest[k][0]);
+        rest[k] = &rest[k][1..];
+        if rest[k].is_empty() {
+            rest.swap_remove(k);
+        }
+    }
+    if let Some(last) = rest.first() {
+        out.extend_from_slice(last);
     }
 }
 
@@ -237,7 +317,15 @@ impl Drop for ShardPool {
     }
 }
 
-/// Worker loop: simulate this shard's round-robin slice of each wave.
+/// Shard `shard`'s slice of wave `[lo, hi)` among `shards`:
+/// `[lo + n·k/s, lo + n·(k+1)/s)` with `n = hi - lo`, computed in `u64`.
+fn slice_of(lo: u32, hi: u32, shard: usize, shards: usize) -> (u32, u32) {
+    let n = u64::from(hi - lo);
+    let at = |k: usize| lo + (n * k as u64 / shards as u64) as u32;
+    (at(shard), at(shard + 1))
+}
+
+/// Worker loop: simulate this shard's contiguous slice of each wave.
 fn shard_main(
     spec: &CampaignSpec,
     shard: ShardId,
@@ -253,22 +341,29 @@ fn shard_main(
                 lo,
                 hi,
                 start,
+                mut outcomes,
+                mut gate,
             } => {
-                let mut outcomes = Vec::new();
+                let (first, last) = slice_of(lo, hi, usize::from(shard.raw()), shards);
                 let mut metrics = ShardMetrics::default();
-                for v in lo..hi {
-                    if v as usize % shards != usize::from(shard.raw()) {
-                        continue;
-                    }
+                for v in first..last {
                     let outcome = simulate_vehicle(spec, VehicleId(v), start);
                     metrics.observe(&outcome);
+                    if outcome.admitted() {
+                        gate.push((
+                            outcome.completed,
+                            outcome.verdict == VehicleVerdict::VerifyFailed,
+                        ));
+                    }
                     outcomes.push(outcome);
                 }
+                gate.sort_unstable();
                 if replies
                     .send(WaveBatch {
                         shard,
                         wave,
                         outcomes,
+                        gate,
                         metrics,
                     })
                     .is_err()
@@ -319,16 +414,49 @@ mod tests {
         assert_eq!(metrics.simulated, 2_500);
     }
 
+    /// Outcomes equal the serial per-vehicle map and the merged gate
+    /// stream equals the full sort of the wave's admitted samples, for
+    /// shard counts that do and do not divide the wave, waves smaller
+    /// than the pool and empty waves.
     #[test]
     fn outcomes_are_sorted_and_complete() {
         let spec = spec(0xC0DE);
-        let mut pool = ShardPool::spawn(Arc::clone(&spec), 5);
-        let (outcomes, _) = pool.run_wave(2, 100, 900, SimTime::from_secs(30));
-        assert_eq!(outcomes.len(), 800);
-        for (i, o) in outcomes.iter().enumerate() {
-            assert_eq!(o.vehicle, VehicleId(100 + i as u32));
-            assert!(o.started >= SimTime::from_secs(30));
+        let lo = 100;
+        let start = SimTime::from_secs(30);
+        for shards in [1, 2, 3, 5, 7] {
+            let mut pool = ShardPool::spawn(Arc::clone(&spec), shards);
+            for (wave, n) in [0u32, 1, 3, 1_000, 2_501].into_iter().enumerate() {
+                let mut outcomes = Vec::new();
+                let mut gate = vec![(SimTime::ZERO, true)];
+                let metrics = pool.run_wave_into(
+                    wave as u32,
+                    lo,
+                    lo + n,
+                    start,
+                    &mut outcomes,
+                    Some(&mut gate),
+                );
+                let serial: Vec<VehicleOutcome> = (lo..lo + n)
+                    .map(|v| simulate_vehicle(&spec, VehicleId(v), start))
+                    .collect();
+                assert_eq!(outcomes, serial, "{shards} shards, {n} vehicles");
+                let mut sorted: Vec<GateSample> = serial
+                    .iter()
+                    .filter(|o| o.admitted())
+                    .map(|o| (o.completed, o.verdict == VehicleVerdict::VerifyFailed))
+                    .collect();
+                sorted.sort_unstable();
+                assert_eq!(gate, sorted, "{shards} shards, {n} vehicles");
+                assert_eq!(metrics.simulated, u64::from(n));
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lo must not exceed hi")]
+    fn inverted_wave_range_panics() {
+        let mut pool = ShardPool::spawn(spec(0xBAD), 2);
+        let _ = pool.run_wave(0, 10, 9, SimTime::ZERO);
     }
 
     #[test]
