@@ -42,8 +42,9 @@ pub const ALL_RULES: [&str; 6] = [
 /// Crates whose outputs are hashed, diffed or `cmp`-gated in CI: byte
 /// determinism is part of their contract, so wall-clock reads and
 /// iteration-order-dependent collections are banned outright.
-pub const DETERMINISM_CRITICAL_CRATES: [&str; 7] =
-    ["common", "sim", "fleet", "dse", "model", "sched", "faults"];
+pub const DETERMINISM_CRITICAL_CRATES: [&str; 8] = [
+    "common", "sim", "fleet", "dse", "model", "sched", "faults", "monitor",
+];
 
 /// Crates whose steady-state loops are nanosecond-budgeted (the fabric
 /// delivery loop, the dispatch loop, the shard kernel): aggregate through

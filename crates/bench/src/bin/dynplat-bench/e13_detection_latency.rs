@@ -23,7 +23,7 @@ use std::process::ExitCode;
 const SEED: u64 = 0xE13_5EED;
 
 pub fn run(flags: &Flags) -> Outcome {
-    let horizon = SimDuration::from_millis(flags.parse("--horizon-ms", 6_000)?);
+    let horizon = SimDuration::from_millis(flags.positive("--horizon-ms", 6_000)? as u64);
 
     let table = Table::new(
         &format!(

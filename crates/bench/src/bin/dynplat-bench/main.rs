@@ -25,6 +25,7 @@ mod e9_authorization;
 mod fig1_consolidation;
 mod fig2_interference;
 mod fig3_paradigms;
+mod micro;
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -125,7 +126,8 @@ scenarios! {
         e14_uncertainty_adaptation ["--horizon-ms N", "--out PATH"],
         e15_fleet_campaign ["--vehicles N", "--shards N", "--out PATH"],
         e16_slo_telemetry ["--vehicles N", "--shards N", "--out PATH", "--telemetry DIR"],
-        bench ["--out PATH", "--check BASELINE", "--quick", "--threads N"];
+        bench ["--out PATH", "--check BASELINE", "--quick", "--threads N"],
+        micro ["--quick"];
 }
 
 /// One invocation's flags, checked against the scenario's specs. A

@@ -2,10 +2,14 @@
 //! primitives, wire codecs, schedulability analyses, TT synthesis, DSL
 //! parsing and fabric simulation.
 //!
-//! Implemented on a small in-repo timing harness (`harness = false`) so the
-//! workspace builds with no external dependencies. Run with
-//! `cargo bench --bench micro`; pass `--quick` for a fast smoke pass.
+//! Prints one TSV row per benchmark (`name`, `ns_per_iter`, `iters`),
+//! each timed over a ~200 ms budget. Flags:
+//!
+//! * `--quick` — a ~2 ms budget per benchmark, for a fast smoke pass.
+//!
+//! The timings are wall-clock and vary run to run.
 
+use crate::{Flags, Outcome};
 use dynplat_comm::fabric::{Fabric, MessageSend};
 use dynplat_comm::wire::SomeIpHeader;
 use dynplat_common::time::{SimDuration, SimTime};
@@ -23,6 +27,7 @@ use dynplat_security::package::{KeyRegistry, SignedPackage, UpdatePackage, Versi
 use dynplat_security::sha256::{hmac_sha256, sha256};
 use dynplat_security::sign::KeyPair;
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Times `f` over enough iterations to smooth noise and prints the result
@@ -177,8 +182,8 @@ fn bench_fabric(quick: bool) {
     });
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+pub fn run(flags: &Flags) -> Outcome {
+    let quick = flags.get("--quick").is_some();
     println!("benchmark\tns_per_iter\titers");
     bench_crypto(quick);
     bench_wire(quick);
@@ -186,4 +191,5 @@ fn main() {
     bench_can_analysis(quick);
     bench_dsl(quick);
     bench_fabric(quick);
+    Ok(ExitCode::SUCCESS)
 }

@@ -35,8 +35,7 @@ use crate::Table;
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_faults::FaultPlan;
 use dynplat_fleet::{CampaignSpec, ShardMetrics, ShardPool, VehicleOutcome, VehicleVerdict};
-use dynplat_monitor::slo::SloBurnGate;
-use dynplat_obs::slo::SloSpec;
+use dynplat_monitor::slo::{SloBurnGate, SloSpec};
 use dynplat_obs::{FlightRecorder, MetricsRegistry, Sketch, TelemetryRing};
 
 /// Vehicles per verification batch offered to both detectors.

@@ -12,12 +12,14 @@ fn dynplat_bench(args: &[&str]) -> Output {
 
 #[test]
 fn usage_errors_exit_2_with_the_usage_on_stderr() {
-    let cases: [&[&str]; 5] = [
+    let cases: [&[&str]; 7] = [
         &[],
         &["e99_nonexistent"],
         &["fig1_consolidation", "--bogus"],
         &["e15_fleet_campaign", "--vehicles"],
         &["e15_fleet_campaign", "--shards", "0"],
+        &["e13_detection_latency", "--horizon-ms", "0"],
+        &["e14_uncertainty_adaptation", "--horizon-ms", "0"],
     ];
     for args in cases {
         let out = dynplat_bench(args);

@@ -32,8 +32,7 @@ use crate::variant::{standard_mix, HwVariant, ImageSpec};
 use crate::vehicle::{VehicleOutcome, VehicleVerdict};
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_faults::FaultPlan;
-use dynplat_monitor::slo::SloBurnGate;
-use dynplat_obs::slo::SloSpec;
+use dynplat_monitor::slo::{SloBurnGate, SloSpec};
 use dynplat_obs::{FlightRecorder, MetricsRegistry};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -45,9 +44,6 @@ pub struct WaveGate {
     pub failure_boundary: f64,
     /// Vehicles per failure-rate sample (batched in completion order).
     pub batch: usize,
-    /// Confidence at which the estimator's boundary-exceedance belief
-    /// fails the wave.
-    pub trip_confidence: f64,
 }
 
 impl Default for WaveGate {
@@ -55,19 +51,15 @@ impl Default for WaveGate {
         WaveGate {
             failure_boundary: 0.05,
             batch: 32,
-            trip_confidence: 0.95,
         }
     }
 }
 
 impl WaveGate {
     /// The gate as a declarative SLO: the failure boundary is the error
-    /// budget of the `fleet.wave.verify` objective, tripping at the
-    /// gate's confidence.
+    /// budget of the `fleet.wave.verify` objective.
     pub fn slo_spec(&self) -> SloSpec {
-        let mut spec = SloSpec::error_fraction("fleet.wave.verify", self.failure_boundary);
-        spec.trip_confidence = self.trip_confidence;
-        spec
+        SloSpec::error_fraction("fleet.wave.verify", self.failure_boundary)
     }
 }
 
@@ -448,8 +440,8 @@ impl UpdateMaster {
                 if verdict.estimate.converged {
                     exceed_peak = exceed_peak.max(verdict.estimate.exceed);
                 }
-                fast_burn_peak = fast_burn_peak.max(verdict.burn.fast_burn);
-                slow_burn_peak = slow_burn_peak.max(verdict.burn.slow_burn);
+                fast_burn_peak = fast_burn_peak.max(verdict.fast_burn);
+                slow_burn_peak = slow_burn_peak.max(verdict.slow_burn);
                 tripped |= verdict.tripped;
             }
 

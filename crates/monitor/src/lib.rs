@@ -18,8 +18,9 @@
 //!   boundary-exceedance probabilities) that turn monitored parameters
 //!   into the distributions the uncertainty-driven adaptation layer
 //!   consumes;
-//! * [`slo`] — burn-rate SLO gating: `obs::slo` burn tracking fused with
-//!   a [`BoundaryEstimator`], tripping on confident budget violation and
+//! * [`slo`] — burn-rate SLO gating: error-budget objectives whose
+//!   multi-window burn rates arm the flight recorder and feed a
+//!   [`BoundaryEstimator`], tripping on confident budget violation and
 //!   pairing every trip with a flight-recorder dump.
 
 #![forbid(unsafe_code)]
@@ -35,6 +36,6 @@ pub mod uncertainty;
 pub use anomaly::{DriftDetector, DriftVerdict};
 pub use fault::{Fault, FaultKind, FaultRecorder};
 pub use report::{CertificationDataSet, DiagnosticReport};
-pub use slo::{SloBurnGate, SloVerdict};
+pub use slo::{SloBurnGate, SloSpec, SloVerdict};
 pub use task::{MonitorSpec, TaskMonitor, TaskObservation};
 pub use uncertainty::{normal_cdf, BoundaryConfig, BoundaryEstimator, RollingRegression};

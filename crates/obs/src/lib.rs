@@ -23,8 +23,6 @@
 //! * [`json`] — the minimal JSON reader backing snapshot round-trips;
 //! * [`timeseries`] — fixed-capacity delta-encoded rings of periodic
 //!   registry snapshots (`dynplat.telemetry.v1`);
-//! * [`slo`] — declarative objectives with multi-window burn-rate
-//!   tracking that arms the flight recorder before a trip decision;
 //! * [`exemplar`] — top-K worst-value [`TraceCtx`] exemplars linking
 //!   tail latencies back to concrete traces;
 //! * [`trace`] — causal [`TraceCtx`] stamps and the [`FlightRecorder`]
@@ -50,7 +48,6 @@ pub mod exemplar;
 pub mod json;
 pub mod metrics;
 pub mod sketch;
-pub mod slo;
 pub mod snapshot;
 pub mod timeseries;
 pub mod trace;
@@ -62,7 +59,6 @@ pub use sketch::{
     sketch_bucket_index, sketch_bucket_lower, sketch_bucket_upper, Sketch, SKETCH_MAX_INDEX,
     SKETCH_SUB, SKETCH_SUBBITS,
 };
-pub use slo::{BurnObservation, BurnTracker, SloKind, SloSpec};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot, SNAPSHOT_SCHEMA};
 pub use timeseries::{SeriesPoint, TelemetryRing, TELEMETRY_SCHEMA};
 pub use trace::{FlightDump, FlightRecorder, TraceCtx, TraceEvent, FLIGHT_SCHEMA};

@@ -207,24 +207,6 @@ impl Sketch {
         )
     }
 
-    /// Observations in buckets that lie entirely at or above `threshold`
-    /// — the "slow request" counter behind latency SLOs. Boundary-bucket
-    /// observations are excluded, so the count can undershoot by at most
-    /// the one bucket straddling `threshold` (≤ 1/32 relative error in the
-    /// threshold itself).
-    pub fn count_over(&self, threshold: u64) -> u64 {
-        let first = sketch_bucket_index(threshold);
-        // Buckets strictly above `first` lie entirely >= threshold;
-        // `first` itself qualifies only when the threshold sits on its
-        // lower edge.
-        let exact = sketch_bucket_lower(first) == threshold;
-        self.buckets
-            .iter()
-            .filter(|&&(i, _)| i > first || (exact && i == first))
-            .map(|&(_, n)| n)
-            .sum()
-    }
-
     /// Sparse non-empty `(bucket_index, count)` pairs, sorted by index.
     pub fn nonzero_buckets(&self) -> &[(u16, u64)] {
         &self.buckets
@@ -356,18 +338,6 @@ mod tests {
         let before = s.clone();
         s.merge(&empty);
         assert_eq!(s, before, "merging an empty sketch is the identity");
-    }
-
-    #[test]
-    fn count_over_splits_at_bucket_edges() {
-        let mut s = Sketch::new();
-        for v in [10u64, 20, 30, 40, 100, 1_000] {
-            s.record(v);
-        }
-        assert_eq!(s.count_over(0), 6);
-        assert_eq!(s.count_over(30), 4, "exact edge includes its bucket");
-        assert_eq!(s.count_over(1_001), 0);
-        assert_eq!(Sketch::new().count_over(5), 0);
     }
 
     #[test]

@@ -15,6 +15,8 @@ use dynplat::core::sync::ReplicaState;
 use dynplat::core::update::update_path;
 use dynplat::faults::FaultPlan;
 use dynplat::fleet::{standard_mix, CampaignSpec, HwVariant, Reject, UpdateMaster, VehicleVerdict};
+use dynplat::monitor::slo::{SloBurnGate, SloSpec};
+use dynplat::monitor::uncertainty::{BoundaryConfig, BoundaryEstimator};
 use dynplat::net::analysis::{worst_case_gate_delay, EthFlowSpec, EthernetAnalysis};
 use dynplat::net::ethernet::{ethernet_frame_time, StrictPriorityPort};
 use dynplat::net::flexray::{FlexRayBus, FlexRayConfig, SlotAssignment};
@@ -554,6 +556,68 @@ fn campaign_accounting_is_conserved() {
             );
         }
     }
+}
+
+// -------------------------------------------------------------- SLO gate --
+
+/// Burn rate over the newest `window` batches, recomputed from scratch:
+/// bad fraction over budget, 0.0 when the window holds no events.
+fn naive_burn(batches: &[(u64, u64)], window: usize, budget: f64) -> f64 {
+    let recent = &batches[batches.len().saturating_sub(window)..];
+    let good: u64 = recent.iter().map(|&(g, _)| g).sum();
+    let bad: u64 = recent.iter().map(|&(_, b)| b).sum();
+    if good + bad == 0 {
+        return 0.0;
+    }
+    (bad as f64 / (good + bad) as f64) / budget
+}
+
+#[test]
+fn slo_gate_matches_naive_windows_and_a_bare_estimator() {
+    let mut all_edges = 0u64;
+    for case in 0..CASES {
+        let mut rng = case_rng(11, case);
+        let budget = rng.gen_range(0.01..0.3);
+        let rates = [0.0, budget / 2.0, budget, (budget * 4.0).min(1.0), 1.0];
+        let mut gate = SloBurnGate::new(SloSpec::error_fraction("prop.slo", budget));
+        let mut oracle = BoundaryEstimator::new(BoundaryConfig::for_boundary(1.0));
+        let mut since_reset: Vec<(u64, u64)> = Vec::new();
+        let (mut was_tripped, mut edges) = (false, 0u64);
+        let mut rate = rates[0];
+        let mut t = SimTime::ZERO;
+        for step in 0..rng.gen_range(1usize..120) {
+            if rng.gen_bool(0.05) {
+                gate.reset();
+                oracle.reset();
+                since_reset.clear();
+                was_tripped = false;
+            }
+            if rng.gen_bool(0.1) {
+                rate = rates[rng.gen_range(0..rates.len())];
+            }
+            let n = rng.gen_range(0u64..64);
+            let bad = (0..n).filter(|_| rng.gen_bool(rate)).count() as u64;
+            t += SimDuration::from_millis(rng.gen_range(1u64..50));
+            let v = gate.observe(t, n - bad, bad);
+            since_reset.push((n - bad, bad));
+
+            let at = format!("case {case} step {step}");
+            assert_eq!(v.batch_burn, naive_burn(&since_reset, 1, budget), "{at}");
+            assert_eq!(v.fast_burn, naive_burn(&since_reset, 4, budget), "{at}");
+            assert_eq!(v.slow_burn, naive_burn(&since_reset, 16, budget), "{at}");
+
+            let estimate = oracle.ingest(t, v.batch_burn);
+            let tripped = estimate.exceeds_with_confidence(0.95);
+            assert_eq!(v.estimate, estimate, "{at}");
+            assert_eq!(v.tripped, tripped, "{at}");
+            assert_eq!(v.trip_edge, tripped && !was_tripped, "{at}");
+            edges += u64::from(v.trip_edge);
+            was_tripped = tripped;
+        }
+        assert_eq!(gate.trips(), edges, "case {case}");
+        all_edges += edges;
+    }
+    assert!(all_edges > 0, "no case ever tripped the gate");
 }
 
 // -------------------------------------------------------------- endpoint --
