@@ -51,8 +51,7 @@ pub trait Rng {
     where
         Self: Sized,
     {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        self.gen::<f64>() < p
+        Bernoulli::new(p).sample(self)
     }
 }
 
@@ -91,6 +90,68 @@ impl Sample for f64 {
     /// Uniform in `[0, 1)` with 53 bits of precision.
     fn sample<R: Rng>(rng: &mut R) -> Self {
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+}
+
+/// A coin with probability `p` of `true`, validated once and drawn with
+/// integer arithmetic only.
+///
+/// [`Bernoulli::new`] stores the exact threshold `⌈p·2⁵³⌉`, and
+/// [`Bernoulli::sample`] compares the top 53 bits of one draw against it.
+/// That is the same decision as the float test `u < p` on the unit draw
+/// `u = (bits >> 11)·2⁻⁵³` ([`Sample`] for `f64`), for every `p` and every
+/// draw: `u·2⁵³` is the integer `bits >> 11`, scaling `p` by a power of
+/// two is exact, and an integer is below `p·2⁵³` iff it is below its
+/// ceiling. Hot loops build their coins once and sample them many times;
+/// [`Rng::gen_bool`] is a one-shot coin.
+///
+/// # Examples
+///
+/// ```
+/// use dynplat_common::rng::{seeded_rng, Bernoulli, Rng};
+///
+/// let coin = Bernoulli::new(0.3);
+/// let (mut a, mut b) = (seeded_rng(4), seeded_rng(4));
+/// for _ in 0..100 {
+///     assert_eq!(coin.sample(&mut a), b.gen::<f64>() < 0.3);
+/// }
+/// assert!(Bernoulli::new(0.0).is_never());
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Bernoulli {
+    /// `⌈p·2⁵³⌉`: a draw's top 53 bits below it mean `true`.
+    threshold: u64,
+}
+
+impl Bernoulli {
+    /// A coin that lands `true` with probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not within `[0, 1]`.
+    pub fn new(p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
+        // Exact: `p ≤ 1`, and scaling by a power of two only moves the
+        // exponent (a subnormal `p` comes out normal). The ceiling is
+        // taken without libm: truncate, then add one if that dropped a
+        // fraction.
+        let x = p * (1u64 << 53) as f64;
+        let floor = x as u64;
+        Bernoulli {
+            threshold: floor + u64::from((floor as f64) < x),
+        }
+    }
+
+    /// `true` iff the coin can never land `true` (`p == 0`), so a caller
+    /// may skip the draw without changing any later one.
+    pub fn is_never(&self) -> bool {
+        self.threshold == 0
+    }
+
+    /// Draws the coin: one `next_u64`, one shift, one compare.
+    #[inline]
+    pub fn sample<R: Rng>(&self, rng: &mut R) -> bool {
+        rng.next_u64() >> 11 < self.threshold
     }
 }
 
@@ -319,6 +380,76 @@ mod tests {
         let hits = (0..n).filter(|_| rng.gen_bool(0.3)).count();
         let rate = hits as f64 / f64::from(n);
         assert!((rate - 0.3).abs() < 0.02, "rate {rate} too far from 0.3");
+    }
+
+    /// An `Rng` that replays queued draws, last first.
+    struct Replay(Vec<u64>);
+
+    impl Rng for Replay {
+        fn next_u64(&mut self) -> u64 {
+            self.0.pop().expect("a draw is queued")
+        }
+    }
+
+    /// The float coin `gen_bool` used to be: the unit draw against `p`.
+    fn float_coin(bits: u64, p: f64) -> bool {
+        ((bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) < p
+    }
+
+    #[test]
+    fn bernoulli_matches_the_float_formula_at_its_threshold() {
+        let ulp = |x: f64, step: i64| f64::from_bits(x.to_bits().wrapping_add_signed(step));
+        let tiny = 1.0 / (1u64 << 53) as f64;
+        let mut ps = vec![
+            0.0,
+            5e-324,
+            ulp(tiny, -1),
+            tiny,
+            ulp(tiny, 1),
+            0.5,
+            1.0 - f64::EPSILON,
+            ulp(1.0, -1),
+            1.0,
+        ];
+        let mut rng = seeded_rng(0xB0);
+        ps.extend((0..2_000).map(|_| rng.gen::<f64>()));
+        ps.extend((0..200).map(|_| rng.gen::<f64>() * tiny * 64.0));
+        let top = (1u64 << 53) - 1;
+        for p in ps {
+            let coin = Bernoulli::new(p);
+            assert_eq!(coin.is_never(), p == 0.0, "p {p:e}");
+            let t = coin.threshold;
+            for m in [t.wrapping_sub(1), t, t + 1, 0, top] {
+                if m > top {
+                    continue;
+                }
+                // The 11 bits below the unit draw never matter.
+                for low in [0u64, 0x7FF] {
+                    let bits = m << 11 | low;
+                    assert_eq!(
+                        coin.sample(&mut Replay(vec![bits])),
+                        float_coin(bits, p),
+                        "p {p:e}, top bits {m}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gen_bool_keeps_the_float_draw_sequence() {
+        let (mut a, mut b) = (seeded_rng(17), seeded_rng(17));
+        for i in 0..4_000u32 {
+            let p = f64::from(i % 101) / 100.0;
+            assert_eq!(a.gen_bool(p), b.gen::<f64>() < p, "draw {i}");
+        }
+        assert_eq!(a, b, "one draw per coin");
+    }
+
+    #[test]
+    #[should_panic(expected = "probability must be in [0, 1]")]
+    fn bernoulli_rejects_a_rate_above_one() {
+        let _ = Bernoulli::new(1.5);
     }
 
     #[test]

@@ -280,6 +280,20 @@ impl FaultPlan {
         }
     }
 
+    /// The latest `until` among `bus`'s partitions ([`SimTime::ZERO`] when
+    /// it has none). No partition of `bus` is active at or after it, so
+    /// [`FaultPlan::clear_of_partitions`] returns its argument unchanged
+    /// from there on: a model whose clock only grows may stop asking once
+    /// it passes the horizon.
+    pub fn partition_horizon(&self, bus: BusId) -> SimTime {
+        self.partitions
+            .iter()
+            .filter(|p| p.bus == bus)
+            .map(|p| p.until)
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+
     /// `true` if the plan injects nothing at all.
     pub fn is_quiet(&self) -> bool {
         self.drop_rate == 0.0
@@ -350,6 +364,21 @@ mod tests {
         assert_eq!(plan.clear_of_partitions(BusId(0), ms(399)), ms(400));
         assert_eq!(plan.clear_of_partitions(BusId(0), ms(400)), ms(400));
         assert_eq!(plan.clear_of_partitions(BusId(2), ms(150)), ms(150));
+    }
+
+    #[test]
+    fn nothing_is_partitioned_past_the_horizon() {
+        let plan = FaultPlan::quiet(1)
+            .partition(BusId(0), ms(250), ms(400))
+            .partition(BusId(0), ms(100), ms(200))
+            .partition(BusId(1), ms(0), ms(1_000));
+        assert_eq!(plan.partition_horizon(BusId(0)), ms(400));
+        assert_eq!(plan.partition_horizon(BusId(1)), ms(1_000));
+        assert_eq!(plan.partition_horizon(BusId(2)), SimTime::ZERO);
+        for t in (0..1_200).step_by(50).map(ms) {
+            let past = t >= plan.partition_horizon(BusId(0));
+            assert!(!past || plan.clear_of_partitions(BusId(0), t) == t);
+        }
     }
 
     #[test]

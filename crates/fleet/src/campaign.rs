@@ -34,7 +34,7 @@ use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_faults::FaultPlan;
 use dynplat_monitor::slo::{SloBurnGate, SloSpec};
 use dynplat_obs::{FlightRecorder, MetricsRegistry};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// How a wave's verification verdicts gate its promotion.
@@ -62,6 +62,48 @@ impl WaveGate {
         SloSpec::error_fraction("fleet.wave.verify", self.failure_boundary)
     }
 }
+
+/// Why a [`CampaignSpec`] cannot run. Each variant names the field at
+/// fault.
+#[derive(Clone, Debug, PartialEq)]
+pub enum SpecError {
+    /// `offline_rate`, or a variant's `good_image_verify_failure`, is not
+    /// a probability in `[0, 1]`.
+    RateOutOfRange {
+        /// The offending field.
+        field: &'static str,
+        /// The variant it belongs to, for a per-variant rate.
+        variant: Option<&'static str>,
+        /// The offending value.
+        value: f64,
+    },
+    /// `mix` is empty, or its shares sum to zero.
+    EmptyMix,
+    /// `image.chunks` is zero.
+    NoChunks,
+    /// `waves` is empty, or its fractions do not sum to a positive size.
+    NoWaves,
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::RateOutOfRange {
+                field,
+                variant: Some(variant),
+                value,
+            } => write!(f, "mix `{variant}`: {field} = {value} is outside [0, 1]"),
+            SpecError::RateOutOfRange { field, value, .. } => {
+                write!(f, "{field} = {value} is outside [0, 1]")
+            }
+            SpecError::EmptyMix => write!(f, "mix has no variant with a positive share"),
+            SpecError::NoChunks => write!(f, "image.chunks is zero"),
+            SpecError::NoWaves => write!(f, "waves is empty or sums to no positive size"),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 /// The complete, seed-driven description of one fleet campaign.
 #[derive(Clone, Debug)]
@@ -109,6 +151,49 @@ impl CampaignSpec {
             gate: WaveGate::default(),
             plan,
         }
+    }
+
+    /// Checks every field a shard would otherwise panic on mid-wave: the
+    /// offline and per-variant verification-failure probabilities, a mix
+    /// with a positive total share, a chunked image and a non-empty wave
+    /// plan with a positive total. The fault plan has its own
+    /// [`FaultPlan::validate`].
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let rate = |field, variant, value: f64| {
+            if (0.0..=1.0).contains(&value) {
+                Ok(())
+            } else {
+                Err(SpecError::RateOutOfRange {
+                    field,
+                    variant,
+                    value,
+                })
+            }
+        };
+        rate("offline_rate", None, self.offline_rate)?;
+        for v in &self.mix {
+            rate(
+                "good_image_verify_failure",
+                Some(v.name),
+                v.good_image_verify_failure,
+            )?;
+        }
+        if self.mix.iter().all(|v| v.share == 0) {
+            return Err(SpecError::EmptyMix);
+        }
+        if self.image.chunks == 0 {
+            return Err(SpecError::NoChunks);
+        }
+        // An empty plan sums to zero; a NaN fraction makes the sum NaN.
+        let total: f64 = self.waves.iter().sum();
+        if total.is_nan() || total <= 0.0 {
+            return Err(SpecError::NoWaves);
+        }
+        Ok(())
     }
 
     /// Wave boundaries as `[lo, hi)` vehicle-id ranges covering the whole
@@ -368,8 +453,11 @@ impl UpdateMaster {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero or the fault plan is invalid.
+    /// Panics if `shards` is zero, or the spec or its fault plan is
+    /// invalid ([`CampaignSpec::validate`], [`FaultPlan::validate`]); the
+    /// message names the field.
     pub fn new(spec: CampaignSpec, shards: usize) -> Self {
+        spec.validate().expect("campaign spec is invalid");
         spec.plan
             .validate()
             .expect("campaign fault plan is invalid");
@@ -432,8 +520,8 @@ impl UpdateMaster {
             let mut fast_burn_peak = 0.0f64;
             let mut slow_burn_peak = 0.0f64;
             for batch in finished.chunks(spec.gate.batch.max(1)) {
-                let failures = batch.iter().filter(|&&(_, failed)| failed).count() as u64;
-                let at = batch.last().expect("chunks are non-empty").0;
+                let failures = batch.iter().filter(|s| s.failed()).count() as u64;
+                let at = batch.last().expect("chunks are non-empty").at();
                 let verdict = self
                     .gate
                     .observe(at, batch.len() as u64 - failures, failures);
@@ -527,6 +615,66 @@ mod tests {
             assert_eq!(w[0].1, w[1].0, "waves must abut");
         }
         assert_eq!(bounds[0].1 - bounds[0].0, 100, "1% canary of 10k");
+    }
+
+    #[test]
+    fn validate_names_the_first_bad_field() {
+        let ok = CampaignSpec::standard(SEED, 100, FaultPlan::quiet(SEED));
+        assert_eq!(ok.validate(), Ok(()));
+        let bad = |edit: fn(&mut CampaignSpec)| {
+            let mut spec = ok.clone();
+            edit(&mut spec);
+            spec.validate().expect_err("the edit breaks the spec")
+        };
+        let rate = |field, variant, value| SpecError::RateOutOfRange {
+            field,
+            variant,
+            value,
+        };
+        assert_eq!(
+            bad(|s| s.offline_rate = 1.5),
+            rate("offline_rate", None, 1.5)
+        );
+        assert!(matches!(
+            bad(|s| s.offline_rate = f64::NAN),
+            SpecError::RateOutOfRange {
+                field: "offline_rate",
+                ..
+            }
+        ));
+        assert_eq!(
+            bad(|s| s.mix[2].good_image_verify_failure = -0.1),
+            rate("good_image_verify_failure", Some("hpc-5g"), -0.1)
+        );
+        assert_eq!(bad(|s| s.mix.clear()), SpecError::EmptyMix);
+        assert_eq!(
+            bad(|s| s.mix.iter_mut().for_each(|v| v.share = 0)),
+            SpecError::EmptyMix
+        );
+        assert_eq!(bad(|s| s.image.chunks = 0), SpecError::NoChunks);
+        assert_eq!(bad(|s| s.waves.clear()), SpecError::NoWaves);
+        assert_eq!(bad(|s| s.waves = vec![0.0, 0.0]), SpecError::NoWaves);
+        assert_eq!(bad(|s| s.waves = vec![0.5, f64::NAN]), SpecError::NoWaves);
+        assert_eq!(
+            bad(|s| s.offline_rate = 2.0).to_string(),
+            "offline_rate = 2 is outside [0, 1]"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "offline_rate")]
+    fn an_offline_rate_above_one_panics_at_construction() {
+        let mut spec = CampaignSpec::standard(SEED, 1_000, FaultPlan::quiet(SEED));
+        spec.offline_rate = 1.5;
+        let _ = UpdateMaster::new(spec, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "EmptyMix")]
+    fn an_all_zero_mix_panics_at_construction() {
+        let mut spec = CampaignSpec::standard(SEED, 1_000, FaultPlan::quiet(SEED));
+        spec.mix.iter_mut().for_each(|v| v.share = 0);
+        let _ = UpdateMaster::new(spec, 2);
     }
 
     #[test]

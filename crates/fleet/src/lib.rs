@@ -38,7 +38,7 @@ pub mod shard;
 pub mod variant;
 pub mod vehicle;
 
-pub use campaign::{CampaignReport, CampaignSpec, UpdateMaster, WaveGate, WaveReport};
+pub use campaign::{CampaignReport, CampaignSpec, SpecError, UpdateMaster, WaveGate, WaveReport};
 pub use shard::{ShardMetrics, ShardPool};
 pub use variant::{pick_variant, standard_mix, HwVariant, ImageSpec, Reject};
 pub use vehicle::{region_of, simulate_vehicle, VehicleOutcome, VehicleVerdict};

@@ -8,16 +8,19 @@
 //! is invisible in the results. Each shard owns one contiguous id slice of
 //! the wave, so replies collected in shard-index order are already in
 //! vehicle-id order and the merge is a concatenation. Each shard also
-//! sorts its own admitted `(completed, failed)` gate stream, leaving the
-//! master one k-way merge. Both merges are byte-identical across shard
-//! counts, which is what E15 and the root `e15_fleet_campaign` test pin.
+//! sorts its own admitted vehicles' gate samples, each packed into one
+//! `u64` that orders like the `(completed, failed)` pair, leaving the
+//! master one k-way merge of words. A shard folds its slice's counters
+//! and stage sketches in one [`ShardMetrics::from_outcomes`] pass over
+//! dense histograms. Both merges are byte-identical across shard counts,
+//! which is what E15 and the root `e15_fleet_campaign` test pin.
 
 use crate::campaign::CampaignSpec;
 use crate::variant::Reject;
 use crate::vehicle::{simulate_vehicle, VehicleOutcome, VehicleVerdict};
 use dynplat_common::time::SimTime;
 use dynplat_common::{ShardId, VehicleId};
-use dynplat_obs::Sketch;
+use dynplat_obs::{LocalHistogram, Sketch};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -59,31 +62,38 @@ pub struct ShardMetrics {
 }
 
 impl ShardMetrics {
-    /// Folds one vehicle outcome into the counters and, for admitted
-    /// vehicles (the ones that ran the pipeline), the stage sketches.
-    pub fn observe(&mut self, outcome: &VehicleOutcome) {
-        self.simulated += 1;
-        match outcome.verdict {
-            VehicleVerdict::Rejected(Reject::Flash) => self.rejected_flash += 1,
-            VehicleVerdict::Rejected(_) => self.rejected_config += 1,
-            VehicleVerdict::Offline => self.offline += 1,
-            VehicleVerdict::Updated | VehicleVerdict::WaveRolledBack => {
-                self.admitted += 1;
-                self.updated += 1;
+    /// The counters of `outcomes` and, for admitted vehicles (the ones
+    /// that ran the pipeline), their stage sketches. Each stage is
+    /// recorded into a dense [`LocalHistogram`] and converted once, which
+    /// equals recording every outcome into the sparse [`Sketch`] but
+    /// skips a binary search per observation.
+    pub fn from_outcomes(outcomes: &[VehicleOutcome]) -> Self {
+        let mut m = ShardMetrics::default();
+        let [mut download, mut finalize, mut stall, mut e2e] = <[LocalHistogram; 4]>::default();
+        for outcome in outcomes {
+            match outcome.verdict {
+                VehicleVerdict::Rejected(Reject::Flash) => m.rejected_flash += 1,
+                VehicleVerdict::Rejected(_) => m.rejected_config += 1,
+                VehicleVerdict::Offline => m.offline += 1,
+                VehicleVerdict::Updated | VehicleVerdict::WaveRolledBack => m.updated += 1,
+                VehicleVerdict::VerifyFailed => m.verify_failed += 1,
             }
-            VehicleVerdict::VerifyFailed => {
-                self.admitted += 1;
-                self.verify_failed += 1;
+            m.retries += u64::from(outcome.retries);
+            m.stall_ns += outcome.stall.as_nanos();
+            if outcome.admitted() {
+                download.record(outcome.download_time().as_millis());
+                finalize.record(outcome.finalize_time().as_millis());
+                stall.record(outcome.stall.as_millis());
+                e2e.record(outcome.duration().as_millis());
             }
         }
-        self.retries += u64::from(outcome.retries);
-        self.stall_ns += outcome.stall.as_nanos();
-        if outcome.admitted() {
-            self.download_ms.record(outcome.download_time().as_millis());
-            self.finalize_ms.record(outcome.finalize_time().as_millis());
-            self.stall_ms.record(outcome.stall.as_millis());
-            self.e2e_ms.record(outcome.duration().as_millis());
-        }
+        m.simulated = outcomes.len() as u64;
+        m.admitted = m.updated + m.verify_failed;
+        m.download_ms = download.to_sketch();
+        m.finalize_ms = finalize.to_sketch();
+        m.stall_ms = stall.to_sketch();
+        m.e2e_ms = e2e.to_sketch();
+        m
     }
 
     /// Merges another shard's counters and sketches into this one.
@@ -118,8 +128,35 @@ impl ShardMetrics {
 }
 
 /// One verification sample of the wave gate: an admitted vehicle's
-/// completion instant and whether its verification failed.
-pub(crate) type GateSample = (SimTime, bool);
+/// completion instant and whether its verification failed, packed as
+/// `(completed_ns << 1) | failed`. The instant fits in 63 bits, so the
+/// `u64` order is the `(completed, failed)` tuple order, and sorting or
+/// merging samples compares one word.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct GateSample(u64);
+
+impl GateSample {
+    /// Packs one sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `completed` is 2⁶³ ns (≈ 292 years) or later.
+    pub(crate) fn new(completed: SimTime, failed: bool) -> Self {
+        let ns = completed.as_nanos();
+        assert!(ns < 1 << 63, "gate sample at {ns} ns does not fit 63 bits");
+        GateSample(ns << 1 | u64::from(failed))
+    }
+
+    /// The vehicle's completion instant.
+    pub(crate) fn at(self) -> SimTime {
+        SimTime::from_nanos(self.0 >> 1)
+    }
+
+    /// `true` if the vehicle's verification failed.
+    pub(crate) fn failed(self) -> bool {
+        self.0 & 1 == 1
+    }
+}
 
 /// Command from the master to one shard worker.
 enum ShardCmd {
@@ -345,18 +382,17 @@ fn shard_main(
                 mut gate,
             } => {
                 let (first, last) = slice_of(lo, hi, usize::from(shard.raw()), shards);
-                let mut metrics = ShardMetrics::default();
                 for v in first..last {
                     let outcome = simulate_vehicle(spec, VehicleId(v), start);
-                    metrics.observe(&outcome);
                     if outcome.admitted() {
-                        gate.push((
+                        gate.push(GateSample::new(
                             outcome.completed,
                             outcome.verdict == VehicleVerdict::VerifyFailed,
                         ));
                     }
                     outcomes.push(outcome);
                 }
+                let metrics = ShardMetrics::from_outcomes(&outcomes);
                 gate.sort_unstable();
                 if replies
                     .send(WaveBatch {
@@ -405,11 +441,7 @@ mod tests {
         let spec = spec(0xBEEF);
         let mut pool = ShardPool::spawn(Arc::clone(&spec), 3);
         let (outcomes, metrics) = pool.run_wave(0, 0, 2_500, SimTime::ZERO);
-        let mut direct = ShardMetrics::default();
-        for o in &outcomes {
-            direct.observe(o);
-        }
-        assert_eq!(metrics, direct);
+        assert_eq!(metrics, ShardMetrics::from_outcomes(&outcomes));
         assert!(metrics.conserves());
         assert_eq!(metrics.simulated, 2_500);
     }
@@ -427,7 +459,7 @@ mod tests {
             let mut pool = ShardPool::spawn(Arc::clone(&spec), shards);
             for (wave, n) in [0u32, 1, 3, 1_000, 2_501].into_iter().enumerate() {
                 let mut outcomes = Vec::new();
-                let mut gate = vec![(SimTime::ZERO, true)];
+                let mut gate = vec![GateSample::new(SimTime::ZERO, true)];
                 let metrics = pool.run_wave_into(
                     wave as u32,
                     lo,
@@ -443,13 +475,134 @@ mod tests {
                 let mut sorted: Vec<GateSample> = serial
                     .iter()
                     .filter(|o| o.admitted())
-                    .map(|o| (o.completed, o.verdict == VehicleVerdict::VerifyFailed))
+                    .map(|o| {
+                        GateSample::new(o.completed, o.verdict == VehicleVerdict::VerifyFailed)
+                    })
                     .collect();
                 sorted.sort_unstable();
                 assert_eq!(gate, sorted, "{shards} shards, {n} vehicles");
                 assert_eq!(metrics.simulated, u64::from(n));
             }
         }
+    }
+
+    /// The per-outcome fold `from_outcomes` replaced: every stage
+    /// observation recorded straight into the sparse sketches.
+    fn record_fold(outcomes: &[VehicleOutcome]) -> ShardMetrics {
+        let mut m = ShardMetrics::default();
+        for o in outcomes {
+            m.simulated += 1;
+            match o.verdict {
+                VehicleVerdict::Rejected(Reject::Flash) => m.rejected_flash += 1,
+                VehicleVerdict::Rejected(_) => m.rejected_config += 1,
+                VehicleVerdict::Offline => m.offline += 1,
+                VehicleVerdict::Updated | VehicleVerdict::WaveRolledBack => {
+                    m.admitted += 1;
+                    m.updated += 1;
+                }
+                VehicleVerdict::VerifyFailed => {
+                    m.admitted += 1;
+                    m.verify_failed += 1;
+                }
+            }
+            m.retries += u64::from(o.retries);
+            m.stall_ns += o.stall.as_nanos();
+            if o.admitted() {
+                m.download_ms.record(o.download_time().as_millis());
+                m.finalize_ms.record(o.finalize_time().as_millis());
+                m.stall_ms.record(o.stall.as_millis());
+                m.e2e_ms.record(o.duration().as_millis());
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn from_outcomes_equals_the_record_fold_and_merges_over_splits() {
+        use dynplat_common::rng::{seeded_rng, Rng};
+        use dynplat_common::time::SimDuration;
+        use dynplat_common::BusId;
+        let plan = FaultPlan::quiet(7)
+            .with_message_faults(0.1, 0.3, 0.0)
+            .with_delay_spikes(0.2, SimDuration::from_secs(3))
+            .partition(BusId(2), SimTime::from_secs(10), SimTime::from_secs(400));
+        let spec = CampaignSpec::standard(7, 3_000, plan);
+        let mut outcomes: Vec<VehicleOutcome> = (0..3_000)
+            .map(|v| simulate_vehicle(&spec, VehicleId(v), SimTime::from_secs(u64::from(v % 5))))
+            .collect();
+        // The master's verdict, which the shards never assign.
+        for o in outcomes.iter_mut().step_by(7) {
+            if o.verdict == VehicleVerdict::Updated {
+                o.verdict = VehicleVerdict::WaveRolledBack;
+            }
+        }
+        assert_eq!(ShardMetrics::from_outcomes(&[]), ShardMetrics::default());
+        let whole = ShardMetrics::from_outcomes(&outcomes);
+        assert_eq!(whole, record_fold(&outcomes));
+        assert!(whole.conserves() && whole.stall_ns > 0 && whole.retries > 0);
+        let mut rng = seeded_rng(0x5117);
+        for _ in 0..16 {
+            let mut cuts: Vec<usize> = (0..rng.gen_range(0usize..6))
+                .map(|_| rng.gen_range(0..=outcomes.len()))
+                .collect();
+            cuts.push(0);
+            cuts.push(outcomes.len());
+            cuts.sort_unstable();
+            let mut merged = ShardMetrics::default();
+            for w in cuts.windows(2) {
+                merged.merge(&ShardMetrics::from_outcomes(&outcomes[w[0]..w[1]]));
+            }
+            assert_eq!(merged, whole, "cuts {cuts:?}");
+        }
+    }
+
+    #[test]
+    fn packed_gate_samples_keep_the_tuple_order() {
+        use dynplat_common::rng::{seeded_rng, Rng};
+        let mut rng = seeded_rng(0x6A7E);
+        let edge = [
+            0,
+            1,
+            2,
+            (1 << 62) - 1,
+            1 << 62,
+            (1 << 63) - 2,
+            (1 << 63) - 1,
+        ];
+        let mut pairs: Vec<(SimTime, bool)> = edge
+            .iter()
+            .flat_map(|&ns| {
+                [
+                    (SimTime::from_nanos(ns), false),
+                    (SimTime::from_nanos(ns), true),
+                ]
+            })
+            .collect();
+        pairs.extend((0..200).map(|_| {
+            let ns = match rng.gen_range(0u32..3) {
+                0 => rng.gen_range(0u64..64),
+                1 => rng.gen_range(0u64..1 << 40),
+                _ => rng.gen::<u64>() >> 1,
+            };
+            (SimTime::from_nanos(ns), rng.gen::<bool>())
+        }));
+        for &a in &pairs {
+            let pa = GateSample::new(a.0, a.1);
+            assert_eq!((pa.at(), pa.failed()), a, "round trip");
+            for &b in &pairs {
+                assert_eq!(
+                    pa.cmp(&GateSample::new(b.0, b.1)),
+                    a.cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit 63 bits")]
+    fn a_gate_sample_past_63_bits_panics() {
+        let _ = GateSample::new(SimTime::from_nanos(1 << 63), false);
     }
 
     #[test]

@@ -14,10 +14,18 @@
 //! nothing else, which is what makes the merged campaign byte-identical
 //! across shard counts: vehicle identity, not shard identity, addresses
 //! the entropy.
+//!
+//! **Cost.** Each probability is a [`Bernoulli`] coin built once per
+//! vehicle: one integer compare per draw, deciding exactly as the float
+//! unit-draw test `u < p` would, so the coin choice never shows in an
+//! outcome. The chunk loop asks the fault plan for partition clearance
+//! only while the clock is below the region's
+//! [`FaultPlan::partition_horizon`](dynplat_faults::FaultPlan::partition_horizon):
+//! past it, clearance is the identity.
 
 use crate::campaign::CampaignSpec;
 use crate::variant::{pick_variant, Reject};
-use dynplat_common::rng::{seeded_rng, split_seed, truncated_normal_factor, Rng};
+use dynplat_common::rng::{seeded_rng, split_seed, truncated_normal_factor, Bernoulli, Rng};
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{BusId, VehicleId};
 
@@ -115,6 +123,14 @@ pub fn region_of(spec: &CampaignSpec, vehicle: VehicleId) -> BusId {
 /// Runs one vehicle through the campaign pipeline, starting at its wave's
 /// `wave_start`. Pure function of `(spec, vehicle, wave_start)` — no shard
 /// state enters.
+///
+/// # Panics
+///
+/// Panics if a probability the vehicle draws against (the spec's
+/// `offline_rate`, the plan's drop, delay-spike or corruption rate, its
+/// variant's `good_image_verify_failure`) is outside `[0, 1]`, or the mix
+/// has no positive share. [`crate::CampaignSpec::validate`] rules all of
+/// these out up front.
 pub fn simulate_vehicle(
     spec: &CampaignSpec,
     vehicle: VehicleId,
@@ -156,7 +172,8 @@ pub fn simulate_vehicle(
             0,
         );
     }
-    if spec.offline_rate > 0.0 && rng.gen_bool(spec.offline_rate) {
+    let offline = Bernoulli::new(spec.offline_rate);
+    if !offline.is_never() && offline.sample(&mut rng) {
         return done(
             VehicleVerdict::Offline,
             started,
@@ -168,25 +185,33 @@ pub fn simulate_vehicle(
 
     // Chunked download under the fault plan: partitions stall progress,
     // loss retransmits chunks, delay spikes stretch individual fetches.
+    // `t` only grows, so once it passes the region's partition horizon no
+    // window can stall it again and the partition scan stops. A coin that
+    // can never land is skipped without a draw: a zero rate draws nothing.
     let plan = &spec.plan;
     let chunk_time =
         SimDuration::from_secs_f64(spec.image.chunk_kib() / variant.download_kib_per_s as f64);
+    let horizon = plan.partition_horizon(region);
+    let drop = Bernoulli::new(plan.drop_rate);
+    let spike = Bernoulli::new(plan.delay_spike_rate);
     let mut t = started;
     let mut stall = SimDuration::ZERO;
     let mut retries = 0u32;
     for _chunk in 0..spec.image.chunks {
-        let clear = plan.clear_of_partitions(region, t);
-        stall += clear.saturating_since(t);
-        t = clear;
-        if plan.drop_rate > 0.0 {
+        if t < horizon {
+            let clear = plan.clear_of_partitions(region, t);
+            stall += clear.saturating_since(t);
+            t = clear;
+        }
+        if !drop.is_never() {
             let mut lost = 0u32;
-            while lost < MAX_CHUNK_RETRIES && rng.gen_bool(plan.drop_rate) {
+            while lost < MAX_CHUNK_RETRIES && drop.sample(&mut rng) {
                 lost += 1;
                 t += chunk_time; // the lost transfer still burned air time
             }
             retries += lost;
         }
-        if plan.delay_spike_rate > 0.0 && rng.gen_bool(plan.delay_spike_rate) {
+        if !spike.is_never() && spike.sample(&mut rng) {
             t += plan.delay_spike.mul_f64(rng.gen::<f64>());
         }
         t += chunk_time;
@@ -196,9 +221,10 @@ pub fn simulate_vehicle(
     // Integrity check at install: a corrupted image is re-fetched once
     // (differential re-download, ~¼ of the image); corrupted twice, the
     // vehicle gives up and rolls back on its own.
-    if plan.corrupt_rate > 0.0 && rng.gen_bool(plan.corrupt_rate) {
+    let corrupt = Bernoulli::new(plan.corrupt_rate);
+    if !corrupt.is_never() && corrupt.sample(&mut rng) {
         t += downloaded.saturating_since(started).mul_f64(0.25);
-        if rng.gen_bool(plan.corrupt_rate) {
+        if corrupt.sample(&mut rng) {
             return done(VehicleVerdict::VerifyFailed, downloaded, t, stall, retries);
         }
     }

@@ -322,7 +322,8 @@ impl Histogram {
 /// registry handle once per batch, so per-observation cost is an array
 /// increment instead of five atomic read-modify-writes. Flush and clear
 /// touch only the buckets between the indices of `min` and `max`, and
-/// nothing allocates.
+/// nothing allocates. Its sum saturates, as a [`Sketch`]'s does, so
+/// [`LocalHistogram::to_sketch`] equals the per-observation fold.
 #[derive(Clone, Debug)]
 pub struct LocalHistogram {
     buckets: [u64; BUCKETS],
@@ -355,9 +356,24 @@ impl LocalHistogram {
     pub fn record(&mut self, value: u64) {
         self.buckets[sketch_bucket_index(value) as usize] += 1;
         self.count += 1;
-        self.sum = self.sum.wrapping_add(value);
+        self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
+    }
+
+    /// The accumulated observations as a sparse [`Sketch`]: equal to
+    /// recording every observation into an empty sketch one by one, at
+    /// one pass over the occupied buckets instead of a binary search per
+    /// observation. The accumulator is left as it was.
+    pub fn to_sketch(&self) -> Sketch {
+        let range = self.occupied();
+        let buckets = self.buckets[range.clone()]
+            .iter()
+            .zip(range)
+            .filter(|&(&n, _)| n > 0)
+            .map(|(&n, i)| (i as u16, n))
+            .collect();
+        Sketch::from_parts(buckets, self.count, self.sum, self.min, self.max)
     }
 
     /// Number of observations accumulated since the last flush.
@@ -606,6 +622,26 @@ mod tests {
         // Flushing an empty accumulator is a no-op.
         local.flush_into(&shared);
         assert_eq!(shared.count(), 7);
+    }
+
+    #[test]
+    fn local_histogram_to_sketch_equals_the_record_fold() {
+        let mut local = LocalHistogram::new();
+        assert_eq!(local.to_sketch(), Sketch::new(), "empty converts to empty");
+        let mut direct = Sketch::new();
+        let mut v = 7u64;
+        for i in 0..5_000u64 {
+            v = v
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Mostly small latencies, some huge ones so the sum saturates.
+            let x = if i % 97 == 0 { v } else { v >> (40 + i % 24) };
+            local.record(x);
+            direct.record(x);
+        }
+        assert_eq!(local.to_sketch(), direct);
+        assert_eq!(direct.sum(), u64::MAX, "the probe must saturate the sum");
+        assert_eq!(local.count(), 5_000, "conversion leaves the accumulator");
     }
 
     #[test]

@@ -119,6 +119,26 @@ impl Sketch {
         Sketch::default()
     }
 
+    /// A sketch from its parts: `buckets` sorted by index and non-zero,
+    /// the totals exactly as [`Sketch::record`] would have left them.
+    pub(crate) fn from_parts(
+        buckets: Vec<(u16, u64)>,
+        count: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+    ) -> Self {
+        debug_assert!(buckets.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert_eq!(buckets.iter().map(|&(_, n)| n).sum::<u64>(), count);
+        Sketch {
+            buckets,
+            count,
+            sum,
+            min,
+            max,
+        }
+    }
+
     /// Records one observation.
     pub fn record(&mut self, value: u64) {
         self.record_n(value, 1);

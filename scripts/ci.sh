@@ -66,6 +66,10 @@ cargo run --release -p dynplat-bench -- e15_fleet_campaign \
 cargo run --release -p dynplat-bench -- e15_fleet_campaign \
   --vehicles 100000 --shards 1 --out "$SMOKE_TMP/E15_campaign_rerun.json" >/dev/null
 cmp E15_campaign.json "$SMOKE_TMP/E15_campaign_rerun.json"
+# And both equal the pinned bytes: a change to simulated outputs fails
+# here instead of passing as "rerun equals run". A change meant to alter
+# them re-pins the reference and says so.
+cmp E15_campaign.json scripts/reference/E15_campaign.json
 
 echo "==> e16 slo-telemetry smoke (8k vehicles, shard-flipped telemetry cmp)"
 # The rerun flips the shard count; cmp-ing both the e16 report and every
@@ -79,12 +83,31 @@ cargo run --release -p dynplat-bench -- e16_slo_telemetry \
   --vehicles 8000 --shards 1 --out "$SMOKE_TMP/E16_slo_rerun.json" \
   --telemetry "$SMOKE_TMP/tel_b" >/dev/null
 cmp E16_slo.json "$SMOKE_TMP/E16_slo_rerun.json"
+cmp E16_slo.json scripts/reference/E16_slo.json
 for f in "$SMOKE_TMP"/tel_a/TELEMETRY_*.json; do
   cmp "$f" "$SMOKE_TMP/tel_b/$(basename "$f")"
+  cmp "$f" "scripts/reference/$(basename "$f")"
+done
+# Every pinned arm was regenerated (a vanished arm would skip its cmp).
+for f in scripts/reference/TELEMETRY_*.json; do
+  test -e "$SMOKE_TMP/tel_a/$(basename "$f")"
 done
 # Keep the merged per-arm telemetry next to the report for the failure
 # artifact upload.
 cp "$SMOKE_TMP"/tel_a/TELEMETRY_*.json .
+
+echo "==> dynbench seed-1 digests (every workload vs dynbench/reference/)"
+# A digest that differs from its reference only counts the unit as
+# failed; the binary still exits 0, so the gate reads the result line.
+# Timing is not gated here: the CI host is too noisy for it.
+dynbench_result="$(bash dynbench/run.sh --workload all --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+case "$dynbench_result" in
+  *'"correct":true'*'"failed":0,'*) ;;
+  *)
+    echo "dynbench: a digest or an invariant failed: ${dynbench_result:0:300}" >&2
+    exit 1
+    ;;
+esac
 
 echo "==> perf smoke gate (bench vs BENCH_baseline.json, alloc gate armed)"
 # Single-threaded, so the counting allocator is armed: any heap allocation

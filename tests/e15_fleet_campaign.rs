@@ -62,11 +62,10 @@ fn cross_shard_merge_conserves_per_vehicle_counts() {
         let mut pool = ShardPool::spawn(Arc::clone(&spec), 4);
         let (outcomes, merged) = pool.run_wave(0, 0, 3_000, SimTime::ZERO);
 
-        let mut direct = ShardMetrics::default();
+        let direct = ShardMetrics::from_outcomes(&outcomes);
         let mut retries = 0u64;
         let mut stall_ns = 0u64;
         for o in &outcomes {
-            direct.observe(o);
             retries += u64::from(o.retries);
             stall_ns += o.stall.as_nanos();
             // The shard never assigns the master-only verdict.

@@ -7,14 +7,17 @@
 
 use dynplat::comm::endpoint::{ClientProxy, ServiceSkeleton};
 use dynplat::common::ids::ServiceInstance;
-use dynplat::common::rng::{seeded_rng, split_seed, Rng, SplitMix64};
+use dynplat::common::rng::{seeded_rng, split_seed, truncated_normal_factor, Rng, SplitMix64};
 use dynplat::common::time::{SimDuration, SimTime};
 use dynplat::common::value::{DataType, Value};
-use dynplat::common::{AppId, EventGroupId, MessageId, MethodId, ServiceId};
+use dynplat::common::{AppId, BusId, EventGroupId, MessageId, MethodId, ServiceId, VehicleId};
 use dynplat::core::sync::ReplicaState;
 use dynplat::core::update::update_path;
 use dynplat::faults::FaultPlan;
-use dynplat::fleet::{standard_mix, CampaignSpec, HwVariant, Reject, UpdateMaster, VehicleVerdict};
+use dynplat::fleet::{
+    pick_variant, region_of, simulate_vehicle, standard_mix, CampaignSpec, HwVariant, Reject,
+    UpdateMaster, VehicleOutcome, VehicleVerdict,
+};
 use dynplat::monitor::slo::{SloBurnGate, SloSpec};
 use dynplat::monitor::uncertainty::{BoundaryConfig, BoundaryEstimator};
 use dynplat::net::analysis::{worst_case_gate_delay, EthFlowSpec, EthernetAnalysis};
@@ -24,6 +27,7 @@ use dynplat::net::tsn::{GateControlList, GateWindow, TsnGatedPort};
 use dynplat::net::{simulate, Arbiter, Frame, Grant, TrafficClass, Transmission, TxEvent};
 use dynplat::security::authz::{AccessControlMatrix, Permission};
 use dynplat::security::package::Version;
+use dynplat_bench::fleet::fleet_arms;
 
 const MBIT100: u64 = 100_000_000;
 const SUITE_SEED: u64 = 0x5EED_0002;
@@ -556,6 +560,167 @@ fn campaign_accounting_is_conserved() {
             );
         }
     }
+}
+
+/// The per-vehicle kernel as first written, kept here only as the oracle
+/// for [`simulate_vehicle`]: every probability is a float `gen_bool`
+/// (re-validated on each draw), and every chunk scans the whole plan for
+/// partitions.
+fn naive_vehicle(spec: &CampaignSpec, vehicle: VehicleId, wave_start: SimTime) -> VehicleOutcome {
+    const VEHICLE_STREAM: u64 = 0x0F1E_E7CA_A5E5_0001;
+    const MAX_CHUNK_RETRIES: u32 = 16;
+    fn coin(rng: &mut SplitMix64, p: f64) -> bool {
+        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
+        rng.gen::<f64>() < p
+    }
+    let mut rng = seeded_rng(split_seed(
+        split_seed(spec.seed, VEHICLE_STREAM),
+        u64::from(vehicle.raw()),
+    ));
+    let variant_idx = pick_variant(&spec.mix, &mut rng);
+    let variant = &spec.mix[variant_idx];
+    let region = region_of(spec, vehicle);
+    let stagger = SimDuration::from_nanos(rng.gen_range(0..spec.wave_spread.as_nanos().max(1)));
+    let started = wave_start + stagger;
+    let done = |verdict, downloaded, completed, stall, retries| VehicleOutcome {
+        vehicle,
+        variant: variant_idx,
+        region,
+        verdict,
+        started,
+        downloaded,
+        completed,
+        stall,
+        retries,
+    };
+    if let Err(reject) = variant.admit(&spec.image) {
+        let verdict = VehicleVerdict::Rejected(reject);
+        return done(verdict, started, started, SimDuration::ZERO, 0);
+    }
+    if spec.offline_rate > 0.0 && coin(&mut rng, spec.offline_rate) {
+        let verdict = VehicleVerdict::Offline;
+        return done(verdict, started, started, SimDuration::ZERO, 0);
+    }
+    let plan = &spec.plan;
+    let chunk_time =
+        SimDuration::from_secs_f64(spec.image.chunk_kib() / variant.download_kib_per_s as f64);
+    let mut t = started;
+    let mut stall = SimDuration::ZERO;
+    let mut retries = 0u32;
+    for _chunk in 0..spec.image.chunks {
+        let clear = plan.clear_of_partitions(region, t);
+        stall += clear.saturating_since(t);
+        t = clear;
+        if plan.drop_rate > 0.0 {
+            let mut lost = 0u32;
+            while lost < MAX_CHUNK_RETRIES && coin(&mut rng, plan.drop_rate) {
+                lost += 1;
+                t += chunk_time;
+            }
+            retries += lost;
+        }
+        if plan.delay_spike_rate > 0.0 && coin(&mut rng, plan.delay_spike_rate) {
+            t += plan.delay_spike.mul_f64(rng.gen::<f64>());
+        }
+        t += chunk_time;
+    }
+    let downloaded = t;
+    if plan.corrupt_rate > 0.0 && coin(&mut rng, plan.corrupt_rate) {
+        t += downloaded.saturating_since(started).mul_f64(0.25);
+        if coin(&mut rng, plan.corrupt_rate) {
+            return done(VehicleVerdict::VerifyFailed, downloaded, t, stall, retries);
+        }
+    }
+    t += variant
+        .install
+        .mul_f64(truncated_normal_factor(&mut rng, 0.15, 0.6, 1.8));
+    t += variant.verify;
+    let verdict = if coin(&mut rng, variant.good_image_verify_failure) {
+        VehicleVerdict::VerifyFailed
+    } else {
+        VehicleVerdict::Updated
+    };
+    done(verdict, downloaded, t, stall, retries)
+}
+
+/// A probability that is exactly 0 or 1 a third of the time, tiny now
+/// and then, and uniform otherwise.
+fn arb_rate(rng: &mut SplitMix64) -> f64 {
+    match rng.gen_range(0u32..8) {
+        0 | 1 => 0.0,
+        2 => 1.0,
+        3 => 1e-6,
+        _ => rng.gen_range(0.0..1.0),
+    }
+}
+
+/// A random fault plan: random rates, and up to eight partitions in
+/// random order that overlap, abut or chain, some on buses beyond the
+/// campaign's regions.
+fn arb_fleet_plan(rng: &mut SplitMix64, seed: u64, regions: u16) -> FaultPlan {
+    let mut plan = FaultPlan::quiet(seed)
+        .with_message_faults(arb_rate(rng), arb_rate(rng), 0.0)
+        .with_delay_spikes(
+            arb_rate(rng),
+            SimDuration::from_millis(rng.gen_range(0u64..5_000)),
+        );
+    let (mut bus, mut until) = (BusId(0), 0u64);
+    for _ in 0..rng.gen_range(0usize..9) {
+        // A chained window stays on the last window's bus.
+        let from = match rng.gen_range(0u32..3) {
+            0 => until,                                          // abuts the last window
+            1 => until.saturating_sub(rng.gen_range(0u64..200)), // overlaps it
+            _ => {
+                bus = BusId(rng.gen_range(0..regions + 3));
+                rng.gen_range(0u64..3_000)
+            }
+        };
+        until = from + rng.gen_range(1u64..600);
+        plan = plan.partition(bus, SimTime::from_secs(from), SimTime::from_secs(until));
+    }
+    for i in (1..plan.partitions.len()).rev() {
+        plan.partitions.swap(i, rng.gen_range(0..=i));
+    }
+    plan
+}
+
+#[test]
+fn vehicle_kernel_matches_the_naive_oracle() {
+    let (mut stalled, mut lost, mut offline) = (0u64, 0u64, 0u64);
+    for case in 0..CASES {
+        let mut rng = case_rng(12, case);
+        let seed: u64 = rng.gen();
+        let arm = fleet_arms(seed).swap_remove(case as usize % 3).plan;
+        let regions = rng.gen_range(1u16..10);
+        let random = arb_fleet_plan(&mut rng, seed, regions);
+        for plan in [arm, random] {
+            let mut spec = CampaignSpec::standard(seed, 10_000, plan);
+            spec.regions = regions;
+            spec.offline_rate = arb_rate(&mut rng);
+            spec.mix = (0..rng.gen_range(1usize..5))
+                .map(|_| HwVariant {
+                    good_image_verify_failure: arb_rate(&mut rng),
+                    ..arb_variant(&mut rng)
+                })
+                .collect();
+            spec.image.chunks = rng.gen_range(1u32..48);
+            spec.wave_spread = SimDuration::from_secs(rng.gen_range(0u64..120));
+            for _ in 0..96 {
+                let vehicle = VehicleId(rng.gen_range(0u32..10_000));
+                let start = SimTime::from_millis(rng.gen_range(0u64..3_500_000));
+                let fast = simulate_vehicle(&spec, vehicle, start);
+                let naive = naive_vehicle(&spec, vehicle, start);
+                assert_eq!(fast, naive, "case {case}, {vehicle:?} at {start:?}");
+                stalled += u64::from(!fast.stall.is_zero());
+                lost += u64::from(fast.retries);
+                offline += u64::from(fast.verdict == VehicleVerdict::Offline);
+            }
+        }
+    }
+    assert!(
+        stalled > 100 && lost > 1_000 && offline > 100,
+        "{stalled} {lost} {offline}"
+    );
 }
 
 // -------------------------------------------------------------- SLO gate --
