@@ -7,8 +7,9 @@
 //! <rule-id> <path> <justification...>
 //! ```
 //!
-//! The path is workspace-relative and matched exactly (no globs: an
-//! allowlist that can silently widen is worse than none). The
+//! Fields are separated by any run of spaces or tabs, so entries may be
+//! column-aligned. The path is workspace-relative and matched exactly (no
+//! globs: an allowlist that can silently widen is worse than none). The
 //! justification is mandatory — an unexplained suppression is itself a
 //! finding. Every entry must be *used* by the run it participates in;
 //! stale entries (the violation was fixed but the suppression stayed) are
@@ -46,10 +47,8 @@ impl Allowlist {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let mut parts = line.splitn(3, char::is_whitespace);
-            let rule = parts.next().unwrap_or_default().to_owned();
-            let path = parts.next().unwrap_or_default().to_owned();
-            let justification = parts.next().unwrap_or_default().trim().to_owned();
+            let (rule, rest) = next_field(line);
+            let (path, justification) = next_field(rest);
             if path.is_empty() || justification.is_empty() {
                 findings.push(Finding {
                     rule: "bad-allow",
@@ -61,7 +60,7 @@ impl Allowlist {
                 });
                 continue;
             }
-            if !ALL_RULES.contains(&rule.as_str()) {
+            if !ALL_RULES.contains(&rule) {
                 findings.push(Finding {
                     rule: "bad-allow",
                     path: file_name.to_owned(),
@@ -71,9 +70,9 @@ impl Allowlist {
                 continue;
             }
             entries.push(AllowEntry {
-                rule,
-                path,
-                justification,
+                rule: rule.to_owned(),
+                path: path.to_owned(),
+                justification: justification.to_owned(),
                 source_line: line_no,
             });
         }
@@ -116,6 +115,15 @@ impl Allowlist {
     }
 }
 
+/// Splits `s` at its first run of whitespace: the field before it and
+/// the rest after it (empty when there is no whitespace).
+fn next_field(s: &str) -> (&str, &str) {
+    match s.split_once(char::is_whitespace) {
+        Some((field, rest)) => (field, rest.trim_start()),
+        None => (s, ""),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,14 +140,21 @@ mod tests {
 
     #[test]
     fn parse_accepts_comments_and_justified_entries() {
+        // Single-spaced, column-aligned and tab-separated entries.
         let (al, errs) = Allowlist::parse(
-            "# header\n\nno-unwrap crates/x/src/a.rs generated table, panics unreachable\n",
+            "# header\n\nno-unwrap crates/x/src/a.rs generated table, panics unreachable\n\
+             no-unwrap  crates/x/src/a.rs   aligned columns\n\
+             no-unwrap\tcrates/x/src/a.rs\ttab separated\n",
             "analysis-allow.list",
         );
-        assert!(errs.is_empty());
-        assert_eq!(al.entries.len(), 1);
-        assert_eq!(al.entries[0].rule, "no-unwrap");
-        assert_eq!(al.entries[0].path, "crates/x/src/a.rs");
+        assert!(errs.is_empty(), "{errs:?}");
+        assert_eq!(al.entries.len(), 3);
+        for e in &al.entries {
+            assert_eq!(e.rule, "no-unwrap");
+            assert_eq!(e.path, "crates/x/src/a.rs");
+        }
+        assert_eq!(al.entries[1].justification, "aligned columns");
+        assert_eq!(al.entries[2].justification, "tab separated");
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn unwrap_fixture_trips_only_outside_cfg_test() {
 #[test]
 fn wall_clock_fixture_trips_in_determinism_critical_crate() {
     assert_eq!(
-        lint_fixture("wall_clock.rs", "sim", false),
+        lint_fixture("wall_clock.rs", "common", false),
         [(RULE_NO_WALL_CLOCK, 5), (RULE_NO_WALL_CLOCK, 8)]
     );
     // The same source in a non-critical crate is clean.

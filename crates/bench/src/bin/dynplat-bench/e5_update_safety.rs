@@ -9,6 +9,7 @@
 
 use dynplat_bench::fleet::e5d_spec;
 use dynplat_bench::{ms, Table};
+use dynplat_common::jitter::ClockModel;
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{AppId, AppKind, Asil, EcuId};
 use dynplat_core::app::AppManifest;
@@ -20,7 +21,6 @@ use dynplat_fleet::UpdateMaster;
 use dynplat_hw::ecu::{EcuClass, EcuSpec};
 use dynplat_model::ir::AppModel;
 use dynplat_security::package::{KeyRegistry, Version};
-use dynplat_sim::jitter::ClockModel;
 use std::collections::BTreeMap;
 
 fn manifest(version: Version) -> AppManifest {

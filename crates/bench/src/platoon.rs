@@ -24,6 +24,7 @@
 
 use crate::detect::onset;
 use dynplat_comm::fabric::{Fabric, MessageSend};
+use dynplat_common::jitter::GaussianNoise;
 use dynplat_common::rng::{seeded_rng, split_seed};
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{BusId, EcuId};
@@ -33,7 +34,6 @@ use dynplat_hw::topology::{BusKind, BusSpec, HwTopology};
 use dynplat_monitor::uncertainty::{BoundaryConfig, BoundaryEstimator};
 use dynplat_net::TrafficClass;
 use dynplat_obs::{FlightRecorder, TraceCtx};
-use dynplat_sim::jitter::GaussianNoise;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 

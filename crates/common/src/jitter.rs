@@ -3,7 +3,7 @@
 //! The paper's central theme is *uncertainty management*: once applications
 //! are added and updated dynamically, execution times, communication delays
 //! and clock agreement can no longer be pinned down at design time. This
-//! module provides the two uncertainty sources every experiment injects:
+//! module provides the uncertainty sources every experiment injects:
 //!
 //! * [`ExecutionModel`] — stochastic execution times between a best-case and
 //!   a worst-case bound;
@@ -13,10 +13,15 @@
 //! * [`GaussianNoise`] — additive measurement noise for workloads whose
 //!   *signals* are uncertain, not just their timing (the V2X platoon's
 //!   range and delay sensors).
+//!
+//! Each simulator in the workspace runs its own event loop and draws from
+//! these models: the scheduler simulation in `dynplat-sched` samples
+//! execution times, the update orchestration in `dynplat-core` drifts ECU
+//! clocks, and the benchmarks add sensor noise.
 
-use dynplat_common::rng::truncated_normal_factor;
-use dynplat_common::rng::Rng;
-use dynplat_common::time::{SimDuration, SimTime};
+use crate::rng::truncated_normal_factor;
+use crate::rng::Rng;
+use crate::time::{SimDuration, SimTime};
 
 /// Stochastic execution-time model for a task.
 ///
@@ -28,7 +33,7 @@ use dynplat_common::time::{SimDuration, SimTime};
 ///
 /// ```
 /// use dynplat_common::time::SimDuration;
-/// use dynplat_sim::jitter::ExecutionModel;
+/// use dynplat_common::jitter::ExecutionModel;
 ///
 /// let model = ExecutionModel::new(
 ///     SimDuration::from_micros(800),
@@ -247,7 +252,7 @@ pub fn random_clock<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynplat_common::rng::seeded_rng;
+    use crate::rng::seeded_rng;
 
     #[test]
     fn samples_respect_bounds() {

@@ -15,6 +15,8 @@
 //!   matching [`Value`] runtime representation with binary codecs;
 //! * [`rng`] — deterministic random-number helpers so every experiment is
 //!   reproducible from a seed;
+//! * [`jitter`] — the execution-time, clock and measurement-noise
+//!   uncertainty models the simulators draw from;
 //! * [`uncertainty`] — the distribution-valued observation type
 //!   ([`UncertaintyEstimate`]) the uncertainty-aware adaptation layer
 //!   exchanges between monitor, core and comm.
@@ -34,6 +36,7 @@
 pub mod codec;
 pub mod criticality;
 pub mod ids;
+pub mod jitter;
 pub mod rng;
 pub mod time;
 pub mod uncertainty;

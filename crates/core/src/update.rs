@@ -20,9 +20,9 @@
 
 use crate::app::{AppManifest, LifecycleState};
 use crate::platform::{DynamicPlatform, PlatformError};
+use dynplat_common::jitter::ClockModel;
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{AppId, EcuId, InstanceId};
-use dynplat_sim::jitter::ClockModel;
 use std::collections::BTreeMap;
 
 /// Which mechanism produced a report.

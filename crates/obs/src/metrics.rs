@@ -83,9 +83,10 @@ impl Counter {
     /// Increments by `n`.
     pub fn add(&self, n: u64) {
         // relaxed: counters are monotone event tallies, not publication
-        // flags; cross-thread visibility is provided by whoever
-        // synchronizes the snapshot (thread join / scope end), which the
-        // `StripeModel` in `dynplat-analysis` model-checks.
+        // flags; the exact read comes after the writers' thread join or
+        // scope end, which happens-before it, so every add is visible
+        // (`striped_counter_sums_across_threads` and
+        // `registry_counts_exactly_under_contention` check this).
         self.cells[thread_stripe()]
             .value
             .fetch_add(n, Ordering::Relaxed);
@@ -223,9 +224,10 @@ impl Histogram {
         {
             if n > 0 {
                 // relaxed: the flush is a batch of the same per-field
-                // tallies as `record_n`; the reader that needs exactness
-                // (snapshot after join) is synchronized externally, which
-                // `dynplat-analysis`'s `StripeModel` model-checks.
+                // tallies as `record_n`; the exact snapshot comes after the
+                // writers' join or scope end, which happens-before it
+                // (`snapshots_stay_self_consistent_under_concurrent_striped_flushes`
+                // in `tests/properties5.rs` checks it against a one-thread fold).
                 shared.fetch_add(n, Ordering::Relaxed);
             }
         }

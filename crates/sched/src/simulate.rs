@@ -31,11 +31,11 @@
 use crate::server::PeriodicServer;
 use crate::task::TaskSet;
 use crate::tt::TtSchedule;
+use dynplat_common::jitter::ExecutionModel;
 use dynplat_common::rng::seeded_rng;
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{AppKind, TaskId};
 use dynplat_obs::{ExemplarSet, LocalExemplars, LocalHistogram, TraceCtx};
-use dynplat_sim::jitter::ExecutionModel;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;

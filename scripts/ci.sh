@@ -22,9 +22,6 @@ echo "==> dynplat-analysis --workspace (invariant lint, allowlist-gated)"
 cargo run --release -q -p dynplat-analysis -- \
   --workspace --report ANALYSIS_findings.json
 
-echo "==> schedule-exploration model checker (striped + shared-field metrics flush)"
-cargo test -q -p dynplat-analysis --test model_check
-
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -18,7 +18,7 @@
 //! | module | crate | role |
 //! |---|---|---|
 //! | [`common`] | `dynplat-common` | ids, time, ASIL, typed values |
-//! | [`sim`] | `dynplat-sim` | execution-time, clock & noise uncertainty models |
+//! | [`sim`] | `dynplat_common::jitter` | execution-time, clock & noise uncertainty models |
 //! | [`hw`] | `dynplat-hw` | ECU & topology models |
 //! | [`net`] | `dynplat-net` | CAN / FlexRay / Ethernet / TSN |
 //! | [`sched`] | `dynplat-sched` | RTA, EDF, TT synthesis, servers, admission |
@@ -87,5 +87,10 @@ pub use dynplat_net as net;
 pub use dynplat_obs as obs;
 pub use dynplat_sched as sched;
 pub use dynplat_security as security;
-pub use dynplat_sim as sim;
 pub use dynplat_xil as xil;
+
+/// The uncertainty models of `dynplat-common`, reachable as
+/// `dynplat::sim::jitter`, the path the examples and tests use.
+pub mod sim {
+    pub use dynplat_common::jitter;
+}

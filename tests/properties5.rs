@@ -24,7 +24,9 @@
 //!   snapshots of the same multiset;
 //! * histogram snapshots stay self-consistent under concurrent striped
 //!   flushes: every mid-flight snapshot's quantiles derive from the same
-//!   bucket read as its count (the quantile/snapshot drift regression).
+//!   bucket read as its count (the quantile/snapshot drift regression),
+//!   and the snapshot after the writers are joined equals a one-thread
+//!   fold of the same streams.
 //!
 //! Implemented as seeded-random loop tests on `dynplat::common::rng` (no
 //! external property-testing dependency).
@@ -533,5 +535,22 @@ fn snapshots_stay_self_consistent_under_concurrent_striped_flushes() {
         final_snap.sum,
         hist.sum(),
         "quiescent snapshot reads the exact totals"
+    );
+    // The scope end happens-before this read, so every relaxed per-field
+    // add of every flush is visible: the snapshot equals a one-thread fold
+    // of the same writer streams. The replay draws the flush cadence too,
+    // to stay on each writer's draw sequence.
+    let mut fold = LocalHistogram::new();
+    for w in 0..WRITERS {
+        let mut rng = case_rng(7, w);
+        for _ in 0..PER_WRITER {
+            fold.record(tailed_value(&mut rng));
+            rng.gen_range(3u64..40);
+        }
+    }
+    assert_eq!(
+        final_snap,
+        fold.to_sketch().to_snapshot(),
+        "after the join, buckets, count, sum, min and max equal the one-thread fold"
     );
 }
