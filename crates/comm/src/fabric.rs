@@ -14,30 +14,30 @@
 //! and every fault-injection campaign. Steady state performs **zero heap
 //! allocations** (enforced by the bench bin's counting allocator):
 //!
-//! * per-bus `TxDone` events ride fixed-capacity rings ([`SpscRing`]) —
-//!   O(1) push/pop — with a spill path to a shared binary heap when a
-//!   ring is full, so semantics never change;
-//! * scheduled polls are a *scalar* `(time, seq)` pair per bus (at most
-//!   one poll is ever pending per bus), replacing heap traffic entirely;
-//! * the event loop takes the global minimum `(time, seq)` across the
-//!   sorted injection cursor, the per-bus rings/polls and the overflow
-//!   heap, preserving the exact FIFO tie-break order of the old
-//!   single-heap engine;
+//! * the event loop takes the global minimum `(time, seq)` across three
+//!   sources: the sorted injection cursor, one pending poll per bus, and
+//!   a binary heap of sends injected by the delivery callback. The order
+//!   is the exact FIFO tie-break of a single-heap engine;
+//! * a bus's pending poll is a *scalar* `(time, seq)` pair, and it carries
+//!   the granted frame's `TxDone` with it: the `TxDone` and the follow-up
+//!   poll fall at the same instant with nothing between them, so one slot
+//!   and one sequence number stand for both;
 //! * a **fast drain** pump: when every other pending event is strictly
 //!   later than a granted transmission's end, the bus is polled in a
 //!   tight loop and `TxDone`s are processed inline — the common
-//!   uncongested case costs no queue round-trips at all;
+//!   uncongested case costs no scan of the event sources at all;
 //! * in-flight messages live in a free-list slab (`MsgSlab`) keyed by
-//!   recycled `u32` slots that double as frame ids on the wire;
-//! * all run scratch (slab, rings, heap, order index, per-bus state) is
-//!   owned by the [`Fabric`] and reused across runs;
+//!   recycled `u32` slots that double as frame ids on the wire; a message
+//!   keeps only its hop count and reads each hop's bus from the route
+//!   cache, whose filled rows never change;
+//! * all run scratch (slab, heap, order index, per-bus state) is owned by
+//!   the [`Fabric`] and reused across runs;
 //! * hot counters accumulate in locals and latency in a
 //!   [`LocalHistogram`], flushed to the metrics registry once per run;
 //! * staged wire payloads live in a per-fabric [`PayloadArena`] keyed by
 //!   recycled refs, so fanout legs share one encoded frame (zero-copy).
 
 use crate::arena::{ArenaStats, PayloadArena, PayloadRef};
-use crate::ring::{RingEntry, SpscRing};
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{BusId, EcuId, MessageId};
 use dynplat_hw::{BusKind, HwTopology, RouteCache, TopologyError};
@@ -49,11 +49,6 @@ use dynplat_obs::{FlightRecorder, LocalExemplars, LocalHistogram, TraceCtx};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-/// Capacity of each per-bus `TxDone` ring. The fabric keeps at most one
-/// outstanding `TxDone` per bus (transmissions serialize on `bus_free`),
-/// so 8 entries leave generous headroom before the heap spill path.
-const RING_CAPACITY: usize = 8;
 
 /// One configured egress medium for a bus segment.
 #[derive(Debug)]
@@ -169,70 +164,38 @@ impl MessageDelivery {
     }
 }
 
-/// Longest route stored inline in [`MsgState`]. Gateway topologies rarely
-/// exceed three hops; anything longer falls back to sharing the cache's
-/// `Arc` path.
-const ROUTE_INLINE: usize = 8;
-
-/// A message's bus path, copied out of the route cache. The inline variant
-/// avoids per-message `Arc` refcount traffic (two atomic RMWs on the old
-/// clone/drop pair) and keeps the hops in the same cache line as the rest
-/// of the message state.
-enum RouteHold {
-    Inline {
-        len: u8,
-        buses: [BusId; ROUTE_INLINE],
-    },
-    Spilled(Arc<[BusId]>),
-}
-
-impl RouteHold {
-    #[inline]
-    fn as_slice(&self) -> &[BusId] {
-        match self {
-            RouteHold::Inline { len, buses } => &buses[..*len as usize],
-            RouteHold::Spilled(p) => p,
-        }
-    }
-}
-
 struct MsgState {
     send: MessageSend,
-    route: RouteHold,
+    /// Length of the message's route; the buses stay in the route cache.
+    hops: usize,
     hop: usize,
     segs_outstanding: usize,
 }
 
-/// Overflow / reaction events that do not fit the per-bus fast paths:
-/// callback-injected sends, and `TxDone`s spilled from a full ring.
-enum Pending {
-    Inject(MessageSend),
-    TxDone(u32),
-}
-
-/// Min-ordered overflow queue backed by a free-list slab.
+/// Min-ordered queue of the sends the delivery callback injects, backed
+/// by a free-list slab.
 ///
 /// The heap holds `(time, seq, slot)` triples; `seq` is the globally
-/// monotone tie-break shared with the rings and scalar polls, so
-/// simultaneous events stay FIFO across all structures, and `slot`
-/// indexes the slab where the event payload lives. Both sides are reused
-/// across runs, so a drained queue costs nothing to reuse.
+/// monotone tie-break shared with the injection cursor and the per-bus
+/// polls, so simultaneous events stay FIFO across all sources, and `slot`
+/// indexes the slab where the send lives. Both sides are reused across
+/// runs, so a drained queue costs nothing to reuse.
 #[derive(Default)]
 struct PendingQueue {
     heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    slots: Vec<Option<Pending>>,
+    slots: Vec<Option<MessageSend>>,
     free: Vec<u32>,
 }
 
 impl PendingQueue {
-    fn push(&mut self, t: SimTime, seq: u64, ev: Pending) {
+    fn push(&mut self, t: SimTime, seq: u64, send: MessageSend) {
         let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s as usize] = Some(ev);
+                self.slots[s as usize] = Some(send);
                 s
             }
             None => {
-                self.slots.push(Some(ev));
+                self.slots.push(Some(send));
                 (self.slots.len() - 1) as u32
             }
         };
@@ -243,13 +206,13 @@ impl PendingQueue {
         self.heap.peek().map(|Reverse((t, s, _))| (*t, *s))
     }
 
-    fn pop(&mut self) -> Option<(SimTime, Pending)> {
+    fn pop(&mut self) -> Option<(SimTime, MessageSend)> {
         let Reverse((t, _, slot)) = self.heap.pop()?;
-        let ev = self.slots[slot as usize]
+        let send = self.slots[slot as usize]
             .take()
-            .expect("pending event slot must be filled for every heap entry");
+            .expect("pending send slot must be filled for every heap entry");
         self.free.push(slot);
-        Some((t, ev))
+        Some((t, send))
     }
 
     fn reset(&mut self) {
@@ -334,12 +297,14 @@ impl MsgSlab {
 struct RunScratch {
     msgs: MsgSlab,
     pending: PendingQueue,
-    rings: Vec<SpscRing>,
     bus_free: Vec<SimTime>,
     /// Scalar next-poll time per bus (`SimTime::MAX` = none scheduled).
     poll_at: Vec<SimTime>,
     /// FIFO tie-break seq of the pending poll per bus.
     poll_seq: Vec<u64>,
+    /// Slot of the frame whose `TxDone` the pending poll carries
+    /// (`u32::MAX` = none).
+    txdone: Vec<u32>,
     /// Injection cursor order: input indices sorted by `(time, index)`.
     order: Vec<u32>,
     /// Reusable buffer handed to the delivery callback for reactions.
@@ -355,15 +320,14 @@ impl RunScratch {
     fn reset_for(&mut self, n_buses: usize) {
         self.msgs.reset();
         self.pending.reset();
-        if self.rings.len() != n_buses {
-            self.rings = (0..n_buses).map(|_| SpscRing::new(RING_CAPACITY)).collect();
-        }
         self.bus_free.clear();
         self.bus_free.resize(n_buses, SimTime::ZERO);
         self.poll_at.clear();
         self.poll_at.resize(n_buses, SimTime::MAX);
         self.poll_seq.clear();
         self.poll_seq.resize(n_buses, 0);
+        self.txdone.clear();
+        self.txdone.resize(n_buses, u32::MAX);
     }
 }
 
@@ -394,8 +358,8 @@ impl std::fmt::Debug for Fabric {
 }
 
 /// The event engine for one run: all fabric state split into disjoint
-/// borrows so the hot loop's helpers can touch ports, slab, rings and the
-/// overflow heap at once without re-borrowing through `&mut Fabric`.
+/// borrows so the hot loop's helpers can touch ports, slab, per-bus state
+/// and the pending heap at once without re-borrowing through `&mut Fabric`.
 struct Engine<'a, F> {
     routes: &'a mut RouteCache,
     ports: &'a mut [BusPort],
@@ -405,10 +369,10 @@ struct Engine<'a, F> {
     flight: Option<&'a Arc<FlightRecorder>>,
     msgs: &'a mut MsgSlab,
     pending: &'a mut PendingQueue,
-    rings: &'a mut [SpscRing],
     bus_free: &'a mut [SimTime],
     poll_at: &'a mut [SimTime],
     poll_seq: &'a mut [u64],
+    txdone: &'a mut [u32],
     injected: &'a mut Vec<MessageSend>,
     lat: &'a mut LocalHistogram,
     exemplars: &'a mut LocalExemplars,
@@ -418,7 +382,6 @@ struct Engine<'a, F> {
     sends_n: u64,
     drops_n: u64,
     delivered_n: u64,
-    spills_n: u64,
 }
 
 impl<F> Engine<'_, F>
@@ -468,45 +431,29 @@ where
             self.sends_n += 1;
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.pending.push(t, seq, Pending::Inject(extra));
+            self.pending.push(t, seq, extra);
         }
         self.deliveries.push(delivery);
     }
 
     fn handle_inject(&mut self, send: MessageSend, now: SimTime) {
         self.observe(now, &send, "comm.fabric.send");
-        // Borrow the cached path and copy it inline — no Arc clone on the
-        // common (short-route) path.
-        let route = match self.routes.route_slice(send.src, send.dst) {
-            Ok(r) => r,
+        let hops = match self.routes.route_slice(send.src, send.dst) {
+            Ok(r) => r.len(),
             Err(_) => {
                 self.drops_n += 1;
                 self.observe(now, &send, "comm.fabric.drop_unreachable");
                 return; // unreachable: drop
             }
         };
-        if route.is_empty() {
+        if hops == 0 {
             let delivered = now + self.local_delay;
             self.complete(send, delivered, 0, now);
             return;
         }
-        let route = if route.len() <= ROUTE_INLINE {
-            let mut buses = [BusId(0); ROUTE_INLINE];
-            buses[..route.len()].copy_from_slice(route);
-            RouteHold::Inline {
-                len: route.len() as u8,
-                buses,
-            }
-        } else {
-            RouteHold::Spilled(
-                self.routes
-                    .route_buses(send.src, send.dst)
-                    .expect("route_slice just resolved this pair"),
-            )
-        };
         let slot = self.msgs.insert(MsgState {
             send,
-            route,
+            hops,
             hop: 0,
             segs_outstanding: 0,
         });
@@ -517,7 +464,12 @@ where
     /// the earliest useful poll of that bus.
     fn start_hop(&mut self, slot: u32, now: SimTime) {
         let state = self.msgs.get_mut(slot);
-        let bus = state.route.as_slice()[state.hop];
+        // A filled route-cache row never changes, so the path resolved at
+        // injection is still the one cached here.
+        let bus = self
+            .routes
+            .route_slice(state.send.src, state.send.dst)
+            .expect("an in-flight message's route resolved at injection")[state.hop];
         let bi = self.bus_lookup[bus.raw() as usize] as usize;
         let port = &mut self.ports[bi];
         let mtu = port.mtu();
@@ -565,10 +517,9 @@ where
             return;
         }
         state.hop += 1;
-        if state.hop >= state.route.as_slice().len() {
+        if state.hop >= state.hops {
             let state = self.msgs.remove(slot);
-            let hops = state.route.as_slice().len();
-            self.complete(state.send, now, hops, now);
+            self.complete(state.send, now, state.hops, now);
         } else {
             let at = now + self.gateway_delay;
             self.start_hop(slot, at);
@@ -592,11 +543,6 @@ where
             if self.poll_at[bi] <= t {
                 return false;
             }
-            if let Some(e) = self.rings[bi].peek() {
-                if e.time <= t {
-                    return false;
-                }
-            }
         }
         true
     }
@@ -619,35 +565,27 @@ where
             match self.ports[bi].poll(now) {
                 Grant::Tx(tx) => {
                     self.bus_free[bi] = tx.end;
-                    // Sequence numbers mirror the old single-heap push
-                    // order exactly: TxDone first, follow-up poll second,
-                    // then anything the TxDone's callback injects.
-                    let txdone_seq = self.alloc_seq();
-                    let follow_seq = self.alloc_seq();
+                    // The `TxDone` and the follow-up poll share one
+                    // sequence number: both fall at `tx.end`, the `TxDone`
+                    // first, and nothing can sort between them. Anything
+                    // the `TxDone`'s callback injects sorts after both.
+                    let seq = self.alloc_seq();
+                    let slot = tx.frame.id.raw();
                     if self.others_after(cursor_t, tx.end) {
                         now = tx.end;
-                        self.handle_txdone(tx.frame.id.raw(), now);
+                        self.handle_txdone(slot, now);
                         if self.others_after(cursor_t, now) {
                             continue; // keep draining inline
                         }
                         self.poll_at[bi] = now;
-                        self.poll_seq[bi] = follow_seq;
+                        self.poll_seq[bi] = seq;
                         return;
                     }
-                    let entry = RingEntry {
-                        time: tx.end,
-                        seq: txdone_seq,
-                        slot: tx.frame.id.raw(),
-                    };
-                    // The bus's last `TxDone` sorts before the poll granting this one.
-                    debug_assert!(self.rings[bi].is_empty(), "second TxDone on one bus");
-                    if !self.rings[bi].try_push(entry) {
-                        self.spills_n += 1;
-                        self.pending
-                            .push(entry.time, entry.seq, Pending::TxDone(entry.slot));
-                    }
+                    // The bus's last `TxDone` ran before the poll granting this one.
+                    debug_assert_eq!(self.txdone[bi], u32::MAX, "second TxDone on one bus");
+                    self.txdone[bi] = slot;
                     self.poll_at[bi] = tx.end;
-                    self.poll_seq[bi] = follow_seq;
+                    self.poll_seq[bi] = seq;
                     return;
                 }
                 Grant::WaitUntil(t) => {
@@ -698,8 +636,7 @@ impl Fabric {
         self.flight = Some(recorder);
     }
 
-    /// Slab occupancy of the most recent run (also exported as the
-    /// `bench.comm.slab_*` gauges).
+    /// Slab occupancy of the most recent run.
     pub fn slab_stats(&self) -> SlabStats {
         self.last_slab
     }
@@ -727,8 +664,7 @@ impl Fabric {
         self.arena.release(r);
     }
 
-    /// Occupancy of the payload arena (also exported as the
-    /// `bench.comm.arena_*` gauges after each run).
+    /// Occupancy of the payload arena.
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
     }
@@ -810,7 +746,6 @@ impl Fabric {
         let obs_sends = dynplat_obs::counter!("comm.fabric.sends");
         let obs_drops = dynplat_obs::counter!("comm.fabric.dropped_unreachable");
         let obs_deliveries = dynplat_obs::counter!("comm.fabric.deliveries");
-        let obs_spills = dynplat_obs::counter!("comm.fabric.ring_spills");
         let obs_latency = dynplat_obs::histogram!("comm.fabric.latency_ns");
 
         let n = sends.len();
@@ -852,10 +787,10 @@ impl Fabric {
             flight: flight.as_ref(),
             msgs: &mut scratch.msgs,
             pending: &mut scratch.pending,
-            rings: &mut scratch.rings,
             bus_free: &mut scratch.bus_free,
             poll_at: &mut scratch.poll_at,
             poll_seq: &mut scratch.poll_seq,
+            txdone: &mut scratch.txdone,
             injected: &mut scratch.injected,
             lat: &mut scratch.lat,
             exemplars: &mut scratch.exemplars,
@@ -865,7 +800,6 @@ impl Fabric {
             sends_n: n as u64,
             drops_n: 0,
             delivered_n: 0,
-            spills_n: 0,
         };
 
         // Event sources for the global (time, seq) minimum scan.
@@ -873,7 +807,6 @@ impl Fabric {
             Cursor,
             Pending,
             Poll(usize),
-            Ring(usize),
         }
 
         loop {
@@ -900,13 +833,6 @@ impl Fabric {
                     best_s = eng.poll_seq[bi];
                     sel = Some(Sel::Poll(bi));
                 }
-                if let Some(e) = eng.rings[bi].peek() {
-                    if (e.time, e.seq) < (best_t, best_s) {
-                        best_t = e.time;
-                        best_s = e.seq;
-                        sel = Some(Sel::Ring(bi));
-                    }
-                }
             }
             let Some(which) = sel else { break };
             match which {
@@ -917,17 +843,18 @@ impl Fabric {
                     eng.handle_inject(send, now);
                 }
                 Sel::Pending => {
-                    let (t, ev) = eng
+                    let (t, send) = eng
                         .pending
                         .pop()
                         .expect("pending queue non-empty after winning selection");
-                    match ev {
-                        Pending::Inject(send) => eng.handle_inject(send, t),
-                        Pending::TxDone(slot) => eng.handle_txdone(slot, t),
-                    }
+                    eng.handle_inject(send, t);
                 }
                 Sel::Poll(bi) => {
                     let now = eng.poll_at[bi];
+                    let slot = std::mem::replace(&mut eng.txdone[bi], u32::MAX);
+                    if slot != u32::MAX {
+                        eng.handle_txdone(slot, now);
+                    }
                     let cursor_t = if cursor < order.len() {
                         sends[order[cursor] as usize].time
                     } else {
@@ -935,37 +862,21 @@ impl Fabric {
                     };
                     eng.handle_poll(bi, now, cursor_t);
                 }
-                Sel::Ring(bi) => {
-                    let e = eng.rings[bi]
-                        .pop()
-                        .expect("ring non-empty after winning selection");
-                    eng.handle_txdone(e.slot, e.time);
-                }
             }
         }
 
         obs_sends.add(eng.sends_n);
         obs_drops.add(eng.drops_n);
         obs_deliveries.add(eng.delivered_n);
-        obs_spills.add(eng.spills_n);
         eng.lat.flush_into(obs_latency);
         dynplat_obs::global()
             .exemplars("comm.fabric.delivery_ns")
             .merge_local(eng.exemplars);
         drop(eng);
 
-        // Real occupancy reporting (the old gauges only ever showed the
-        // last run of whichever fabric happened to finish last): per-run
-        // slab state, the cross-run peak, and the payload arena.
+        // Per-run slab state and the cross-run peak.
         self.last_slab = self.scratch.msgs.stats();
         self.peak_slab_capacity = self.peak_slab_capacity.max(self.last_slab.capacity);
-        let arena = self.arena.stats();
-        dynplat_obs::gauge!("bench.comm.slab_live").set(self.last_slab.live as i64);
-        dynplat_obs::gauge!("bench.comm.slab_free").set(self.last_slab.free as i64);
-        dynplat_obs::gauge!("bench.comm.slab_peak").set(self.peak_slab_capacity as i64);
-        dynplat_obs::gauge!("bench.comm.arena_live").set(arena.live as i64);
-        dynplat_obs::gauge!("bench.comm.arena_free").set(arena.free as i64);
-        dynplat_obs::gauge!("bench.comm.arena_bytes").set(arena.bytes as i64);
     }
 }
 

@@ -23,8 +23,8 @@
 //! * [`retry`] — client-side robustness: per-request timeout, capped
 //!   exponential backoff with deterministic jitter, and a circuit breaker
 //!   per (client, service) edge;
-//! * [`ring`] — the fixed-capacity event ring the fabric hot path rides
-//!   (per-bus `TxDone` queues with a heap spill path);
+//! * [`ring`] — a fixed-capacity `(time, seq, slot)` event ring; the
+//!   fabric no longer uses it, the `dynbench` `adas_cycle` replay does;
 //! * [`arena`] — the per-fabric payload arena behind the zero-copy wire
 //!   path: one staged frame shared by every fanout leg.
 

@@ -14,7 +14,6 @@
 
 use dynplat_common::rng::{seeded_rng, split_seed, Rng};
 use dynplat_common::time::{SimDuration, SimTime};
-use dynplat_common::UncertaintyEstimate;
 
 /// Retry configuration for one logical request.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -142,7 +141,6 @@ pub struct CircuitBreaker {
     consecutive_failures: u32,
     opened_at: SimTime,
     trips: u64,
-    confidence_gate: Option<f64>,
     half_open_probes: u64,
 }
 
@@ -162,25 +160,8 @@ impl CircuitBreaker {
             consecutive_failures: 0,
             opened_at: SimTime::ZERO,
             trips: 0,
-            confidence_gate: None,
             half_open_probes: 0,
         }
-    }
-
-    /// Arms the confidence-gated trip path: a failure reported through
-    /// [`CircuitBreaker::on_failure_assessed`] together with a converged
-    /// estimate whose boundary-exceedance probability clears `gate` opens
-    /// the circuit immediately, without waiting out the fixed failure
-    /// count — the breaker analogue of the ladder's probability-space
-    /// descent.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `gate` is in `(0, 1]`.
-    pub fn with_confidence_gate(mut self, gate: f64) -> Self {
-        assert!(gate > 0.0 && gate <= 1.0, "confidence gate in (0, 1]");
-        self.confidence_gate = Some(gate);
-        self
     }
 
     /// Current state, advancing Open → HalfOpen when the cool-down has
@@ -232,30 +213,6 @@ impl CircuitBreaker {
             }
             BreakerState::Open => false,
         }
-    }
-
-    /// Reports a failed round trip together with the link-health
-    /// distribution behind it. With a configured confidence gate
-    /// ([`CircuitBreaker::with_confidence_gate`]), a converged estimate
-    /// confidently past its operational boundary trips the circuit on this
-    /// very failure — the fixed count is how long a breaker must guess,
-    /// not how long it must wait once the monitor already *knows*. Without
-    /// a gate (or with an unconverged / unconvinced estimate) this is
-    /// exactly [`CircuitBreaker::on_failure`].
-    pub fn on_failure_assessed(&mut self, now: SimTime, est: &UncertaintyEstimate) -> bool {
-        if self.state == BreakerState::Closed {
-            if let Some(gate) = self.confidence_gate {
-                if est.exceeds_with_confidence(gate) {
-                    self.consecutive_failures += 1;
-                    self.state = BreakerState::Open;
-                    self.opened_at = now;
-                    self.trips += 1;
-                    dynplat_obs::counter!("comm.breaker.confident_trips").inc();
-                    return true;
-                }
-            }
-        }
-        self.on_failure(now)
     }
 
     /// How often the circuit has tripped open.
@@ -353,48 +310,6 @@ mod tests {
         b.on_success();
         assert_eq!(b.state(t + ms(100)), BreakerState::Closed);
         assert_eq!(b.trips(), 1);
-    }
-
-    fn link_estimate(exceed: f64, converged: bool) -> UncertaintyEstimate {
-        UncertaintyEstimate {
-            at: SimTime::ZERO,
-            mean: 0.2,
-            sigma: 0.02,
-            band: 0.04,
-            exceed,
-            samples: if converged { 40 } else { 2 },
-            converged,
-        }
-    }
-
-    #[test]
-    fn confident_exceedance_trips_ahead_of_the_count() {
-        let mut b = CircuitBreaker::new(3, ms(100)).with_confidence_gate(0.95);
-        // First failure, but the monitor is already sure: trip now.
-        assert!(b.on_failure_assessed(SimTime::ZERO, &link_estimate(0.99, true)));
-        assert!(!b.allows(SimTime::from_millis(50)));
-        assert_eq!(b.trips(), 1);
-    }
-
-    #[test]
-    fn unconvinced_or_unconverged_estimates_keep_the_fixed_count() {
-        let mut b = CircuitBreaker::new(3, ms(100)).with_confidence_gate(0.95);
-        let t = SimTime::ZERO;
-        // Ambiguous belief: behaves exactly like on_failure.
-        assert!(!b.on_failure_assessed(t, &link_estimate(0.6, true)));
-        // Certain-looking but unconverged: still no early trip.
-        assert!(!b.on_failure_assessed(t, &link_estimate(1.0, false)));
-        assert!(
-            b.on_failure_assessed(t, &link_estimate(0.6, true)),
-            "third failure"
-        );
-    }
-
-    #[test]
-    fn ungated_breaker_ignores_the_estimate() {
-        let mut b = CircuitBreaker::new(3, ms(100));
-        assert!(!b.on_failure_assessed(SimTime::ZERO, &link_estimate(1.0, true)));
-        assert_eq!(b.trips(), 0);
     }
 
     #[test]

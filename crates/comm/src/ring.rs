@@ -1,15 +1,16 @@
 //! Fixed-capacity event ring.
 //!
-//! The fabric keeps one [`SpscRing`] per bus for its in-flight `TxDone`
-//! events: power-of-two arrays of `(time, seq, slot)` triples with plain
-//! `usize` head and tail cursors. The ring is owned by the fabric's
-//! single-threaded event loop, so push and pop take `&mut self` and need no
-//! synchronization; determinism comes from the loop's `(time, seq)` order,
-//! not from the queue.
+//! Power-of-two arrays of `(time, seq, slot)` triples with plain `usize`
+//! head and tail cursors; push and pop take `&mut self` and need no
+//! synchronization. A full ring never blocks and never drops:
+//! [`SpscRing::try_push`] returns `false` and leaves the caller to hold
+//! the entry elsewhere.
 //!
-//! A full ring never blocks and never drops: [`SpscRing::try_push`]
-//! returns `false` and the fabric spills the event to its binary-heap
-//! overflow path, preserving ordering and conservation invariants.
+//! The fabric no longer uses this ring: a bus has at most one `TxDone` in
+//! flight, and it rides the bus's poll slot (see [`crate::fabric`]). The
+//! ring stays because the `dynbench` `adas_cycle` workload replays a
+//! push/pop per segment `TxDone` through it as its `comm.ring` layer;
+//! removing it is a change to that benchmark.
 
 use dynplat_common::time::SimTime;
 
@@ -73,7 +74,7 @@ impl SpscRing {
     }
 
     /// Appends an entry. Returns `false` (without writing anything) when
-    /// the ring is full — the caller must take its spill path.
+    /// the ring is full — the caller must hold the entry elsewhere.
     pub fn try_push(&mut self, entry: RingEntry) -> bool {
         if self.len() > self.mask {
             return false;

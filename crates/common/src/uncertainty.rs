@@ -1,14 +1,13 @@
 //! The shared vocabulary of uncertainty-aware adaptation.
 //!
 //! The paper's title promises uncertainty *management*, which needs more
-//! than point signals: every adaptation consumer (degradation ladder,
-//! redundancy supervision, circuit breakers) must be able to ask not "what
-//! is the value?" but "how sure are we, and how likely is a boundary
-//! violation?". [`UncertaintyEstimate`] is the answer type the estimators
-//! in `dynplat-monitor` produce and the robustness substrate consumes. It
-//! lives here, in the foundation crate, so `dynplat-comm` (which the
-//! monitor crate cannot depend on) can gate its circuit breakers on the
-//! same distribution the ladder sees.
+//! than point signals: an adaptation consumer (the degradation ladder,
+//! the SLO burn gate) must be able to ask not "what is the value?" but
+//! "how sure are we, and how likely is a boundary violation?".
+//! [`UncertaintyEstimate`] is the answer type the estimators in
+//! `dynplat-monitor` produce and those consumers read. It lives here, in
+//! the foundation crate, as plain data that any layer can pass around
+//! without depending on the estimators.
 
 use crate::time::SimTime;
 
@@ -56,20 +55,9 @@ impl UncertaintyEstimate {
         }
     }
 
-    /// Upper edge of the confidence band — the conservative reading a
-    /// safety consumer should assume for a "badness" signal.
-    pub fn upper(&self) -> f64 {
-        self.mean + self.band
-    }
-
-    /// Lower edge of the confidence band.
-    pub fn lower(&self) -> f64 {
-        self.mean - self.band
-    }
-
     /// `true` once the estimate is converged *and* its exceedance
     /// probability clears `gate` — the standard trip condition shared by
-    /// the ladder, failover and breaker consumers.
+    /// the degradation ladder and the SLO burn gate.
     ///
     /// # Panics
     ///
@@ -104,8 +92,6 @@ mod tests {
             samples: 50,
             converged: true,
         };
-        assert!((e.upper() - 0.5).abs() < 1e-12);
-        assert!((e.lower() - 0.3).abs() < 1e-12);
         assert!(e.exceeds_with_confidence(0.95));
         assert!(!e.exceeds_with_confidence(0.99));
     }

@@ -13,7 +13,7 @@
 //! metric of experiment E6.
 
 use dynplat_common::time::{SimDuration, SimTime};
-use dynplat_common::{AppId, EcuId, InstanceId, UncertaintyEstimate};
+use dynplat_common::{AppId, EcuId, InstanceId};
 use dynplat_obs::{FlightRecorder, TraceCtx};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -258,60 +258,6 @@ impl RedundancyGroup {
         self.promote_next(now, master_lost_at)
     }
 
-    /// Supervision tick driven by a link-loss *distribution* instead of a
-    /// fixed miss count. With per-heartbeat loss probability `q` — the
-    /// **upper** edge of `link_loss`'s confidence band, so warm-up widening
-    /// makes supervision slower to condemn, never faster — `k` consecutive
-    /// missed heartbeats are all explained by the link with probability
-    /// `q^k`. A replica is declared dead once `1 − q^k ≥ gate`: on a clean
-    /// link a single miss is damning and failover beats the fixed-count
-    /// rule; on a lossy link the group demands more silence, suppressing
-    /// the false failovers the fixed count would perform. Falls back to
-    /// [`RedundancyGroup::supervise`] while the estimate is unconverged.
-    ///
-    /// # Errors
-    ///
-    /// [`RedundancyError::AllReplicasFailed`] when nothing is left to
-    /// promote.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `gate` is in `(0, 1)`.
-    pub fn supervise_confident(
-        &mut self,
-        now: SimTime,
-        link_loss: &UncertaintyEstimate,
-        gate: f64,
-    ) -> Result<Option<InstanceId>, RedundancyError> {
-        assert!(gate > 0.0 && gate < 1.0, "confidence gate in (0, 1)");
-        if !link_loss.converged {
-            return self.supervise(now);
-        }
-        let q = link_loss.upper().clamp(0.0, 1.0 - 1e-9);
-        let mut master_lost_at: Option<SimTime> = None;
-        for r in self.replicas.values_mut() {
-            if r.role == Role::Failed {
-                continue;
-            }
-            let silence = now.saturating_since(r.last_heartbeat);
-            let missed = (silence.as_nanos() / self.heartbeat_period.as_nanos()) as u32;
-            if missed == 0 {
-                continue;
-            }
-            let p_dead = 1.0 - q.powi(missed as i32);
-            if p_dead >= gate {
-                if r.role == Role::Master {
-                    master_lost_at = Some(r.last_heartbeat);
-                }
-                r.role = Role::Failed;
-            }
-        }
-        if self.master().is_some() {
-            return Ok(None);
-        }
-        self.promote_next(now, master_lost_at)
-    }
-
     /// Promotes the lowest-id healthy slave (deterministic choice),
     /// charging the output gap from `master_lost_at` when known.
     fn promote_next(
@@ -484,76 +430,6 @@ mod tests {
         assert_eq!(dumps.len(), 1);
         assert_eq!(dumps[0].reason, "failover: app app1 -> inst1");
         assert_eq!(dumps[0].events[0].stage, "core.redundancy");
-    }
-
-    fn loss_estimate(at: SimTime, loss: f64, band: f64, converged: bool) -> UncertaintyEstimate {
-        UncertaintyEstimate {
-            at,
-            mean: loss,
-            sigma: band / 2.0,
-            band,
-            exceed: 0.0,
-            samples: if converged { 50 } else { 2 },
-            converged,
-        }
-    }
-
-    #[test]
-    fn clean_link_fails_over_after_a_single_miss() {
-        let mut g = group_with_replicas(2);
-        // Confidently near-lossless link: one missed beat ≈ certain death.
-        // The fixed-count rule (2 tolerated misses) would still be waiting.
-        let est = loss_estimate(t(11), 0.01, 0.02, true);
-        g.heartbeat(t(11), InstanceId(1)).unwrap();
-        let promoted = g.supervise_confident(t(11), &est, 0.95).unwrap();
-        assert_eq!(promoted, Some(InstanceId(1)));
-        assert_eq!(g.failovers(), 1);
-    }
-
-    #[test]
-    fn lossy_link_demands_more_silence_than_the_fixed_count() {
-        let mut g = group_with_replicas(2);
-        // Loss upper edge 0.5: two missed beats leave P(dead) = 0.75 < gate,
-        // where the fixed-count rule would already have condemned the
-        // master. Five misses push P(dead) past 0.95.
-        let est = |at| loss_estimate(at, 0.4, 0.1, true);
-        for step in 1..=4u64 {
-            let now = t(step * 10 + 1);
-            g.heartbeat(now, InstanceId(1)).unwrap();
-            assert_eq!(
-                g.supervise_confident(now, &est(now), 0.95).unwrap(),
-                None,
-                "silence not yet conclusive at {now}"
-            );
-            assert_eq!(g.role_of(InstanceId(0)), Some(Role::Master));
-        }
-        let now = t(51);
-        g.heartbeat(now, InstanceId(1)).unwrap();
-        assert_eq!(
-            g.supervise_confident(now, &est(now), 0.95).unwrap(),
-            Some(InstanceId(1))
-        );
-    }
-
-    #[test]
-    fn unconverged_estimate_falls_back_to_fixed_count() {
-        let mut g = group_with_replicas(2);
-        let est = loss_estimate(t(31), 0.0, 1.0, false);
-        g.heartbeat(t(31), InstanceId(1)).unwrap();
-        // 3 periods of silence > 2 tolerated misses: the fixed-count
-        // fallback fires exactly as `supervise` would.
-        assert_eq!(
-            g.supervise_confident(t(31), &est, 0.95).unwrap(),
-            Some(InstanceId(1))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "confidence gate in (0, 1)")]
-    fn confident_supervision_rejects_degenerate_gates() {
-        let mut g = group_with_replicas(2);
-        let est = loss_estimate(t(0), 0.0, 0.0, true);
-        let _ = g.supervise_confident(t(0), &est, 1.0);
     }
 
     #[test]
