@@ -41,6 +41,13 @@ for example in examples/*.rs; do
   cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
 done
 
+echo "==> fig2 interference report (cmp against the pinned bytes)"
+# E2's table carries no wall-clock column, so its bytes pin the scheduler
+# simulator's outputs under all four policies end to end.
+cargo run --release -q -p dynplat-bench -- fig2_interference \
+  >"$SMOKE_TMP/fig2_interference.txt"
+cmp "$SMOKE_TMP/fig2_interference.txt" scripts/reference/fig2_interference.txt
+
 echo "==> e13 detection-latency smoke (tiny horizon)"
 cargo run --release -p dynplat-bench -- e13_detection_latency \
   --horizon-ms 3000 --dump FLIGHT_e13.json >/dev/null

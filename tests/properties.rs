@@ -8,9 +8,10 @@ use dynplat::common::codec::{ByteReader, ByteWriter};
 use dynplat::common::rng::{seeded_rng, split_seed, Rng, SplitMix64};
 use dynplat::common::time::{SimDuration, SimTime};
 use dynplat::common::value::{DataType, Value};
-use dynplat::common::{AppId, MessageId, MethodId, ServiceId, TaskId};
+use dynplat::common::{AppId, AppKind, MessageId, MethodId, ServiceId, TaskId};
 use dynplat::net::can::{can_frame_time, CanAnalysis, CanArbiter, CanMessageSpec};
 use dynplat::net::{simulate, Frame, TxEvent};
+use dynplat::obs::TraceCtx;
 use dynplat::sched::admission::{AdmissionController, AdmissionTest};
 use dynplat::sched::server::PeriodicServer;
 use dynplat::sched::simulate::{simulate_schedule, Policy, SchedSimConfig, Simulator};
@@ -382,7 +383,7 @@ fn reused_simulator_matches_one_shot_runs() {
             policies.push(Policy::TimeTriggered(schedule));
         }
         for policy in &policies {
-            let fresh = simulate_schedule(&set, policy, &cfg);
+            let fresh = Simulator::new().run(&set, policy, &cfg).clone();
             assert_eq!(
                 sim.run(&set, policy, &cfg),
                 &fresh,
@@ -396,6 +397,232 @@ fn reused_simulator_matches_one_shot_runs() {
                     "case {case}"
                 );
                 assert!(stats.completions <= stats.activations, "case {case}");
+            }
+        }
+    }
+}
+
+/// The policy `policy` stands for on `set`: a time-triggered schedule is
+/// re-synthesized for `set`'s deterministic tasks (fixed priority when
+/// there are none or they do not synthesize); every other policy is taken
+/// as is.
+fn policy_on(policy: &Policy, set: &TaskSet) -> Policy {
+    match policy {
+        Policy::TimeTriggered(_) => {
+            let da: TaskSet = set.deterministic().cloned().collect();
+            match tt::synthesize(&da) {
+                Ok(schedule) if !da.is_empty() => Policy::TimeTriggered(schedule),
+                _ => Policy::FixedPriorityPreemptive,
+            }
+        }
+        other => other.clone(),
+    }
+}
+
+/// `set` with task `idx` replaced by `edit` of it.
+fn with_task(set: &TaskSet, idx: usize, edit: impl Fn(&mut TaskSpec)) -> TaskSet {
+    let mut tasks = set.tasks().to_vec();
+    edit(&mut tasks[idx]);
+    tasks.into_iter().collect()
+}
+
+#[test]
+fn reused_simulator_regenerates_exactly_when_a_generation_input_changes() {
+    // One simulator alternates between a base run and a run that differs
+    // in exactly one input. Changes to what the job generator reads
+    // (seed, horizon, bcet_frac, exec_sigma, a task's offset, period,
+    // deadline or WCET, the task list) must redraw the store; changes to
+    // what it does not read (priority, kind, trace context, policy) may
+    // reuse it. Either way every run equals a fresh simulator's.
+    let mut sim = Simulator::new();
+    for case in 0..CASES {
+        let mut rng = case_rng(16, case);
+        let mut base = rand_task_set(&mut rng, 5);
+        if rng.gen_bool(0.5) {
+            let t = &base.tasks()[0];
+            let nda = TaskSpec::periodic(TaskId(100), "nda", t.period, t.wcet).non_deterministic();
+            base.push(nda);
+        }
+        let base_cfg = SchedSimConfig {
+            horizon: SimDuration::from_nanos(rng.gen_range(1_000_000..100_000_000)),
+            seed: rng.gen(),
+            ..SchedSimConfig::default()
+        };
+        let base_policy = match case % 4 {
+            0 => Policy::NonPreemptiveFifo,
+            1 => Policy::FixedPriorityPreemptive,
+            2 => Policy::FpWithServer(PeriodicServer::new(
+                SimDuration::from_millis(2),
+                SimDuration::from_millis(5),
+            )),
+            _ => policy_on(&Policy::TimeTriggered(Default::default()), &base),
+        };
+        let n = base.len();
+        let idx = rng.gen_range(0..n);
+        let ms = SimDuration::from_millis;
+        let extra = TaskSpec::periodic(TaskId(200), "extra", ms(4), ms(1));
+        let mut variants: Vec<(&str, TaskSet, SchedSimConfig)> = vec![
+            (
+                "seed",
+                base.clone(),
+                SchedSimConfig {
+                    seed: base_cfg.seed ^ 1,
+                    ..base_cfg.clone()
+                },
+            ),
+            (
+                "horizon",
+                base.clone(),
+                SchedSimConfig {
+                    horizon: base_cfg.horizon + ms(32),
+                    ..base_cfg.clone()
+                },
+            ),
+            (
+                "bcet_frac",
+                base.clone(),
+                SchedSimConfig {
+                    bcet_frac: 0.4,
+                    ..base_cfg.clone()
+                },
+            ),
+            (
+                "exec_sigma",
+                base.clone(),
+                SchedSimConfig {
+                    exec_sigma: 0.3,
+                    ..base_cfg.clone()
+                },
+            ),
+            (
+                "offset",
+                with_task(&base, idx, |t| t.offset += ms(1)),
+                base_cfg.clone(),
+            ),
+            (
+                "period",
+                with_task(&base, idx, |t| t.period = t.period * 2),
+                base_cfg.clone(),
+            ),
+            (
+                "deadline",
+                with_task(&base, idx, |t| {
+                    t.deadline = if t.deadline == t.wcet {
+                        t.period
+                    } else {
+                        t.wcet
+                    }
+                }),
+                base_cfg.clone(),
+            ),
+            (
+                "wcet",
+                with_task(&base, idx, |t| t.wcet += SimDuration::from_micros(250)),
+                base_cfg.clone(),
+            ),
+            (
+                "task added",
+                base.tasks().iter().cloned().chain([extra]).collect(),
+                base_cfg.clone(),
+            ),
+            (
+                "task reordered",
+                base.tasks()[idx..]
+                    .iter()
+                    .chain(&base.tasks()[..idx])
+                    .rev()
+                    .cloned()
+                    .collect(),
+                base_cfg.clone(),
+            ),
+            (
+                "priority",
+                with_task(&base, idx, |t| t.priority = t.priority.wrapping_add(7)),
+                base_cfg.clone(),
+            ),
+            (
+                "kind",
+                with_task(&base, idx, |t| {
+                    t.kind = match t.kind {
+                        AppKind::Deterministic => AppKind::NonDeterministic,
+                        AppKind::NonDeterministic => AppKind::Deterministic,
+                    }
+                }),
+                base_cfg.clone(),
+            ),
+            (
+                "trace",
+                base.clone(),
+                SchedSimConfig {
+                    trace: TraceCtx::root(case + 1),
+                    ..base_cfg.clone()
+                },
+            ),
+        ];
+        if n > 1 {
+            let mut removed = base.clone();
+            removed.remove(base.tasks()[idx].id);
+            variants.push(("task removed", removed, base_cfg.clone()));
+        }
+        let mut steps: Vec<(&str, TaskSet, SchedSimConfig, Policy)> = Vec::new();
+        for (what, set, cfg) in variants {
+            steps.push(("base", base.clone(), base_cfg.clone(), base_policy.clone()));
+            let policy = policy_on(&base_policy, &set);
+            steps.push((what, set, cfg, policy));
+        }
+        for policy in [Policy::NonPreemptiveFifo, Policy::FixedPriorityPreemptive] {
+            steps.push(("base", base.clone(), base_cfg.clone(), base_policy.clone()));
+            steps.push(("policy", base.clone(), base_cfg.clone(), policy));
+        }
+        for (what, set, cfg, policy) in &steps {
+            let fresh = Simulator::new().run(set, policy, cfg).clone();
+            assert_eq!(
+                sim.run(set, policy, cfg),
+                &fresh,
+                "case {case}: {what} changed"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_panicking_run_leaves_the_per_thread_simulator_usable() {
+    // Time-triggered schedules that do not fit the set panic inside
+    // `simulate_schedule` after the job store was drawn: one misses a
+    // deterministic task (caught before any job runs), the other also
+    // slots a task the set lacks (caught after earlier slots completed
+    // jobs). The next call on the thread must neither find the simulator
+    // still borrowed nor reuse anything the panicking run left behind.
+    let ms = SimDuration::from_millis;
+    let a = TaskSpec::periodic(TaskId(1), "a", ms(10), ms(2));
+    let b = TaskSpec::periodic(TaskId(2), "b", ms(20), ms(3));
+    let foreign = TaskSpec::periodic(TaskId(3), "c", ms(40), ms(1));
+    let only_b: TaskSet = [b.clone()].into_iter().collect();
+    let da: TaskSet = [a, b].into_iter().collect();
+    let superset: TaskSet = da.tasks().iter().cloned().chain([foreign]).collect();
+    let mut set = da.clone();
+    set.push(TaskSpec::periodic(TaskId(50), "nda", ms(40), ms(9)).non_deterministic());
+    let cfg = SchedSimConfig {
+        horizon: ms(200),
+        ..SchedSimConfig::default()
+    };
+    let synth = |s: &TaskSet| Policy::TimeTriggered(tt::synthesize(s).expect("synthesizes"));
+    for bad in [synth(&only_b), synth(&superset)] {
+        for policy in [
+            Policy::FixedPriorityPreemptive,
+            Policy::NonPreemptiveFifo,
+            synth(&da),
+        ] {
+            // Warm the per-thread simulator on the inputs that panic next.
+            simulate_schedule(&set, &policy, &cfg);
+            let panicked = std::panic::catch_unwind(|| simulate_schedule(&set, &bad, &cfg));
+            assert!(panicked.is_err(), "a schedule that does not fit must panic");
+            for (set, policy) in [(&set, &policy), (&da, &Policy::FixedPriorityPreemptive)] {
+                assert_eq!(
+                    simulate_schedule(set, policy, &cfg),
+                    Simulator::new().run(set, policy, &cfg).clone(),
+                    "{policy:?}"
+                );
             }
         }
     }
