@@ -25,14 +25,14 @@
 //! (descents charged to clean windows, per clean window) and the detection
 //! latency (fault onset to the first window whose trip condition fires).
 
-use crate::chaos::{run_campaign_traced, sweep_plan, CampaignConfig};
+use crate::chaos::{run_campaign_traced, sweep_plan, CampaignConfig, WINDOW};
 use crate::detect::{offset, onset};
 use crate::Table;
 use dynplat_comm::retry::RetryPolicy;
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::BusId;
-use dynplat_core::degradation::{DegradationManager, UncertaintyGates};
-use dynplat_monitor::uncertainty::{BoundaryConfig, BoundaryEstimator};
+use dynplat_core::degradation::{DegradationManager, DEGRADED_THRESHOLD, TRIP_CONFIDENCE};
+use dynplat_monitor::uncertainty::BoundaryEstimator;
 
 /// One background-noise level of the E14 sweep.
 #[derive(Clone, Copy, Debug)]
@@ -209,12 +209,10 @@ pub fn run_point(seed: u64, noise: NoisePoint, horizon: SimDuration) -> Adaptati
     cfg.horizon = horizon;
     let outcome = run_campaign_traced(&cfg, None);
 
-    let window = cfg.window;
-    let boundary = cfg.degradation.degraded_threshold;
-    let gates = UncertaintyGates::default();
+    let boundary = DEGRADED_THRESHOLD;
     // A window is inside the fault span if its (exclusive-start, inclusive-
     // end] span intersects [from, until).
-    let faulty = |w_end: SimTime| w_end > from && w_end - window < until;
+    let faulty = |w_end: SimTime| w_end > from && w_end - WINDOW < until;
 
     let mut clean_windows = 0u64;
     let mut clean_pressure = 0.0;
@@ -226,7 +224,7 @@ pub fn run_point(seed: u64, noise: NoisePoint, horizon: SimDuration) -> Adaptati
     }
 
     // Threshold mode: the ladder as E12 runs it.
-    let mut thr_ladder = DegradationManager::new(cfg.degradation);
+    let mut thr_ladder = DegradationManager::new();
     let mut thr = ModeStats {
         descents: 0,
         false_descents: 0,
@@ -250,8 +248,8 @@ pub fn run_point(seed: u64, noise: NoisePoint, horizon: SimDuration) -> Adaptati
 
     // Uncertainty mode: same series, same ladder parameters, but the
     // estimator sits between the signal and the ladder.
-    let mut unc_ladder = DegradationManager::new(cfg.degradation);
-    let mut estimator = BoundaryEstimator::new(BoundaryConfig::for_boundary(boundary));
+    let mut unc_ladder = DegradationManager::new();
+    let mut estimator = BoundaryEstimator::new(boundary);
     let mut unc = ModeStats {
         descents: 0,
         false_descents: 0,
@@ -262,11 +260,11 @@ pub fn run_point(seed: u64, noise: NoisePoint, horizon: SimDuration) -> Adaptati
         let est = estimator.ingest(w_end, p);
         if faulty(w_end)
             && unc.detection_latency.is_none()
-            && est.exceeds_with_confidence(gates.trip_confidence)
+            && est.exceeds_with_confidence(TRIP_CONFIDENCE)
         {
             unc.detection_latency = Some(w_end.saturating_since(from));
         }
-        if let Some(level) = unc_ladder.observe_estimate(w_end, &est, &gates) {
+        if let Some(level) = unc_ladder.observe_estimate(w_end, &est) {
             if level > prev {
                 unc.descents += 1;
                 if !faulty(w_end) {

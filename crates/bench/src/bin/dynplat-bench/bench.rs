@@ -24,16 +24,21 @@
 //! 802.1Qbv gate arbitration sits on its path. Its rate is reported as the
 //! ungated `bench.net.tsn_ops_per_sec` and kept out of
 //! `bench.comm.deliver_ops_per_sec`; it is held to the same
-//! delivered == sent check.
+//! delivered == sent check. A fifth runs the same kind of stream over a
+//! FlexRay channel (`BusPort::default_for(BusKind::flexray_10m())`): 2 KiB
+//! frames of 9 segments each contend for the dynamic segment, held to the
+//! same check.
 //!
 //! On a single-thread run the scenario also counts heap allocations made
-//! inside the comm, TSN and sched phases' steady-state loops (after a
-//! warmup batch that fills every scratch buffer to its high-water mark) via
-//! a counting global allocator, and emits `bench.comm.allocs_per_delivery`,
-//! `bench.net.tsn_allocs_per_frame` and `bench.sched.allocs_per_dispatch`.
-//! With `--check` the gate fails if any of them is non-zero: the fabric's
-//! deliver path, TSN gate arbitration and a reused scheduler simulator are
-//! required to be allocation-free once warmed.
+//! inside the comm, TSN, FlexRay and sched phases' steady-state loops
+//! (after a warmup batch that fills every scratch buffer to its high-water
+//! mark) via a counting global allocator, and emits
+//! `bench.comm.allocs_per_delivery`, `bench.net.tsn_allocs_per_frame`,
+//! `bench.net.flexray_allocs_per_frame` and
+//! `bench.sched.allocs_per_dispatch`. With `--check` the gate fails if any
+//! of them is non-zero: the fabric's deliver path, TSN gate and FlexRay
+//! arbitration and a reused scheduler simulator are required to be
+//! allocation-free once warmed.
 
 use crate::{alloc_gate, Flags, Outcome};
 use dynplat_bench::Table;
@@ -303,6 +308,16 @@ fn run_tsn_phase(budget: std::time::Duration) -> ([u64; 2], std::time::Duration)
     stream_batches(fabric, &spec, budget)
 }
 
+/// FlexRay stream: 2 KiB frames (9 segments each) through the dynamic
+/// segment of a FlexRay channel on the backbone. Returns
+/// `([sent, delivered], elapsed)`.
+fn run_flexray_phase(budget: std::time::Duration) -> ([u64; 2], std::time::Duration) {
+    let spec = stream_spec(20, SimDuration::from_millis(20), 2 * 1024);
+    let mut fabric = Fabric::new(four_ecu_ethernet());
+    fabric.set_port(BusId(0), BusPort::default_for(BusKind::flexray_10m()));
+    stream_batches(fabric, &spec, budget)
+}
+
 /// A 24-ECU gateway mesh: six CAN/Ethernet leaf segments bridged onto an
 /// Ethernet backbone — routes of one to three hops.
 fn gateway_mesh() -> HwTopology {
@@ -452,6 +467,8 @@ pub fn run(flags: &Flags) -> Outcome {
     let sched_allocs = alloc_gate::total() - comm_allocs;
     let (tsn, tsn_elapsed) = contended(threads, budget, run_tsn_phase);
     let tsn_allocs = alloc_gate::total() - comm_allocs - sched_allocs;
+    let (flexray, flexray_elapsed) = contended(threads, budget, run_flexray_phase);
+    let flexray_allocs = alloc_gate::total() - comm_allocs - sched_allocs - tsn_allocs;
 
     let deliver_ops = event[1] + rpc[1] + stream[1];
     let comm_elapsed = event_elapsed + rpc_elapsed + stream_elapsed;
@@ -492,6 +509,7 @@ pub fn run(flags: &Flags) -> Outcome {
         ("rpc.complete", rpc, rpc_elapsed),
         ("stream.deliver", stream, stream_elapsed),
         ("tsn.stream.deliver", tsn, tsn_elapsed),
+        ("flexray.stream.deliver", flexray, flexray_elapsed),
     ] {
         let ops = ops_per_sec(delivered, elapsed);
         eprintln!("bench: phase {name}: {ops} ops/s");
@@ -514,6 +532,7 @@ pub fn run(flags: &Flags) -> Outcome {
     let allocs_per_delivery = per_op(comm_allocs, deliver_ops);
     let allocs_per_dispatch = per_op(sched_allocs, dispatch_completions);
     let tsn_allocs_per_frame = per_op(tsn_allocs, tsn[1]);
+    let flexray_allocs_per_frame = per_op(flexray_allocs, flexray[1]);
     registry
         .gauge("bench.comm.steady_allocs")
         .set(comm_allocs as i64);
@@ -529,12 +548,16 @@ pub fn run(flags: &Flags) -> Outcome {
     registry
         .gauge("bench.net.tsn_allocs_per_frame")
         .set(tsn_allocs_per_frame);
+    registry
+        .gauge("bench.net.flexray_allocs_per_frame")
+        .set(flexray_allocs_per_frame);
     if threads == 1 {
         eprintln!(
             "bench: steady-state heap allocations: {comm_allocs} across {deliver_ops} deliveries, \
              {tsn_allocs} across {} TSN stream frames, \
+             {flexray_allocs} across {} FlexRay stream frames, \
              {sched_allocs} across {dispatch_completions} dispatches",
-            tsn[1]
+            tsn[1], flexray[1]
         );
     }
 
@@ -608,6 +631,14 @@ pub fn run(flags: &Flags) -> Outcome {
                 "bench: ALLOCATION REGRESSION: {tsn_allocs} heap allocations in the \
                  steady-state TSN stream loop (expected 0; {} frames)",
                 tsn[1]
+            );
+            return Ok(ExitCode::FAILURE);
+        }
+        if threads == 1 && flexray_allocs_per_frame > 0 {
+            eprintln!(
+                "bench: ALLOCATION REGRESSION: {flexray_allocs} heap allocations in the \
+                 steady-state FlexRay stream loop (expected 0; {} frames)",
+                flexray[1]
             );
             return Ok(ExitCode::FAILURE);
         }

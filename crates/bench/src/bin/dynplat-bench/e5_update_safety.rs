@@ -13,9 +13,7 @@ use dynplat_common::jitter::ClockModel;
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{AppId, AppKind, Asil, EcuId};
 use dynplat_core::app::AppManifest;
-use dynplat_core::update::{
-    centralized_switch_update, staged_update, stop_restart_update, StagedParams, StopRestartParams,
-};
+use dynplat_core::update::{centralized_switch_update, staged_update, stop_restart_update};
 use dynplat_core::DynamicPlatform;
 use dynplat_fleet::UpdateMaster;
 use dynplat_hw::ecu::{EcuClass, EcuSpec};
@@ -71,7 +69,6 @@ pub fn run() {
             EcuId(1),
             manifest(Version::new(1, 1, 0)),
             state_kib,
-            &StagedParams::default(),
         )
         .expect("staged update");
         let mut p2 = fresh_platform();
@@ -80,7 +77,6 @@ pub fn run() {
             SimTime::from_secs(1),
             EcuId(1),
             manifest(Version::new(1, 1, 0)),
-            &StopRestartParams::default(),
         )
         .expect("stop-restart update");
         table.row(&[

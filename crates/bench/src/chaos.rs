@@ -23,7 +23,7 @@ use dynplat_common::ids::ServiceInstance;
 use dynplat_common::rng::split_seed;
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{AppKind, Asil, BusId, DegradationLevel, EcuId, ServiceId, TaskId, VehicleId};
-use dynplat_core::degradation::{DegradationConfig, DegradationManager};
+use dynplat_core::degradation::DegradationManager;
 use dynplat_faults::{ChaosFabric, FaultPlan, InjectedFault};
 use dynplat_hw::ecu::{EcuClass, EcuSpec};
 use dynplat_hw::topology::{BusKind, BusSpec, HwTopology};
@@ -41,6 +41,16 @@ pub const SERVICE: ServiceId = ServiceId(10);
 const PAYLOAD: usize = 64;
 /// Server-side processing time between request arrival and response send.
 const SERVER_PROC: SimDuration = SimDuration::from_micros(200);
+/// Request period of every client.
+const PERIOD: SimDuration = SimDuration::from_millis(50);
+/// Round deadline, measured from the round's first attempt.
+const DEADLINE: SimDuration = SimDuration::from_millis(40);
+/// Accounting/degradation window.
+pub const WINDOW: SimDuration = SimDuration::from_millis(250);
+/// Number of QM clients riding along with the ASIL-D control loop.
+const NDA_CLIENTS: u64 = 3;
+/// Breaker open-state cooldown.
+const BREAKER_COOLDOWN: SimDuration = SimDuration::from_millis(100);
 
 /// One chaos-campaign configuration.
 #[derive(Clone, Debug)]
@@ -56,31 +66,14 @@ pub struct CampaignConfig {
     pub policy_name: &'static str,
     /// Campaign length.
     pub horizon: SimDuration,
-    /// Request period of every client.
-    pub period: SimDuration,
-    /// Round deadline, measured from the round's first attempt.
-    pub deadline: SimDuration,
-    /// Accounting/degradation window.
-    pub window: SimDuration,
-    /// Number of QM clients riding along with the ASIL-D control loop.
-    pub nda_clients: u64,
-    /// Degradation-ladder thresholds.
-    pub degradation: DegradationConfig,
     /// Consecutive DA round failures before the breaker trips.
     pub breaker_threshold: u32,
-    /// Breaker open-state cooldown.
-    pub breaker_cooldown: SimDuration,
-    /// When a breaker trip finds no alternate provider, keep the breaker
-    /// *open* instead of resetting it: DA rounds stop transmitting until
-    /// the cool-down admits a half-open probe, exercising the full
-    /// Open → HalfOpen → Closed recovery cycle. Off by default (legacy
-    /// behavior: reset and keep hammering).
-    pub hold_breaker_when_isolated: bool,
 }
 
 impl CampaignConfig {
-    /// A campaign with the default workload shape: 6 s horizon, 50 ms
-    /// period, 40 ms deadline, 250 ms windows, 3 QM clients.
+    /// A campaign with a 6 s horizon and a 3-failure breaker; every
+    /// campaign runs 50 ms periods, 40 ms deadlines, 250 ms windows and 3
+    /// QM clients.
     pub fn new(seed: u64, plan: FaultPlan, policy: RetryPolicy, policy_name: &'static str) -> Self {
         CampaignConfig {
             seed,
@@ -88,14 +81,7 @@ impl CampaignConfig {
             policy,
             policy_name,
             horizon: SimDuration::from_secs(6),
-            period: SimDuration::from_millis(50),
-            deadline: SimDuration::from_millis(40),
-            window: SimDuration::from_millis(250),
-            nda_clients: 3,
-            degradation: DegradationConfig::default(),
             breaker_threshold: 3,
-            breaker_cooldown: SimDuration::from_millis(100),
-            hold_breaker_when_isolated: false,
         }
     }
 }
@@ -273,8 +259,6 @@ pub struct CampaignOutcome {
     /// exact series the ladder observed, and the raw material the E14
     /// threshold-vs-uncertainty comparison replays.
     pub pressures: Vec<(SimTime, f64)>,
-    /// Half-open probes the DA breaker admitted over the campaign.
-    pub breaker_probes: u64,
 }
 
 /// Runs one campaign to completion.
@@ -339,7 +323,7 @@ pub fn run_campaign_traced(
         class: TrafficClass::Critical,
         priority: 0,
     }];
-    for i in 0..cfg.nda_clients {
+    for i in 0..NDA_CLIENTS {
         apps.push(ClientApp {
             idx: 1 + i,
             host: EcuId(1),
@@ -355,8 +339,8 @@ pub fn run_campaign_traced(
         .map(|a| (a.idx, (a.host, a.class, a.priority)))
         .collect();
 
-    let mut breaker = CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown);
-    let mut ladder = DegradationManager::new(cfg.degradation);
+    let mut breaker = CircuitBreaker::new(cfg.breaker_threshold, BREAKER_COOLDOWN);
+    let mut ladder = DegradationManager::new();
     let mut detected = FaultRecorder::new(8192);
     if let Some(fr) = &flight {
         detected = detected.with_flight(fr.clone());
@@ -364,7 +348,7 @@ pub fn run_campaign_traced(
     }
     // Watches the DA round-trip time for trends; missed rounds are
     // ingested as the full deadline (the worst the client can observe).
-    let mut drift = DriftDetector::for_bound(cfg.deadline.as_nanos() as f64);
+    let mut drift = DriftDetector::for_bound(DEADLINE.as_nanos() as f64);
     let mut drift_verdicts: Vec<(SimTime, DriftVerdict)> = Vec::new();
 
     let mut summary = CampaignSummary {
@@ -387,39 +371,28 @@ pub fn run_campaign_traced(
     };
     let mut streak_start: Option<SimTime> = None;
     let mut pressures: Vec<(SimTime, f64)> = Vec::new();
-    // The breaker object is replaced on rebind/reset; accumulate its
-    // half-open probe count across generations.
-    let mut breaker_probes = 0u64;
 
-    let rounds_total = cfg.horizon / cfg.period;
-    let windows = cfg.horizon.as_nanos().div_ceil(cfg.window.as_nanos());
+    let rounds_total = cfg.horizon / PERIOD;
+    let windows = cfg.horizon.as_nanos().div_ceil(WINDOW.as_nanos());
     let mut next_round = 0u64;
 
     for w in 0..windows {
-        let w_end = SimTime::ZERO + cfg.window * (w + 1);
+        let w_end = SimTime::ZERO + WINDOW * (w + 1);
         // Plan this window's rounds under the level in force at its start.
         let mut sends = Vec::new();
         // (round, app) -> (round deadline, is_da); chronological order.
         let mut rounds: BTreeMap<(u64, u64), (SimTime, bool)> = BTreeMap::new();
         let mut attempt_deadline: BTreeMap<u64, SimTime> = BTreeMap::new();
-        while next_round < rounds_total && SimTime::ZERO + cfg.period * next_round < w_end {
+        while next_round < rounds_total && SimTime::ZERO + PERIOD * next_round < w_end {
             let r = next_round;
             next_round += 1;
             for app in &apps {
                 // Stagger clients so their attempts don't collide exactly.
-                let t0 = SimTime::ZERO + cfg.period * r + SimDuration::from_millis(app.idx);
+                let t0 = SimTime::ZERO + PERIOD * r + SimDuration::from_millis(app.idx);
                 let is_da = app.kind.is_deterministic();
                 if !ladder.admits(app.kind, app.asil) {
                     summary.nda_shed += 1;
                     summary.nda_rounds += 1;
-                    continue;
-                }
-                if is_da && cfg.hold_breaker_when_isolated && !breaker.allows(t0) {
-                    // Circuit open with nowhere to fail over: the round is
-                    // still planned (and will be charged as a miss) but
-                    // nothing is transmitted until the cool-down admits a
-                    // half-open probe.
-                    rounds.insert((r, app.idx), (t0 + cfg.deadline, is_da));
                     continue;
                 }
                 let round_seed = split_seed(split_seed(cfg.seed, 0x100 + app.idx), r);
@@ -438,7 +411,7 @@ pub fn run_campaign_traced(
                     attempt_deadline.insert(id, attempt.deadline);
                     summary.attempts_sent += 1;
                 }
-                rounds.insert((r, app.idx), (t0 + cfg.deadline, is_da));
+                rounds.insert((r, app.idx), (t0 + DEADLINE, is_da));
             }
         }
 
@@ -493,10 +466,10 @@ pub fn run_campaign_traced(
             let ok = earliest.get(&(*round, *app)).is_some_and(|t| t <= deadline);
             if *is_da {
                 summary.da_rounds += 1;
-                let round_start = *deadline - cfg.deadline;
+                let round_start = *deadline - DEADLINE;
                 let (sample_at, rtt) = match earliest.get(&(*round, *app)) {
                     Some(t) if *t <= *deadline => (*t, t.saturating_since(round_start)),
-                    _ => (*deadline, cfg.deadline),
+                    _ => (*deadline, DEADLINE),
                 };
                 let verdict = drift.ingest(rtt.as_nanos() as f64);
                 if verdict != DriftVerdict::Normal {
@@ -514,7 +487,7 @@ pub fn run_campaign_traced(
                     kind: FaultKind::DeadlineMiss,
                     detail: format!("control round {round} missed"),
                 });
-                let t0 = *deadline - cfg.deadline;
+                let t0 = *deadline - DEADLINE;
                 if streak_start.is_none() {
                     streak_start = Some(t0);
                 }
@@ -540,8 +513,7 @@ pub fn run_campaign_traced(
                         bound_host = host;
                         summary.failovers += 1;
                         // Fresh provider, fresh breaker.
-                        breaker_probes += breaker.probes();
-                        breaker = CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown);
+                        breaker = CircuitBreaker::new(cfg.breaker_threshold, BREAKER_COOLDOWN);
                     } else {
                         // Nowhere to go: restore the offer and keep trying.
                         directory.apply(
@@ -553,11 +525,7 @@ pub fn run_campaign_traced(
                                 ttl: offer_ttl,
                             },
                         );
-                        if !cfg.hold_breaker_when_isolated {
-                            breaker_probes += breaker.probes();
-                            breaker =
-                                CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown);
-                        }
+                        breaker = CircuitBreaker::new(cfg.breaker_threshold, BREAKER_COOLDOWN);
                     }
                     streak_start = None;
                 }
@@ -575,7 +543,6 @@ pub fn run_campaign_traced(
         ladder.observe(w_end, pressure);
         directory.expire(w_end);
     }
-    breaker_probes += breaker.probes();
 
     summary.transitions = ladder.transitions().to_vec();
     summary.worst_level = summary
@@ -599,7 +566,6 @@ pub fn run_campaign_traced(
         injections: chaos.injector().log().to_vec(),
         drift_verdicts,
         pressures,
-        breaker_probes,
     }
 }
 

@@ -31,7 +31,7 @@ use dynplat_common::{BusId, EcuId};
 use dynplat_faults::{ChaosFabric, FaultPlan};
 use dynplat_hw::ecu::{EcuClass, EcuSpec};
 use dynplat_hw::topology::{BusKind, BusSpec, HwTopology};
-use dynplat_monitor::uncertainty::{BoundaryConfig, BoundaryEstimator};
+use dynplat_monitor::uncertainty::BoundaryEstimator;
 use dynplat_net::TrafficClass;
 use dynplat_obs::{FlightRecorder, TraceCtx};
 use std::collections::BTreeSet;
@@ -316,7 +316,7 @@ pub fn run_platoon(cfg: &PlatoonConfig, flight: Option<Arc<FlightRecorder>>) -> 
         };
         let t = apply_rule(series, &mut thr_decide, outage_span, cfg.window);
 
-        let mut estimator = BoundaryEstimator::new(BoundaryConfig::for_boundary(boundary));
+        let mut estimator = BoundaryEstimator::new(boundary);
         if let Some(fr) = &flight {
             estimator.attach_flight_recorder(fr.clone());
         }

@@ -3,11 +3,9 @@
 //! control loop degrades strictly less than the QM load at equal fault
 //! rates.
 
-use dynplat_bench::chaos::{run_campaign, run_campaign_traced, sweep_plan, CampaignConfig};
+use dynplat_bench::chaos::{run_campaign, sweep_plan, CampaignConfig};
 use dynplat_comm::retry::RetryPolicy;
-use dynplat_common::time::{SimDuration, SimTime};
-use dynplat_common::BusId;
-use dynplat_faults::FaultPlan;
+use dynplat_common::time::SimTime;
 
 const SEED: u64 = 0xE12_5EED;
 
@@ -64,60 +62,6 @@ fn da_degrades_strictly_less_than_nda_at_equal_fault_rates() {
             );
         }
     }
-}
-
-#[test]
-fn breaker_recovers_through_half_open_when_totally_isolated() {
-    // Partition BOTH buses mid-run: the primary provider dies, the
-    // failover target dies too, and with `hold_breaker_when_isolated` the
-    // breaker must ride the full Open → HalfOpen → Closed cycle — held
-    // open while isolated, probing on each cool-down expiry, closing on
-    // the first probe that crosses the healed fabric.
-    let probes_before = dynplat_obs::global()
-        .counter("comm.breaker.half_open_probes")
-        .get();
-    let from = SimTime::from_millis(1_500);
-    let until = SimTime::from_millis(3_500);
-    let plan = FaultPlan::quiet(SEED)
-        .partition(BusId(0), from, until)
-        .partition(BusId(1), from, until);
-    let mut cfg = CampaignConfig::new(SEED, plan, RetryPolicy::standard(), "standard");
-    cfg.hold_breaker_when_isolated = true;
-    let outcome = run_campaign_traced(&cfg, None);
-
-    assert!(
-        outcome.breaker_probes > 0,
-        "the held-open breaker must admit half-open probes"
-    );
-    let probes_after = dynplat_obs::global()
-        .counter("comm.breaker.half_open_probes")
-        .get();
-    assert!(
-        probes_after >= probes_before + outcome.breaker_probes,
-        "every probe must land in the comm.breaker.half_open_probes counter"
-    );
-    // The circuit closed again: after the partition heals, a successful
-    // probe restores service and fault pressure returns to zero.
-    let healed: Vec<f64> = outcome
-        .pressures
-        .iter()
-        .filter(|(w_end, _)| *w_end >= until + SimDuration::from_millis(500))
-        .map(|(_, p)| *p)
-        .collect();
-    assert!(!healed.is_empty());
-    assert!(
-        healed.iter().all(|p| *p == 0.0),
-        "post-heal windows must be loss-free once the breaker re-closes: {healed:?}"
-    );
-    assert!(
-        outcome.summary.da_misses < outcome.summary.da_rounds,
-        "the control loop must get service back"
-    );
-
-    // And the whole cycle is a pure function of the seed.
-    let again = run_campaign_traced(&cfg, None);
-    assert_eq!(again.breaker_probes, outcome.breaker_probes);
-    assert_eq!(again.pressures, outcome.pressures);
 }
 
 #[test]

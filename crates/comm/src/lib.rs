@@ -17,9 +17,6 @@
 //!   **Stream** (continuous one-way data with inter-frame dependencies);
 //! * [`qos`] — the latency/jitter/bandwidth requirement attributes the
 //!   interface DSL attaches to each port;
-//! * [`endpoint`] — the typed runtime layer: service skeletons and client
-//!   proxies that link dynamically under access control, the Adaptive-RTE
-//!   behavior the paper's §5.2 points to;
 //! * [`retry`] — client-side robustness: per-request timeout, capped
 //!   exponential backoff with deterministic jitter, and a circuit breaker
 //!   per (client, service) edge;
@@ -32,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod endpoint;
 pub mod fabric;
 pub mod paradigm;
 pub mod qos;
@@ -42,7 +38,6 @@ pub mod sd;
 pub mod wire;
 
 pub use arena::{ArenaStats, PayloadArena, PayloadRef};
-pub use endpoint::{ClientProxy, EndpointError, ServiceSkeleton};
 pub use fabric::{BusPort, Fabric, MessageDelivery, MessageSend, SlabStats};
 pub use paradigm::{EventBus, EventScratch, RpcScratch, RpcStats, StreamScratch, StreamStats};
 pub use qos::QosSpec;

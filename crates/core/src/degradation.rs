@@ -14,87 +14,40 @@ use dynplat_common::{AppId, AppKind, Asil, DegradationLevel, UncertaintyEstimate
 use dynplat_obs::{FlightRecorder, TraceCtx};
 use std::sync::Arc;
 
-/// Thresholds and hysteresis of the ladder.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DegradationConfig {
-    /// Fault pressure at or above which the platform enters
-    /// [`DegradationLevel::Degraded`].
-    pub degraded_threshold: f64,
-    /// Fault pressure at or above which the platform enters
-    /// [`DegradationLevel::LimpHome`].
-    pub limp_threshold: f64,
-    /// Recovery hysteresis: pressure must fall below
-    /// `recovery_margin x` the entry threshold of the current level before
-    /// the hold timer starts.
-    pub recovery_margin: f64,
-    /// How long pressure must stay below the recovery floor before the
-    /// platform steps one level back up.
-    pub recovery_hold: SimDuration,
-}
+/// Fault pressure at or above which the platform enters
+/// [`DegradationLevel::Degraded`].
+pub const DEGRADED_THRESHOLD: f64 = 0.10;
+/// Fault pressure at or above which the platform enters
+/// [`DegradationLevel::LimpHome`].
+const LIMP_THRESHOLD: f64 = 0.35;
+/// Recovery hysteresis: pressure must fall below `RECOVERY_MARGIN x` the
+/// entry threshold of the current level before the hold timer starts.
+const RECOVERY_MARGIN: f64 = 0.5;
+/// How long pressure must stay below the recovery floor before the
+/// platform steps one level back up.
+const RECOVERY_HOLD: SimDuration = SimDuration::from_millis(500);
 
-impl Default for DegradationConfig {
-    fn default() -> Self {
-        DegradationConfig {
-            degraded_threshold: 0.10,
-            limp_threshold: 0.35,
-            recovery_margin: 0.5,
-            recovery_hold: SimDuration::from_millis(500),
-        }
-    }
-}
+// Gates of the uncertainty-driven ladder mode
+// ([`DegradationManager::observe_estimate`]): instead of comparing a point
+// pressure against a threshold, the ladder descends when the *probability*
+// of a boundary exceedance clears a confidence gate, and ascends only when
+// that probability has collapsed **and** the confidence band has
+// tightened — hysteresis in probability space rather than value space.
 
-/// Gates of the uncertainty-driven ladder mode
-/// ([`DegradationManager::observe_estimate`]): instead of comparing a point
-/// pressure against a threshold, the ladder descends when the *probability*
-/// of a boundary exceedance clears a confidence gate, and ascends only when
-/// that probability has collapsed **and** the confidence band has tightened
-/// — hysteresis in probability space rather than value space.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct UncertaintyGates {
-    /// Exceedance probability at or above which the ladder descends.
-    pub trip_confidence: f64,
-    /// Exceedance probability at or below which recovery may begin.
-    pub clear_confidence: f64,
-    /// Recovery also requires the confidence band half-width to have
-    /// tightened to at most this fraction of the degraded threshold — a
-    /// low exceedance estimate with a wide band is ignorance, not health.
-    pub tighten_fraction: f64,
-}
-
-impl Default for UncertaintyGates {
-    fn default() -> Self {
-        UncertaintyGates {
-            trip_confidence: 0.95,
-            clear_confidence: 0.10,
-            tighten_fraction: 0.5,
-        }
-    }
-}
-
-impl UncertaintyGates {
-    /// # Panics
-    ///
-    /// Panics unless `0 <= clear < trip <= 1` and `tighten_fraction > 0`.
-    fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.trip_confidence)
-                && (0.0..=1.0).contains(&self.clear_confidence)
-                && self.clear_confidence < self.trip_confidence,
-            "gates must satisfy 0 <= clear < trip <= 1"
-        );
-        assert!(
-            self.tighten_fraction > 0.0,
-            "tighten fraction must be positive"
-        );
-    }
-}
+/// Exceedance probability at or above which the ladder descends.
+pub const TRIP_CONFIDENCE: f64 = 0.95;
+/// Exceedance probability at or below which recovery may begin.
+const CLEAR_CONFIDENCE: f64 = 0.10;
+/// Recovery also requires the confidence band half-width to have tightened
+/// to at most this fraction of the degraded threshold — a low exceedance
+/// estimate with a wide band is ignorance, not health.
+const TIGHTEN_FRACTION: f64 = 0.5;
 
 /// The ladder's state machine. Feed it a fault-pressure signal (any
 /// monotone badness measure in `[0, 1]`, e.g. the loss rate over the last
 /// observation window) and it yields level transitions.
 #[derive(Clone, Debug)]
 pub struct DegradationManager {
-    config: DegradationConfig,
     level: DegradationLevel,
     below_floor_since: Option<SimTime>,
     transitions: Vec<(SimTime, DegradationLevel)>,
@@ -103,22 +56,8 @@ pub struct DegradationManager {
 
 impl DegradationManager {
     /// Creates a manager at [`DegradationLevel::Full`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < degraded_threshold <= limp_threshold` and
-    /// `recovery_margin` is in `(0, 1]`.
-    pub fn new(config: DegradationConfig) -> Self {
-        assert!(
-            config.degraded_threshold > 0.0 && config.degraded_threshold <= config.limp_threshold,
-            "thresholds must satisfy 0 < degraded <= limp"
-        );
-        assert!(
-            config.recovery_margin > 0.0 && config.recovery_margin <= 1.0,
-            "recovery margin must be in (0, 1]"
-        );
+    pub fn new() -> Self {
         DegradationManager {
-            config,
             level: DegradationLevel::Full,
             below_floor_since: None,
             transitions: Vec::new(),
@@ -153,10 +92,10 @@ impl DegradationManager {
     fn recovery_floor(&self) -> f64 {
         let entry = match self.level {
             DegradationLevel::Full => return f64::INFINITY, // nothing to recover from
-            DegradationLevel::Degraded => self.config.degraded_threshold,
-            DegradationLevel::LimpHome => self.config.limp_threshold,
+            DegradationLevel::Degraded => DEGRADED_THRESHOLD,
+            DegradationLevel::LimpHome => LIMP_THRESHOLD,
         };
-        entry * self.config.recovery_margin
+        entry * RECOVERY_MARGIN
     }
 
     /// Feeds one pressure observation at `now`. Returns the new level if
@@ -164,12 +103,12 @@ impl DegradationManager {
     ///
     /// Escalation takes effect immediately (and may jump straight to
     /// limp-home); recovery steps down one level at a time after the
-    /// pressure has stayed under the recovery floor for the configured
+    /// pressure has stayed under the recovery floor for the recovery
     /// hold.
     pub fn observe(&mut self, now: SimTime, pressure: f64) -> Option<DegradationLevel> {
-        let target = if pressure >= self.config.limp_threshold {
+        let target = if pressure >= LIMP_THRESHOLD {
             DegradationLevel::LimpHome
-        } else if pressure >= self.config.degraded_threshold {
+        } else if pressure >= DEGRADED_THRESHOLD {
             DegradationLevel::Degraded
         } else {
             DegradationLevel::Full
@@ -187,7 +126,7 @@ impl DegradationManager {
         }
         if pressure < self.recovery_floor() {
             let since = *self.below_floor_since.get_or_insert(now);
-            if now.saturating_since(since) >= self.config.recovery_hold {
+            if now.saturating_since(since) >= RECOVERY_HOLD {
                 let next = match self.level {
                     DegradationLevel::LimpHome => DegradationLevel::Degraded,
                     _ => DegradationLevel::Full,
@@ -211,26 +150,19 @@ impl DegradationManager {
     /// caused a transition.
     ///
     /// Descent fires when the estimate's boundary-exceedance probability
-    /// clears `gates.trip_confidence` (targeting limp-home when even the
+    /// reaches [`TRIP_CONFIDENCE`] (targeting limp-home when even the
     /// estimated *level* is past the limp threshold); an unconverged
     /// estimate never descends. Ascent requires the exceedance probability
-    /// at or below `gates.clear_confidence` **and** the band tightened to
-    /// `gates.tighten_fraction` of the degraded threshold, sustained for
-    /// the configured recovery hold — the probability-space analogue of
-    /// [`DegradationManager::observe`]'s hysteresis.
-    ///
-    /// # Panics
-    ///
-    /// Panics on gates outside their documented ranges.
+    /// at or below 0.10 **and** the band tightened to half the degraded
+    /// threshold, sustained for the recovery hold — the probability-space
+    /// analogue of [`DegradationManager::observe`]'s hysteresis.
     pub fn observe_estimate(
         &mut self,
         now: SimTime,
         est: &UncertaintyEstimate,
-        gates: &UncertaintyGates,
     ) -> Option<DegradationLevel> {
-        gates.validate();
-        if est.exceeds_with_confidence(gates.trip_confidence) {
-            let target = if est.mean >= self.config.limp_threshold {
+        if est.exceeds_with_confidence(TRIP_CONFIDENCE) {
+            let target = if est.mean >= LIMP_THRESHOLD {
                 DegradationLevel::LimpHome
             } else {
                 DegradationLevel::Degraded
@@ -247,11 +179,11 @@ impl DegradationManager {
         if self.level == DegradationLevel::Full {
             return None;
         }
-        let band_tight = est.band <= gates.tighten_fraction * self.config.degraded_threshold;
-        let cleared = est.converged && est.exceed <= gates.clear_confidence && band_tight;
+        let band_tight = est.band <= TIGHTEN_FRACTION * DEGRADED_THRESHOLD;
+        let cleared = est.converged && est.exceed <= CLEAR_CONFIDENCE && band_tight;
         if cleared {
             let since = *self.below_floor_since.get_or_insert(now);
-            if now.saturating_since(since) >= self.config.recovery_hold {
+            if now.saturating_since(since) >= RECOVERY_HOLD {
                 let next = match self.level {
                     DegradationLevel::LimpHome => DegradationLevel::Degraded,
                     _ => DegradationLevel::Full,
@@ -321,7 +253,7 @@ impl DegradationManager {
 
 impl Default for DegradationManager {
     fn default() -> Self {
-        DegradationManager::new(DegradationConfig::default())
+        DegradationManager::new()
     }
 }
 
@@ -352,12 +284,7 @@ mod tests {
     }
 
     fn manager() -> DegradationManager {
-        DegradationManager::new(DegradationConfig {
-            degraded_threshold: 0.1,
-            limp_threshold: 0.4,
-            recovery_margin: 0.5,
-            recovery_hold: SimDuration::from_millis(100),
-        })
+        DegradationManager::new()
     }
 
     #[test]
@@ -379,11 +306,11 @@ mod tests {
         // Floor is 0.05; 0.07 does not start recovery.
         assert_eq!(m.observe(ms(10), 0.07), None);
         assert_eq!(m.observe(ms(200), 0.07), None);
-        // Below the floor, but the hold has not elapsed yet.
+        // Below the floor, but the 500 ms hold has not elapsed yet.
         assert_eq!(m.observe(ms(210), 0.01), None);
-        assert_eq!(m.observe(ms(250), 0.01), None);
+        assert_eq!(m.observe(ms(700), 0.01), None);
         // Hold elapsed: one step back up.
-        assert_eq!(m.observe(ms(310), 0.01), Some(DegradationLevel::Full));
+        assert_eq!(m.observe(ms(710), 0.01), Some(DegradationLevel::Full));
     }
 
     #[test]
@@ -392,12 +319,13 @@ mod tests {
         m.observe(ms(0), 0.5);
         assert_eq!(m.level(), DegradationLevel::LimpHome);
         assert_eq!(m.observe(ms(10), 0.01), None);
-        // A spike above the floor (0.2) resets the timer...
+        // A spike above the floor (0.175) resets the timer...
         assert_eq!(m.observe(ms(60), 0.25), None);
-        // ...so 100 ms from the *first* quiet sample is not enough.
         assert_eq!(m.observe(ms(110), 0.01), None);
-        // 100 ms after the restart it steps down one level only.
-        assert_eq!(m.observe(ms(210), 0.01), Some(DegradationLevel::Degraded));
+        // ...so 500 ms from the *first* quiet sample is not enough.
+        assert_eq!(m.observe(ms(510), 0.01), None);
+        // 500 ms after the restart it steps down one level only.
+        assert_eq!(m.observe(ms(610), 0.01), Some(DegradationLevel::Degraded));
         assert_eq!(m.level(), DegradationLevel::Degraded);
     }
 
@@ -407,7 +335,7 @@ mod tests {
         m.observe(ms(0), 0.2);
         m.observe(ms(5), 0.9);
         m.observe(ms(10), 0.0);
-        m.observe(ms(120), 0.0);
+        m.observe(ms(510), 0.0);
         let levels: Vec<DegradationLevel> = m.transitions().iter().map(|(_, l)| *l).collect();
         assert_eq!(
             levels,
@@ -453,21 +381,20 @@ mod tests {
     #[test]
     fn estimate_mode_descends_only_with_confidence() {
         let mut m = manager();
-        let gates = UncertaintyGates::default();
         // High mean but modest exceedance probability: no descent — the
         // point-threshold mode would already have tripped here.
         assert_eq!(
-            m.observe_estimate(ms(0), &est(ms(0), 0.15, 0.1, 0.6, true), &gates),
+            m.observe_estimate(ms(0), &est(ms(0), 0.15, 0.1, 0.6, true)),
             None
         );
         // Confident exceedance of the degraded boundary descends...
         assert_eq!(
-            m.observe_estimate(ms(1), &est(ms(1), 0.15, 0.05, 0.97, true), &gates),
+            m.observe_estimate(ms(1), &est(ms(1), 0.15, 0.05, 0.97, true)),
             Some(DegradationLevel::Degraded)
         );
         // ...and a confidently limp-scale mean jumps to limp-home.
         assert_eq!(
-            m.observe_estimate(ms(2), &est(ms(2), 0.8, 0.05, 0.99, true), &gates),
+            m.observe_estimate(ms(2), &est(ms(2), 0.8, 0.05, 0.99, true)),
             Some(DegradationLevel::LimpHome)
         );
     }
@@ -475,10 +402,9 @@ mod tests {
     #[test]
     fn estimate_mode_never_descends_unconverged() {
         let mut m = manager();
-        let gates = UncertaintyGates::default();
         // Even certain-looking exceedance is ignored during warm-up.
         assert_eq!(
-            m.observe_estimate(ms(0), &est(ms(0), 0.9, 1.0, 1.0, false), &gates),
+            m.observe_estimate(ms(0), &est(ms(0), 0.9, 1.0, 1.0, false)),
             None
         );
         assert_eq!(m.level(), DegradationLevel::Full);
@@ -487,25 +413,24 @@ mod tests {
     #[test]
     fn estimate_mode_ascends_only_when_band_has_tightened() {
         let mut m = manager();
-        let gates = UncertaintyGates::default();
-        m.observe_estimate(ms(0), &est(ms(0), 0.2, 0.05, 0.99, true), &gates);
+        m.observe_estimate(ms(0), &est(ms(0), 0.2, 0.05, 0.99, true));
         assert_eq!(m.level(), DegradationLevel::Degraded);
         // Low exceedance but a wide band (> 0.5 * 0.1): ignorance, no hold.
         assert_eq!(
-            m.observe_estimate(ms(10), &est(ms(10), 0.02, 0.2, 0.05, true), &gates),
+            m.observe_estimate(ms(10), &est(ms(10), 0.02, 0.2, 0.05, true)),
             None
         );
         assert_eq!(
-            m.observe_estimate(ms(200), &est(ms(200), 0.02, 0.2, 0.05, true), &gates),
+            m.observe_estimate(ms(200), &est(ms(200), 0.02, 0.2, 0.05, true)),
             None
         );
         // Band tight: hold starts now, not at ms(10).
         assert_eq!(
-            m.observe_estimate(ms(210), &est(ms(210), 0.02, 0.03, 0.05, true), &gates),
+            m.observe_estimate(ms(210), &est(ms(210), 0.02, 0.03, 0.05, true)),
             None
         );
         assert_eq!(
-            m.observe_estimate(ms(310), &est(ms(310), 0.02, 0.03, 0.05, true), &gates),
+            m.observe_estimate(ms(710), &est(ms(710), 0.02, 0.03, 0.05, true)),
             Some(DegradationLevel::Full)
         );
     }
@@ -513,39 +438,26 @@ mod tests {
     #[test]
     fn estimate_mode_hold_restarts_on_belief_bounce() {
         let mut m = manager();
-        let gates = UncertaintyGates::default();
-        m.observe_estimate(ms(0), &est(ms(0), 0.5, 0.05, 0.99, true), &gates);
+        m.observe_estimate(ms(0), &est(ms(0), 0.5, 0.05, 0.99, true));
         assert_eq!(m.level(), DegradationLevel::LimpHome);
         assert_eq!(
-            m.observe_estimate(ms(10), &est(ms(10), 0.02, 0.03, 0.05, true), &gates),
+            m.observe_estimate(ms(10), &est(ms(10), 0.02, 0.03, 0.05, true)),
             None
         );
         // Belief bounces to ambiguous mid-hold: restart.
         assert_eq!(
-            m.observe_estimate(ms(60), &est(ms(60), 0.06, 0.03, 0.5, true), &gates),
+            m.observe_estimate(ms(60), &est(ms(60), 0.06, 0.03, 0.5, true)),
             None
         );
         assert_eq!(
-            m.observe_estimate(ms(110), &est(ms(110), 0.02, 0.03, 0.05, true), &gates),
+            m.observe_estimate(ms(110), &est(ms(110), 0.02, 0.03, 0.05, true)),
             None
         );
-        // One step at a time, 100 ms after the restart.
+        // One step at a time, 500 ms after the restart.
         assert_eq!(
-            m.observe_estimate(ms(210), &est(ms(210), 0.02, 0.03, 0.05, true), &gates),
+            m.observe_estimate(ms(610), &est(ms(610), 0.02, 0.03, 0.05, true)),
             Some(DegradationLevel::Degraded)
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "gates must satisfy")]
-    fn inverted_gates_panic() {
-        let mut m = manager();
-        let gates = UncertaintyGates {
-            trip_confidence: 0.1,
-            clear_confidence: 0.9,
-            tighten_fraction: 0.5,
-        };
-        m.observe_estimate(ms(0), &est(ms(0), 0.0, 0.0, 0.0, true), &gates);
     }
 
     #[test]

@@ -24,9 +24,7 @@
 //! * [`degradation`] — the criticality-aware degradation ladder (§3.3):
 //!   Full → Degraded → LimpHome under fault pressure, shedding
 //!   non-deterministic load before deterministic load, with hysteresis on
-//!   recovery;
-//! * [`sync`] — versioned replica state with snapshot/delta transfer, the
-//!   "synchronize internal states" machinery of §3.2 phase 2 and §3.3.
+//!   recovery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,16 +35,14 @@ pub mod node;
 pub mod platform;
 pub mod process;
 pub mod redundancy;
-pub mod sync;
 pub mod update;
 
 pub use app::{AppManifest, LifecycleState};
-pub use degradation::{DegradationConfig, DegradationManager, UncertaintyGates};
+pub use degradation::DegradationManager;
 pub use node::{NodeError, PlatformNode};
 pub use platform::{DynamicPlatform, PlatformError};
 pub use process::{ProcessGroupId, ProcessManager};
 pub use redundancy::{RedundancyError, RedundancyGroup, Role};
-pub use sync::{Delta, ReplicaState, Snapshot, SyncError};
 pub use update::{
     centralized_switch_update, staged_update, stop_restart_update, UpdateReport, UpdateStrategy,
 };

@@ -53,28 +53,23 @@ pub struct UpdateReport {
     pub phases: Vec<(String, SimTime)>,
 }
 
-/// Tunable costs of the staged procedure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StagedParams {
-    /// Time to initialize the new instance.
-    pub start_duration: SimDuration,
-    /// State transfer rate for phase 2, KiB/s.
-    pub sync_rate_kib_per_s: u64,
-    /// Drain time between redirect and stopping the old instance.
-    pub drain_duration: SimDuration,
-}
+/// Staged update, phase 1: time to initialize the new instance.
+const STAGED_START: SimDuration = SimDuration::from_millis(50);
+/// Staged update, phase 2: state transfer rate in KiB/s (50 MiB/s).
+const STAGED_SYNC_RATE_KIB_PER_S: u64 = 50 * 1024;
+/// Staged update, phase 4: drain time between redirect and stopping the
+/// old instance.
+const STAGED_DRAIN: SimDuration = SimDuration::from_millis(20);
 
-impl Default for StagedParams {
-    fn default() -> Self {
-        StagedParams {
-            start_duration: SimDuration::from_millis(50),
-            sync_rate_kib_per_s: 50 * 1024, // 50 MiB/s
-            drain_duration: SimDuration::from_millis(20),
-        }
-    }
-}
+/// Stop–restart: time to stop and tear down the old version.
+const RESTART_STOP: SimDuration = SimDuration::from_millis(30);
+/// Stop–restart: time to install/unpack the new image.
+const RESTART_INSTALL: SimDuration = SimDuration::from_millis(200);
+/// Stop–restart: time to start the new version.
+const RESTART_START: SimDuration = SimDuration::from_millis(50);
 
 /// Runs the 4-phase staged update of `app` on `ecu` to `new_manifest`.
+/// Phase 2 transfers `state_kib` of internal state at 50 MiB/s.
 ///
 /// # Errors
 ///
@@ -88,7 +83,6 @@ pub fn staged_update(
     ecu: EcuId,
     new_manifest: AppManifest,
     state_kib: u64,
-    params: &StagedParams,
 ) -> Result<UpdateReport, PlatformError> {
     let app = new_manifest.id();
     let old_instance = {
@@ -106,10 +100,10 @@ pub fn staged_update(
     node.transition(old_instance, LifecycleState::Updating)?;
     node.transition(new_instance, LifecycleState::Starting)?;
     phases.push(("start-parallel".to_owned(), now));
-    let started = now + params.start_duration;
+    let started = now + STAGED_START;
 
     // Phase 2: synchronize internal state.
-    let sync_secs = state_kib as f64 / params.sync_rate_kib_per_s as f64;
+    let sync_secs = state_kib as f64 / STAGED_SYNC_RATE_KIB_PER_S as f64;
     let synced = started + SimDuration::from_secs_f64(sync_secs);
     phases.push(("sync-state".to_owned(), started));
 
@@ -121,7 +115,7 @@ pub fn staged_update(
     phases.push(("redirect-traffic".to_owned(), synced));
 
     // Phase 4: stop the old version after the drain window.
-    let stopped = synced + params.drain_duration;
+    let stopped = synced + STAGED_DRAIN;
     let node = platform.node_mut(ecu).expect("checked above");
     node.transition(old_instance, LifecycleState::Stopping)?;
     node.transition(old_instance, LifecycleState::Stopped)?;
@@ -137,27 +131,6 @@ pub fn staged_update(
     })
 }
 
-/// Tunable costs of the stop–restart procedure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StopRestartParams {
-    /// Time to stop and tear down the old version.
-    pub stop_duration: SimDuration,
-    /// Time to install/unpack the new image.
-    pub install_duration: SimDuration,
-    /// Time to start the new version.
-    pub start_duration: SimDuration,
-}
-
-impl Default for StopRestartParams {
-    fn default() -> Self {
-        StopRestartParams {
-            stop_duration: SimDuration::from_millis(30),
-            install_duration: SimDuration::from_millis(200),
-            start_duration: SimDuration::from_millis(50),
-        }
-    }
-}
-
 /// Runs a stop–update–restart of `app` on `ecu` (the procedure the paper
 /// reserves for non-deterministic applications: "their impact might be
 /// limited to user experience").
@@ -170,7 +143,6 @@ pub fn stop_restart_update(
     now: SimTime,
     ecu: EcuId,
     new_manifest: AppManifest,
-    params: &StopRestartParams,
 ) -> Result<UpdateReport, PlatformError> {
     let app = new_manifest.id();
     let old_instance = {
@@ -185,10 +157,10 @@ pub fn stop_restart_update(
     node.transition(old_instance, LifecycleState::Stopping)?;
     node.transition(old_instance, LifecycleState::Stopped)?;
     phases.push(("stop".to_owned(), now));
-    let stopped = now + params.stop_duration;
-    let installed = stopped + params.install_duration;
+    let stopped = now + RESTART_STOP;
+    let installed = stopped + RESTART_INSTALL;
     phases.push(("install".to_owned(), stopped));
-    let restarted = installed + params.start_duration;
+    let restarted = installed + RESTART_START;
     let node = platform.node_mut(ecu).expect("checked above");
     let _new_instance: InstanceId = node.launch(new_manifest.clone())?;
     platform.announce(restarted, ecu, &new_manifest);
@@ -399,7 +371,6 @@ mod tests {
             EcuId(1),
             manifest(1, Version::new(1, 1, 0)),
             1024,
-            &StagedParams::default(),
         )
         .unwrap();
         assert_eq!(report.outage, SimDuration::ZERO);
@@ -432,7 +403,6 @@ mod tests {
             EcuId(1),
             manifest(1, Version::new(1, 1, 0)),
             0,
-            &StagedParams::default(),
         )
         .unwrap();
         let after = p.node(EcuId(1)).unwrap().memory_used_kib();
@@ -459,7 +429,6 @@ mod tests {
             EcuId(1),
             manifest(1, Version::new(1, 1, 0)),
             0,
-            &StagedParams::default(),
         )
         .unwrap_err();
         assert!(matches!(
@@ -480,7 +449,6 @@ mod tests {
             SimTime::ZERO,
             EcuId(1),
             manifest(7, Version::new(2, 0, 0)),
-            &StopRestartParams::default(),
         )
         .unwrap();
         assert!(report.outage >= SimDuration::from_millis(280));
@@ -498,8 +466,7 @@ mod tests {
                 SimTime::ZERO,
                 EcuId(1),
                 manifest(9, Version::new(1, 0, 0)),
-                0,
-                &StagedParams::default()
+                0
             ),
             Err(PlatformError::UnknownApp(AppId(9)))
         ));

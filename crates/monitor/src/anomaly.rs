@@ -7,7 +7,7 @@
 //! the first hard violation. [`DriftDetector`] keeps exponentially weighted
 //! moving estimates of mean and variance (EWMA/EWMV) and raises an anomaly
 //! when a sample leaves the adaptive band, or when the mean itself crosses
-//! a configured fraction of the hard bound.
+//! a fixed fraction of the hard bound.
 
 /// Verdict for one ingested sample.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,15 +26,19 @@ pub enum DriftVerdict {
 /// crossing the warning line is an artifact of initialization, not a
 /// trend, and a hard verdict off it would trigger spurious degradation.
 const WARMUP_SAMPLES: u64 = 8;
+/// EWMA smoothing factor.
+const ALPHA: f64 = 0.1;
+/// Band half-width in standard deviations.
+const SIGMA_K: f64 = 3.0;
+/// Fraction of the hard bound at which a drifting mean raises
+/// [`DriftVerdict::Drifting`].
+const WARN_FRACTION: f64 = 0.8;
 
 /// EWMA/EWMV drift detector over a scalar metric (response time in
 /// nanoseconds, memory in bytes, …).
 #[derive(Clone, Debug)]
 pub struct DriftDetector {
-    alpha: f64,
-    sigma_k: f64,
     hard_bound: f64,
-    warn_fraction: f64,
     mean: f64,
     variance: f64,
     samples: u64,
@@ -42,41 +46,21 @@ pub struct DriftDetector {
 }
 
 impl DriftDetector {
-    /// Creates a detector.
-    ///
-    /// * `alpha` — EWMA smoothing factor in `(0, 1]` (0.05–0.2 typical);
-    /// * `sigma_k` — band half-width in standard deviations (3 typical);
-    /// * `hard_bound` — the monitored metric's hard limit;
-    /// * `warn_fraction` — fraction of the bound at which a drifting mean
-    ///   raises [`DriftVerdict::Drifting`] (e.g. 0.8).
+    /// A response-time detector for a metric whose hard limit is
+    /// `hard_bound`: α = 0.1, 3σ band, warn at 80 % of the bound.
     ///
     /// # Panics
     ///
-    /// Panics on parameters outside their documented ranges.
-    pub fn new(alpha: f64, sigma_k: f64, hard_bound: f64, warn_fraction: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha in (0, 1]");
-        assert!(sigma_k > 0.0, "sigma_k must be positive");
+    /// Panics if `hard_bound` is not positive.
+    pub fn for_bound(hard_bound: f64) -> Self {
         assert!(hard_bound > 0.0, "hard bound must be positive");
-        assert!(
-            (0.0..=1.0).contains(&warn_fraction),
-            "warn fraction in [0, 1]"
-        );
         DriftDetector {
-            alpha,
-            sigma_k,
             hard_bound,
-            warn_fraction,
             mean: 0.0,
             variance: 0.0,
             samples: 0,
             outliers: 0,
         }
-    }
-
-    /// A conventional response-time detector: α = 0.1, 3σ band, warn at
-    /// 80 % of the bound.
-    pub fn for_bound(hard_bound: f64) -> Self {
-        DriftDetector::new(0.1, 3.0, hard_bound, 0.8)
     }
 
     /// Current moving mean.
@@ -113,14 +97,14 @@ impl DriftDetector {
         // zero observed variance (a perfectly regular metric) any deviation
         // beyond float noise is anomalous — the band degenerates to a
         // relative epsilon instead of switching the check off.
-        let band = (self.sigma_k * sigma).max(self.mean.abs() * 1e-9);
+        let band = (SIGMA_K * sigma).max(self.mean.abs() * 1e-9);
         let warmed_up = self.samples > WARMUP_SAMPLES;
         let is_outlier = warmed_up && deviation.abs() > band;
         // Update estimates (outliers included, with the same weight — a
         // persistent shift must eventually move the mean).
-        self.mean += self.alpha * deviation;
-        self.variance = (1.0 - self.alpha) * (self.variance + self.alpha * deviation * deviation);
-        if warmed_up && self.mean > self.warn_fraction * self.hard_bound {
+        self.mean += ALPHA * deviation;
+        self.variance = (1.0 - ALPHA) * (self.variance + ALPHA * deviation * deviation);
+        if warmed_up && self.mean > WARN_FRACTION * self.hard_bound {
             dynplat_obs::counter!("monitor.drift.drifting").inc();
             DriftVerdict::Drifting
         } else if is_outlier {
@@ -278,11 +262,5 @@ mod tests {
                 .all(|v| *v == DriftVerdict::Drifting),
             "once the mean is past the warning line the ramp keeps drifting"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha in (0, 1]")]
-    fn invalid_alpha_panics() {
-        DriftDetector::new(0.0, 3.0, 1.0, 0.8);
     }
 }

@@ -38,4 +38,4 @@ pub use fault::{Fault, FaultKind, FaultRecorder};
 pub use report::{CertificationDataSet, DiagnosticReport};
 pub use slo::{SloBurnGate, SloSpec, SloVerdict};
 pub use task::{MonitorSpec, TaskMonitor, TaskObservation};
-pub use uncertainty::{normal_cdf, BoundaryConfig, BoundaryEstimator, RollingRegression};
+pub use uncertainty::{normal_cdf, BoundaryEstimator, RollingRegression};

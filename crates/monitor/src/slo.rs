@@ -22,9 +22,10 @@
 //! boundary **burn = 1.0**, and the gate trips only when the estimator is
 //! 95 % confident the burn rate exceeds it.
 //!
-//! Because every [`BoundaryConfig`] parameter scales linearly with its
-//! boundary, estimating `fraction / budget` against boundary 1.0 is
-//! mathematically identical to estimating `fraction` against boundary
+//! Every fixed tuning value of [`BoundaryEstimator`] is either a sample
+//! count or a fraction of its boundary, so the estimator scales linearly
+//! with the boundary: estimating `fraction / budget` against boundary 1.0
+//! is mathematically identical to estimating `fraction` against boundary
 //! `budget` — so a consumer that migrates from a bare failure-rate gate
 //! (e.g. `fleet::UpdateMaster`) keeps its trip timing bit-for-bit while
 //! gaining burn-rate arming, flight capture and SLO vocabulary.
@@ -41,7 +42,7 @@ use dynplat_common::time::SimTime;
 use dynplat_common::uncertainty::UncertaintyEstimate;
 use dynplat_obs::{FlightDump, FlightRecorder, TraceCtx};
 
-use crate::uncertainty::{BoundaryConfig, BoundaryEstimator};
+use crate::uncertainty::BoundaryEstimator;
 
 /// Fast-window length in observation batches.
 const FAST_WINDOW: usize = 4;
@@ -137,7 +138,7 @@ impl SloBurnGate {
             spec,
             window: VecDeque::with_capacity(SLOW_WINDOW),
             armed: false,
-            estimator: BoundaryEstimator::new(BoundaryConfig::for_boundary(1.0)),
+            estimator: BoundaryEstimator::new(1.0),
             flight: None,
             was_tripped: false,
             trips: 0,
@@ -424,7 +425,7 @@ mod tests {
         // burn/1.0 and fraction/budget gates trip on the same batch.
         let budget = 0.05;
         let mut burn_gate = SloBurnGate::new(SloSpec::error_fraction("eq", budget));
-        let mut raw = BoundaryEstimator::new(BoundaryConfig::for_boundary(budget));
+        let mut raw = BoundaryEstimator::new(budget);
         let series: Vec<(u64, u64)> = (0..24)
             .map(|i| if i < 12 { (32, 0) } else { (26, 6) })
             .collect();

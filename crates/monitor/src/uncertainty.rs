@@ -173,74 +173,37 @@ pub struct Fit {
     stt: f64,
 }
 
-/// Configuration of a [`BoundaryEstimator`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BoundaryConfig {
-    /// The operational boundary the monitored parameter must stay below.
-    pub boundary: f64,
-    /// Rolling-regression window (samples).
-    pub window: usize,
-    /// Samples before the estimate reports `converged` — no consumer trips
-    /// off an unconverged estimate.
-    pub min_samples: u64,
-    /// Warm-up widening constant `c`: bands are scaled by `sqrt(1 + c/n)`,
-    /// so early estimates are wide and tighten as evidence accumulates.
-    pub warmup_widening: f64,
-    /// Noise floor as a fraction of the boundary — keeps the band and the
-    /// likelihood ratio finite on zero-variance (perfectly regular)
-    /// signals.
-    pub sigma_floor_frac: f64,
-    /// Clamp on the accumulated exceedance log-odds; bounds how much
-    /// quiet-time evidence a real fault must first overcome.
-    pub max_log_odds: f64,
-    /// Per-sample clamp on the evidence step — one ambiguous sample can
-    /// never flip the belief on its own (robustness against heavy-tailed
-    /// outliers the Gaussian model does not cover).
-    pub step_cap: f64,
-    /// Evidence scale floor as a fraction of the boundary: exceedance
-    /// z-scores are measured against at least `rel_floor · boundary`, so
-    /// "how far past the boundary" is always judged at boundary scale,
-    /// however quiet the healthy signal was.
-    pub rel_floor: f64,
-    /// Exceedance z at or above which a single sample is unambiguous and
-    /// saturates the belief immediately (the fast path for hard faults).
-    pub saturation_z: f64,
-    /// Confidence multiplier of the reported band (`z* = 1.96` ≈ 95 %).
-    pub band_z: f64,
-}
+// The estimator's fixed tuning. The boundary is the only setting; every
+// other parameter is either a sample count or scales with the boundary.
 
-impl Default for BoundaryConfig {
-    fn default() -> Self {
-        BoundaryConfig {
-            boundary: 1.0,
-            window: 16,
-            min_samples: 5,
-            warmup_widening: 8.0,
-            sigma_floor_frac: 0.02,
-            max_log_odds: 6.0,
-            step_cap: 2.5,
-            rel_floor: 0.15,
-            saturation_z: 6.0,
-            band_z: 1.96,
-        }
-    }
-}
-
-impl BoundaryConfig {
-    /// A config for a "badness" signal bounded by `boundary`, with the
-    /// default window and gates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `boundary` is not positive.
-    pub fn for_boundary(boundary: f64) -> Self {
-        assert!(boundary > 0.0, "operational boundary must be positive");
-        BoundaryConfig {
-            boundary,
-            ..BoundaryConfig::default()
-        }
-    }
-}
+/// Rolling-regression window (samples).
+const WINDOW: usize = 16;
+/// Samples before the estimate reports `converged` — no consumer trips off
+/// an unconverged estimate.
+const MIN_SAMPLES: u64 = 5;
+/// Warm-up widening constant `c`: bands are scaled by `sqrt(1 + c/n)`, so
+/// early estimates are wide and tighten as evidence accumulates.
+const WARMUP_WIDENING: f64 = 8.0;
+/// Noise floor as a fraction of the boundary — keeps the band and the
+/// likelihood ratio finite on zero-variance (perfectly regular) signals.
+const SIGMA_FLOOR_FRAC: f64 = 0.02;
+/// Clamp on the accumulated exceedance log-odds; bounds how much
+/// quiet-time evidence a real fault must first overcome.
+const MAX_LOG_ODDS: f64 = 6.0;
+/// Per-sample clamp on the evidence step — one ambiguous sample can never
+/// flip the belief on its own (robustness against heavy-tailed outliers
+/// the Gaussian model does not cover).
+const STEP_CAP: f64 = 2.5;
+/// Evidence scale floor as a fraction of the boundary: exceedance z-scores
+/// are measured against at least `REL_FLOOR · boundary`, so "how far past
+/// the boundary" is always judged at boundary scale, however quiet the
+/// healthy signal was.
+const REL_FLOOR: f64 = 0.15;
+/// Exceedance z at or above which a single sample is unambiguous and
+/// saturates the belief immediately (the fast path for hard faults).
+const SATURATION_Z: f64 = 6.0;
+/// Confidence multiplier of the reported band (`z* = 1.96` ≈ 95 %).
+const BAND_Z: f64 = 1.96;
 
 /// Boundary-aware uncertainty estimator over one monitored parameter.
 ///
@@ -266,7 +229,7 @@ impl BoundaryConfig {
 /// incident ring with the ingesting sample's [`TraceCtx`].
 #[derive(Clone, Debug)]
 pub struct BoundaryEstimator {
-    config: BoundaryConfig,
+    boundary: f64,
     regression: RollingRegression,
     log_odds: f64,
     last: UncertaintyEstimate,
@@ -277,30 +240,22 @@ pub struct BoundaryEstimator {
 }
 
 impl BoundaryEstimator {
-    /// Creates an estimator.
+    /// Creates an estimator for a "badness" signal that must stay below
+    /// `boundary`.
     ///
     /// # Panics
     ///
-    /// Panics on non-positive boundary, `window < 3` or `min_samples < 3`.
-    pub fn new(config: BoundaryConfig) -> Self {
-        assert!(
-            config.boundary > 0.0,
-            "operational boundary must be positive"
-        );
-        assert!(config.min_samples >= 3, "min_samples must be >= 3");
+    /// Panics if `boundary` is not positive.
+    pub fn new(boundary: f64) -> Self {
+        assert!(boundary > 0.0, "operational boundary must be positive");
         BoundaryEstimator {
-            regression: RollingRegression::new(config.window),
-            log_odds: -config.max_log_odds,
+            boundary,
+            regression: RollingRegression::new(WINDOW),
+            log_odds: -MAX_LOG_ODDS,
             last: UncertaintyEstimate::unknown(SimTime::ZERO),
             flight: None,
             was_exceeding: false,
-            config,
         }
-    }
-
-    /// Shorthand: default config against `boundary`.
-    pub fn for_boundary(boundary: f64) -> Self {
-        BoundaryEstimator::new(BoundaryConfig::for_boundary(boundary))
     }
 
     /// Attaches a flight recorder: estimator gate crossings land in the
@@ -310,20 +265,15 @@ impl BoundaryEstimator {
         self.flight = Some(flight);
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &BoundaryConfig {
-        &self.config
-    }
-
     /// Discards all accumulated evidence, returning the estimator to its
-    /// just-constructed state (config and attached flight recorder are
+    /// just-constructed state (boundary and attached flight recorder are
     /// kept). Consumers that gate a *sequence* of independent episodes —
     /// e.g. an update master judging one rollout wave after another — reset
     /// between episodes so stale belief from a healthy wave cannot mask a
     /// broken one.
     pub fn reset(&mut self) {
-        self.regression = RollingRegression::new(self.config.window);
-        self.log_odds = -self.config.max_log_odds;
+        self.regression = RollingRegression::new(WINDOW);
+        self.log_odds = -MAX_LOG_ODDS;
         self.last = UncertaintyEstimate::unknown(SimTime::ZERO);
         self.was_exceeding = false;
     }
@@ -352,15 +302,15 @@ impl BoundaryEstimator {
         sample: f64,
         ctx: TraceCtx,
     ) -> UncertaintyEstimate {
-        let b = self.config.boundary;
-        let floor = b * self.config.sigma_floor_frac;
+        let b = self.boundary;
+        let floor = b * SIGMA_FLOOR_FRAC;
         // Healthy-noise estimate *before* this sample — the excursion the
         // sample may carry must not inflate its own evidence scale.
         let prior_sigma = self.regression.fit().map(|f| f.sigma);
         self.regression.ingest(now, sample);
         let n_window = self.regression.len() as f64;
         let n_total = self.regression.total();
-        let widen = (1.0 + self.config.warmup_widening / n_window).sqrt();
+        let widen = (1.0 + WARMUP_WIDENING / n_window).sqrt();
 
         let (mean, se, sigma) = match self.regression.predict(now) {
             Some((mean, se)) => {
@@ -383,29 +333,27 @@ impl BoundaryEstimator {
         // boundary scale alone — a clearly-healthy sample is direct
         // evidence of non-exceedance no matter how wild the recent window
         // looked — so recovery is never hostage to fault-inflated noise.
-        let rel = b * self.config.rel_floor;
+        let rel = b * REL_FLOOR;
         if sample >= b {
             let scale = prior_sigma.unwrap_or(b).max(rel) * widen;
             let z = (sample - b) / scale;
-            if z >= self.config.saturation_z {
-                self.log_odds = self.config.max_log_odds;
+            if z >= SATURATION_Z {
+                self.log_odds = MAX_LOG_ODDS;
             } else {
-                self.log_odds += z.min(self.config.step_cap);
+                self.log_odds += z.min(STEP_CAP);
             }
         } else {
-            self.log_odds += ((sample - b) / rel).max(-self.config.step_cap);
+            self.log_odds += ((sample - b) / rel).max(-STEP_CAP);
         }
-        self.log_odds = self
-            .log_odds
-            .clamp(-self.config.max_log_odds, self.config.max_log_odds);
+        self.log_odds = self.log_odds.clamp(-MAX_LOG_ODDS, MAX_LOG_ODDS);
         let p_seq = 1.0 / (1.0 + (-self.log_odds).exp());
 
         // Band exceedance: probability the *level* sits past the boundary,
         // from the regression's standard error, widened during warm-up.
-        let band = self.config.band_z * se * widen;
+        let band = BAND_Z * se * widen;
         let p_band = normal_cdf((mean - b) / (se * widen).max(floor / 10.0));
 
-        let converged = n_total >= self.config.min_samples;
+        let converged = n_total >= MIN_SAMPLES;
         let exceed = if converged { p_seq.max(p_band) } else { 0.5 };
         let est = UncertaintyEstimate {
             at: now,
@@ -426,7 +374,7 @@ impl BoundaryEstimator {
     /// Values are scaled to parts-per-million of the boundary (gauges are
     /// integers), except `exceed_ppm` which is ppm of probability 1.
     fn export_gauges(&self, est: &UncertaintyEstimate) {
-        let b = self.config.boundary;
+        let b = self.boundary;
         let ppm = |v: f64| ((v / b) * 1e6) as i64;
         dynplat_obs::gauge!("monitor.uncertainty.mean_ppm").set(ppm(est.mean));
         dynplat_obs::gauge!("monitor.uncertainty.band_ppm").set(ppm(est.band));
@@ -511,7 +459,7 @@ mod tests {
 
     #[test]
     fn warm_up_is_unconverged_and_neutral() {
-        let mut e = BoundaryEstimator::for_boundary(1.0);
+        let mut e = BoundaryEstimator::new(1.0);
         for k in 0..4u64 {
             let est = e.ingest(s(k * 100), 0.2);
             assert!(!est.converged, "sample {k} still warming up");
@@ -525,9 +473,8 @@ mod tests {
 
     #[test]
     fn reset_replays_like_a_fresh_estimator() {
-        let cfg = BoundaryConfig::for_boundary(0.10);
-        let mut fresh = BoundaryEstimator::new(cfg);
-        let mut reused = BoundaryEstimator::new(cfg);
+        let mut fresh = BoundaryEstimator::new(0.10);
+        let mut reused = BoundaryEstimator::new(0.10);
         // Poison the reused estimator with a saturated fault episode.
         for k in 0..20u64 {
             reused.ingest(s(k * 100), 0.9);
@@ -548,7 +495,7 @@ mod tests {
 
     #[test]
     fn quiet_noise_never_trips_but_a_jump_trips_immediately() {
-        let mut e = BoundaryEstimator::for_boundary(0.10);
+        let mut e = BoundaryEstimator::new(0.10);
         let mut rng = seeded_rng(0xE14);
         let mut t = 0u64;
         for _ in 0..60 {
@@ -571,7 +518,7 @@ mod tests {
 
     #[test]
     fn single_moderate_spike_is_absorbed() {
-        let mut e = BoundaryEstimator::for_boundary(0.10);
+        let mut e = BoundaryEstimator::new(0.10);
         let mut t = 0u64;
         for _ in 0..40 {
             e.ingest(s(t), 0.04);
@@ -591,7 +538,7 @@ mod tests {
     fn persistent_drift_is_detected_before_the_boundary() {
         // The signal creeps toward the boundary; the band-based exceedance
         // must fire while samples are still below it.
-        let mut e = BoundaryEstimator::for_boundary(0.10);
+        let mut e = BoundaryEstimator::new(0.10);
         let mut tripped_at: Option<f64> = None;
         let mut level = 0.02;
         let mut t = 0u64;
@@ -609,7 +556,7 @@ mod tests {
 
     #[test]
     fn recovery_clears_and_band_tightens() {
-        let mut e = BoundaryEstimator::for_boundary(0.10);
+        let mut e = BoundaryEstimator::new(0.10);
         let mut t = 0u64;
         for _ in 0..30 {
             e.ingest(s(t), 0.03);
@@ -639,7 +586,7 @@ mod tests {
     #[test]
     fn estimates_are_deterministic() {
         let run = || {
-            let mut e = BoundaryEstimator::for_boundary(0.10);
+            let mut e = BoundaryEstimator::new(0.10);
             let mut rng = seeded_rng(77);
             let mut out = Vec::new();
             for k in 0..100u64 {
@@ -654,7 +601,7 @@ mod tests {
     #[test]
     fn gate_crossings_land_in_the_flight_ring() {
         let flight = Arc::new(FlightRecorder::new(64));
-        let mut e = BoundaryEstimator::for_boundary(0.10);
+        let mut e = BoundaryEstimator::new(0.10);
         e.attach_flight_recorder(flight.clone());
         let ctx = TraceCtx::new(0xBEEF, 1);
         flight.arm(); // recording only happens while enabled
@@ -683,6 +630,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "operational boundary must be positive")]
     fn zero_boundary_panics() {
-        BoundaryEstimator::for_boundary(0.0);
+        BoundaryEstimator::new(0.0);
     }
 }

@@ -159,7 +159,7 @@ impl FlexRayBus {
         &self.config
     }
 
-    fn earliest_start(&mut self, now: SimTime, frame: &Frame) -> Option<SimTime> {
+    fn earliest_start(&self, now: SimTime, frame: &Frame) -> Option<SimTime> {
         match self.assignment.slot_of(frame.id) {
             Some(slot) => Some(self.config.next_slot_start(now, slot)),
             None => {
@@ -217,35 +217,33 @@ impl Arbiter for FlexRayBus {
     }
 
     fn poll(&mut self, now: SimTime) -> Grant {
-        // Drop frames that can never be served, then find which frame can
-        // start earliest; ties break by priority, then FIFO order.
-        let mut candidates: Vec<(SimTime, u32, u64)> = Vec::new();
-        let mut unfit: Vec<u64> = Vec::new();
-        let queue_snapshot: Vec<(u32, u64, Frame)> = self
-            .queue
-            .iter()
-            .map(|(p, s, _, f)| (*p, *s, f.clone()))
-            .collect();
-        for (prio, seq, frame) in &queue_snapshot {
+        // One pass: drop frames that can never be served, and find the
+        // frame that can start earliest; ties break by priority, then FIFO
+        // order. Removal keeps the queue order, so an index found earlier
+        // in the pass stays valid.
+        let mut best: Option<((SimTime, u32, u64), usize)> = None;
+        let mut i = 0;
+        while i < self.queue.len() {
+            let (prio, seq, _, ref frame) = self.queue[i];
             match self.earliest_start(now, frame) {
-                Some(start) => candidates.push((start, *prio, *seq)),
-                None => unfit.push(*seq),
+                Some(start) => {
+                    let key = (start, prio, seq);
+                    if best.is_none_or(|(b, _)| key < b) {
+                        best = Some((key, i));
+                    }
+                    i += 1;
+                }
+                None => {
+                    self.queue.remove(i);
+                }
             }
         }
-        if !unfit.is_empty() {
-            self.queue.retain(|(_, seq, _, _)| !unfit.contains(seq));
-        }
-        let Some((start, _, chosen)) = candidates.into_iter().min() else {
+        let Some(((start, _, _), idx)) = best else {
             return Grant::Idle;
         };
         if start > now {
             return Grant::WaitUntil(start);
         }
-        let idx = self
-            .queue
-            .iter()
-            .position(|(_, seq, _, _)| *seq == chosen)
-            .expect("chosen frame present");
         let (_, _, arrival, frame) = self.queue.swap_remove(idx);
         let tx = self.config.frame_time(frame.payload);
         // Book dynamic-segment capacity.

@@ -13,9 +13,7 @@
 use dynplat::common::time::{SimDuration, SimTime};
 use dynplat::common::{AppId, AppKind, Asil, EcuId};
 use dynplat::core::app::AppManifest;
-use dynplat::core::update::{
-    centralized_switch_update, staged_update, stop_restart_update, StagedParams, StopRestartParams,
-};
+use dynplat::core::update::{centralized_switch_update, staged_update, stop_restart_update};
 use dynplat::core::DynamicPlatform;
 use dynplat::hw::ecu::{EcuClass, EcuSpec};
 use dynplat::model::ir::AppModel;
@@ -102,7 +100,6 @@ fn main() {
         EcuId(1),
         cruise(Version::new(1, 1, 0)),
         2048, // KiB of state to synchronize
-        &StagedParams::default(),
     )
     .expect("staged update");
     println!(
@@ -118,7 +115,6 @@ fn main() {
         staged.completed_at + SimDuration::from_secs(1),
         EcuId(1),
         cruise(Version::new(1, 2, 0)),
-        &StopRestartParams::default(),
     )
     .expect("stop-restart update");
     println!(

@@ -48,9 +48,19 @@ cargo run --release -q -p dynplat-bench -- fig2_interference \
   >"$SMOKE_TMP/fig2_interference.txt"
 cmp "$SMOKE_TMP/fig2_interference.txt" scripts/reference/fig2_interference.txt
 
+echo "==> e5 update-safety and e12 chaos reports (cmp against the pinned bytes)"
+# Both tables are seed-pure end to end: e5 pins the staged/stop-restart
+# phase costs and the fleet update gate, e12 the campaign constants, the
+# degradation ladder and the drift detector.
+for exp in e5_update_safety e12_chaos; do
+  cargo run --release -q -p dynplat-bench -- "$exp" >"$SMOKE_TMP/$exp.txt"
+  cmp "$SMOKE_TMP/$exp.txt" "scripts/reference/$exp.txt"
+done
+
 echo "==> e13 detection-latency smoke (tiny horizon)"
 cargo run --release -p dynplat-bench -- e13_detection_latency \
   --horizon-ms 3000 --dump FLIGHT_e13.json >/dev/null
+cmp FLIGHT_e13.json scripts/reference/FLIGHT_e13.json
 
 echo "==> e14 uncertainty-adaptation smoke (tiny horizon, determinism-checked)"
 cargo run --release -p dynplat-bench -- e14_uncertainty_adaptation \
@@ -58,6 +68,9 @@ cargo run --release -p dynplat-bench -- e14_uncertainty_adaptation \
 cargo run --release -p dynplat-bench -- e14_uncertainty_adaptation \
   --horizon-ms 3000 --out "$SMOKE_TMP/E14_sweep_rerun.json" >/dev/null
 cmp E14_sweep.json "$SMOKE_TMP/E14_sweep_rerun.json"
+# The sweep replays the E12 pressures through the threshold ladder and
+# the boundary estimator; its bytes pin both.
+cmp E14_sweep.json scripts/reference/E14_sweep.json
 
 echo "==> e15 fleet-campaign smoke (100k vehicles, shard-invariance-checked)"
 # The rerun flips the shard count: one cmp pins both rerun determinism and

@@ -7,7 +7,7 @@ use dynplat::common::time::{SimDuration, SimTime};
 use dynplat::common::{AppId, EcuId, EventGroupId, ServiceId, TaskId};
 use dynplat::core::app::AppManifest;
 use dynplat::core::redundancy::RedundancyGroup;
-use dynplat::core::update::{staged_update, StagedParams};
+use dynplat::core::update::staged_update;
 use dynplat::core::{DynamicPlatform, LifecycleState};
 use dynplat::model::dsl::parse_model;
 use dynplat::model::generate::{access_matrix, middleware_config, task_sets};
@@ -136,7 +136,6 @@ fn staged_update_preserves_service_through_the_whole_procedure() {
         EcuId(1),
         new_manifest,
         4096,
-        &StagedParams::default(),
     )
     .expect("staged update runs");
     assert_eq!(report.outage, SimDuration::ZERO);

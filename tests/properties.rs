@@ -784,3 +784,60 @@ fn someip_header_roundtrip() {
         assert_eq!(decoded, h, "case {case}");
     }
 }
+
+#[test]
+fn record_request_survives_header_and_value_codecs() {
+    use dynplat::comm::wire::{MessageType, SomeIpHeader};
+    for case in 0..CASES {
+        let mut rng = case_rng(17, case);
+        let n = rng.gen_range(1usize..6);
+        let ty = DataType::Record(
+            (0..n)
+                .map(|i| (rand_ident(&mut rng, i), arb_type(&mut rng, 2)))
+                .collect(),
+        );
+        let args = arb_value_of(&mut rng, &ty);
+        let mut h = SomeIpHeader::request(
+            ServiceId(rng.gen()),
+            MethodId(rng.gen()),
+            rng.gen(),
+            rng.gen(),
+        );
+        let body = args.encode();
+        h.payload_len = body.len() as u32;
+        let wire = h.encode(&body);
+        let (decoded, payload) = SomeIpHeader::decode(&wire).expect("own encoding decodes");
+        assert_eq!(decoded, h, "case {case}");
+        assert_eq!(decoded.message_type, MessageType::Request, "case {case}");
+        let back = Value::decode(payload, &ty).expect("own payload decodes");
+        assert_eq!(back, args, "case {case}");
+    }
+}
+
+#[test]
+fn notification_header_keeps_its_event_group_id() {
+    use dynplat::comm::wire::{MessageType, SomeIpHeader};
+    use dynplat::common::EventGroupId;
+    for case in 0..CASES {
+        let mut rng = case_rng(18, case);
+        let group = EventGroupId(rng.gen());
+        let ty = DataType::record([("v", DataType::F64)]);
+        let payload = Value::record([("v", Value::F64(f64::from(rng.gen::<u32>() as i32)))]);
+        let mut h = SomeIpHeader::notification(ServiceId(rng.gen()), MethodId(group.raw()));
+        let body = payload.encode();
+        h.payload_len = body.len() as u32;
+        let wire = h.encode(&body);
+        let (decoded, p) = SomeIpHeader::decode(&wire).expect("own encoding decodes");
+        assert_eq!(
+            decoded.message_type,
+            MessageType::Notification,
+            "case {case}"
+        );
+        assert_eq!(EventGroupId(decoded.method.raw()), group, "case {case}");
+        assert_eq!(
+            Value::decode(p, &ty).expect("decodes"),
+            payload,
+            "case {case}"
+        );
+    }
+}
