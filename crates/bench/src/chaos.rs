@@ -49,8 +49,6 @@ const DEADLINE: SimDuration = SimDuration::from_millis(40);
 pub const WINDOW: SimDuration = SimDuration::from_millis(250);
 /// Number of QM clients riding along with the ASIL-D control loop.
 const NDA_CLIENTS: u64 = 3;
-/// Breaker open-state cooldown.
-const BREAKER_COOLDOWN: SimDuration = SimDuration::from_millis(100);
 
 /// One chaos-campaign configuration.
 #[derive(Clone, Debug)]
@@ -339,7 +337,7 @@ pub fn run_campaign_traced(
         .map(|a| (a.idx, (a.host, a.class, a.priority)))
         .collect();
 
-    let mut breaker = CircuitBreaker::new(cfg.breaker_threshold, BREAKER_COOLDOWN);
+    let mut breaker = CircuitBreaker::new(cfg.breaker_threshold);
     let mut ladder = DegradationManager::new();
     let mut detected = FaultRecorder::new(8192);
     if let Some(fr) = &flight {
@@ -491,9 +489,11 @@ pub fn run_campaign_traced(
                 if streak_start.is_none() {
                     streak_start = Some(t0);
                 }
-                if breaker.on_failure(*deadline) {
-                    // The breaker declares the bound provider dead: tell
-                    // SD, rebind to a live alternate if one exists.
+                if breaker.on_failure() {
+                    // The breaker declares the bound provider dead and
+                    // restarts its count for whichever provider is bound
+                    // next: tell SD, rebind to a live alternate if one
+                    // exists.
                     if summary.detection_latency.is_none() {
                         summary.detection_latency =
                             Some(deadline.saturating_since(streak_start.unwrap_or(t0)));
@@ -512,8 +512,6 @@ pub fn run_campaign_traced(
                         bound = instance;
                         bound_host = host;
                         summary.failovers += 1;
-                        // Fresh provider, fresh breaker.
-                        breaker = CircuitBreaker::new(cfg.breaker_threshold, BREAKER_COOLDOWN);
                     } else {
                         // Nowhere to go: restore the offer and keep trying.
                         directory.apply(
@@ -525,7 +523,6 @@ pub fn run_campaign_traced(
                                 ttl: offer_ttl,
                             },
                         );
-                        breaker = CircuitBreaker::new(cfg.breaker_threshold, BREAKER_COOLDOWN);
                     }
                     streak_start = None;
                 }

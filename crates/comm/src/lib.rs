@@ -41,7 +41,7 @@ pub use arena::{ArenaStats, PayloadArena, PayloadRef};
 pub use fabric::{BusPort, Fabric, MessageDelivery, MessageSend, SlabStats};
 pub use paradigm::{EventBus, EventScratch, RpcScratch, RpcStats, StreamScratch, StreamStats};
 pub use qos::QosSpec;
-pub use retry::{Attempt, BreakerState, CircuitBreaker, RetryPolicy};
+pub use retry::{Attempt, CircuitBreaker, RetryPolicy};
 pub use ring::{RingEntry, SpscRing};
 pub use sd::{SdEntry, ServiceDirectory};
 pub use wire::{MessageType, ReturnCode, SomeIpHeader};

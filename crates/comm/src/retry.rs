@@ -5,9 +5,8 @@
 //! underneath misbehaves (§3.3/§3.4). This module supplies the client half
 //! of that promise: a [`RetryPolicy`] turns one logical request into a
 //! bounded, deterministically jittered attempt schedule, and a
-//! [`CircuitBreaker`] stops a client from hammering a provider that has
-//! demonstrably failed, converting repeated timeouts into an immediate
-//! local error until a cool-down elapses.
+//! [`CircuitBreaker`] declares a provider dead after a run of consecutive
+//! failed round trips, so the client can fail over.
 //!
 //! Everything is seed-driven: the same `(policy, seed)` pair always yields
 //! the same backoff schedule, so chaos campaigns replay bit-identically.
@@ -120,115 +119,43 @@ pub struct Attempt {
     pub deadline: SimTime,
 }
 
-/// Circuit-breaker states, after the classic pattern.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Requests flow; failures are counted.
-    #[default]
-    Closed,
-    /// Requests are rejected locally until the cool-down elapses.
-    Open,
-    /// One probe request is allowed through; its outcome decides.
-    HalfOpen,
-}
-
-/// Failure-counting circuit breaker for one (client, service) edge.
+/// Consecutive-failure circuit breaker for one (client, service) edge: it
+/// trips after `failure_threshold` failed round trips in a row, and a trip
+/// starts the count afresh.
 #[derive(Clone, Debug)]
 pub struct CircuitBreaker {
     failure_threshold: u32,
-    cooldown: SimDuration,
-    state: BreakerState,
     consecutive_failures: u32,
-    opened_at: SimTime,
-    trips: u64,
-    half_open_probes: u64,
 }
 
 impl CircuitBreaker {
-    /// Opens after `failure_threshold` consecutive failures; probes again
-    /// after `cooldown`.
+    /// Trips after `failure_threshold` consecutive failures.
     ///
     /// # Panics
     ///
     /// Panics if `failure_threshold` is zero.
-    pub fn new(failure_threshold: u32, cooldown: SimDuration) -> Self {
+    pub fn new(failure_threshold: u32) -> Self {
         assert!(failure_threshold > 0, "failure threshold must be non-zero");
         CircuitBreaker {
             failure_threshold,
-            cooldown,
-            state: BreakerState::Closed,
             consecutive_failures: 0,
-            opened_at: SimTime::ZERO,
-            trips: 0,
-            half_open_probes: 0,
         }
     }
 
-    /// Current state, advancing Open → HalfOpen when the cool-down has
-    /// elapsed at `now`. Each such advance admits exactly one probe and is
-    /// counted (`comm.breaker.half_open_probes`).
-    pub fn state(&mut self, now: SimTime) -> BreakerState {
-        if self.state == BreakerState::Open && now >= self.opened_at + self.cooldown {
-            self.state = BreakerState::HalfOpen;
-            self.half_open_probes += 1;
-            dynplat_obs::counter!("comm.breaker.half_open_probes").inc();
-        }
-        self.state
-    }
-
-    /// `true` if a request may be sent at `now`. In half-open state this
-    /// admits the probe (further calls stay admitted until an outcome is
-    /// reported).
-    pub fn allows(&mut self, now: SimTime) -> bool {
-        self.state(now) != BreakerState::Open
-    }
-
-    /// Reports a successful round trip: the circuit closes.
+    /// Reports a successful round trip: the failure count restarts.
     pub fn on_success(&mut self) {
-        self.state = BreakerState::Closed;
         self.consecutive_failures = 0;
     }
 
     /// Reports a failed round trip (all retries exhausted). Returns `true`
-    /// if this report tripped the circuit open.
-    pub fn on_failure(&mut self, now: SimTime) -> bool {
-        match self.state {
-            BreakerState::HalfOpen => {
-                // Failed probe: straight back to open.
-                self.state = BreakerState::Open;
-                self.opened_at = now;
-                self.trips += 1;
-                true
-            }
-            BreakerState::Closed => {
-                self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.failure_threshold {
-                    self.state = BreakerState::Open;
-                    self.opened_at = now;
-                    self.trips += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            BreakerState::Open => false,
+    /// if this report tripped the breaker.
+    pub fn on_failure(&mut self) -> bool {
+        self.consecutive_failures += 1;
+        if self.consecutive_failures < self.failure_threshold {
+            return false;
         }
-    }
-
-    /// How often the circuit has tripped open.
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
-    /// Half-open probes admitted so far (one per Open → HalfOpen advance).
-    pub fn probes(&self) -> u64 {
-        self.half_open_probes
-    }
-}
-
-impl Default for CircuitBreaker {
-    fn default() -> Self {
-        CircuitBreaker::new(3, SimDuration::from_millis(100))
+        self.consecutive_failures = 0;
+        true
     }
 }
 
@@ -297,46 +224,16 @@ mod tests {
     }
 
     #[test]
-    fn breaker_trips_after_threshold_and_recovers() {
-        let mut b = CircuitBreaker::new(3, ms(100));
-        let t = SimTime::ZERO;
-        assert!(b.allows(t));
-        assert!(!b.on_failure(t));
-        assert!(!b.on_failure(t));
-        assert!(b.on_failure(t), "third failure trips");
-        assert!(!b.allows(t + ms(50)), "open rejects");
-        assert!(b.allows(t + ms(100)), "half-open admits a probe");
-        assert_eq!(b.state(t + ms(100)), BreakerState::HalfOpen);
+    fn breaker_trips_after_threshold_consecutive_failures() {
+        let mut b = CircuitBreaker::new(3);
+        assert!(!b.on_failure());
+        assert!(!b.on_failure());
         b.on_success();
-        assert_eq!(b.state(t + ms(100)), BreakerState::Closed);
-        assert_eq!(b.trips(), 1);
-    }
-
-    #[test]
-    fn half_open_probes_are_counted_per_recovery_cycle() {
-        let mut b = CircuitBreaker::new(1, ms(100));
-        assert_eq!(b.probes(), 0);
-        b.on_failure(SimTime::ZERO);
-        assert!(b.allows(SimTime::from_millis(100)), "probe 1 admitted");
-        // Repeated state reads in half-open do not inflate the counter.
-        assert!(b.allows(SimTime::from_millis(101)));
-        assert_eq!(b.probes(), 1);
-        assert!(b.on_failure(SimTime::from_millis(101)), "probe 1 fails");
-        assert!(b.allows(SimTime::from_millis(201)), "probe 2 admitted");
-        assert_eq!(b.probes(), 2);
-        b.on_success();
-        assert_eq!(b.state(SimTime::from_millis(202)), BreakerState::Closed);
-        assert_eq!(b.probes(), 2, "closing does not probe");
-    }
-
-    #[test]
-    fn failed_probe_reopens_immediately() {
-        let mut b = CircuitBreaker::new(1, ms(100));
-        b.on_failure(SimTime::ZERO);
-        assert!(b.allows(SimTime::from_millis(100)));
-        assert!(b.on_failure(SimTime::from_millis(100)));
-        assert!(!b.allows(SimTime::from_millis(150)));
-        assert!(b.allows(SimTime::from_millis(200)));
-        assert_eq!(b.trips(), 2);
+        assert!(!b.on_failure());
+        assert!(!b.on_failure());
+        assert!(b.on_failure(), "third failure in a row trips");
+        assert!(!b.on_failure(), "a trip restarts the count");
+        assert!(!b.on_failure());
+        assert!(b.on_failure());
     }
 }

@@ -38,6 +38,10 @@ pub fn can_frame_time(payload: usize, bitrate: u64) -> SimDuration {
 }
 
 /// Online CAN bus: non-preemptive, lowest-identifier-first arbitration.
+///
+/// Arbitration stays a linear scan on purpose: in `dynbench` `adas_cycle`
+/// this queue is 1–2 frames deep, and a `BinaryHeap` queue made the unit
+/// about 5 µs slower.
 #[derive(Debug)]
 pub struct CanArbiter {
     bitrate: u64,

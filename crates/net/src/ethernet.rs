@@ -111,6 +111,10 @@ impl Arbiter for FifoPort {
 /// the numerically lowest `priority` transmits next; ties break FIFO.
 /// Non-preemptive, so urgent traffic still suffers up to one frame of
 /// blocking from an in-flight bulk frame.
+///
+/// Selection stays a linear scan on purpose: in `dynbench` `adas_cycle`
+/// this queue is 1–2 frames deep, and a `BinaryHeap` queue made the unit
+/// about 5 µs slower.
 #[derive(Debug)]
 pub struct StrictPriorityPort {
     bitrate: u64,

@@ -8,16 +8,22 @@
 //! with a repeating [`GateControlList`] and guard-band semantics: a frame
 //! may only start if it finishes before its window closes.
 //!
-//! Arbitration allocates nothing in steady state. The list keeps its
-//! windows sorted by offset (once, at construction), so
+//! Arbitration allocates nothing in steady state, and a poll costs one
+//! fit per distinct queued `(class, payload, priority)`, not one per frame.
+//! The list keeps its windows sorted by offset (once, at construction), so
 //! [`GateControlList::earliest_fit`] is a scan over at most twice the
-//! window count. A poll computes one fit per distinct `(class, payload)`
-//! pair among the queued frames — the MTU segments of one message share
-//! both — and is otherwise one linear pass over the queue.
+//! window count. The port queues frames in FIFO groups that share
+//! `(class, payload, priority)` — the MTU segments of one message share
+//! all three. At one poll instant every frame of a group has the same fit,
+//! and sequence numbers only grow, so the group's front is its lowest
+//! `(priority, seq)`: a poll visits group fronts only. A burst of n
+//! segments therefore costs O(n) polls of O(groups) each. Drained groups
+//! keep their capacity and are reused by the next new key.
 
 use crate::ethernet::ethernet_frame_time;
 use crate::{Arbiter, Frame, Grant, TrafficClass, Transmission};
 use dynplat_common::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// One open-gate window within the gating cycle.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -207,9 +213,20 @@ impl GateControlList {
 pub struct TsnGatedPort {
     bitrate: u64,
     gcl: GateControlList,
-    queue: Vec<(u32, u64, SimTime, Frame)>,
+    /// Queued frames grouped by key, one group per key. A drained group
+    /// keeps its key and capacity until a new key claims it.
+    groups: Vec<FrameGroup>,
     seq: u64,
     dropped: u64,
+}
+
+/// The queued frames that share `(class, payload, priority)`, in enqueue
+/// order as `(seq, arrival, frame)`. At one poll instant they share one
+/// `earliest_fit`, and their front has the group's lowest `(priority, seq)`.
+#[derive(Clone, Debug)]
+struct FrameGroup {
+    key: (TrafficClass, usize, u32),
+    frames: VecDeque<(u64, SimTime, Frame)>,
 }
 
 impl TsnGatedPort {
@@ -223,7 +240,7 @@ impl TsnGatedPort {
         TsnGatedPort {
             bitrate,
             gcl,
-            queue: Vec::new(),
+            groups: Vec::new(),
             seq: 0,
             dropped: 0,
         }
@@ -240,78 +257,45 @@ impl TsnGatedPort {
     }
 }
 
-/// One poll's `earliest_fit` results keyed by `(class, payload)`: at one
-/// poll instant and a fixed bitrate the fit depends on nothing else. A
-/// fixed-size array on the stack; once it is full, further pairs are
-/// computed directly.
-struct FitMemo {
-    len: usize,
-    slots: [(TrafficClass, usize, Option<SimTime>); FitMemo::SLOTS],
-}
-
-impl FitMemo {
-    const SLOTS: usize = 8;
-
-    fn new() -> Self {
-        FitMemo {
-            len: 0,
-            slots: [(TrafficClass::BestEffort, 0, None); FitMemo::SLOTS],
-        }
-    }
-
-    /// The memoised fit of `(class, payload)`, computing it with `fit` on
-    /// a miss.
-    fn get(
-        &mut self,
-        class: TrafficClass,
-        payload: usize,
-        fit: impl FnOnce() -> Option<SimTime>,
-    ) -> Option<SimTime> {
-        let hit = self.slots[..self.len]
-            .iter()
-            .find(|&&(c, p, _)| c == class && p == payload);
-        if let Some(&(_, _, start)) = hit {
-            return start;
-        }
-        let start = fit();
-        if self.len < FitMemo::SLOTS {
-            self.slots[self.len] = (class, payload, start);
-            self.len += 1;
-        }
-        start
-    }
-}
-
 impl Arbiter for TsnGatedPort {
     fn enqueue(&mut self, now: SimTime, frame: Frame) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push((frame.priority, seq, now, frame));
+        let key = (frame.class, frame.payload, frame.priority);
+        let idx = self
+            .groups
+            .iter()
+            .position(|g| g.key == key)
+            .or_else(|| self.groups.iter().position(|g| g.frames.is_empty()))
+            .unwrap_or_else(|| {
+                self.groups.push(FrameGroup {
+                    key,
+                    frames: VecDeque::new(),
+                });
+                self.groups.len() - 1
+            });
+        let group = &mut self.groups[idx];
+        group.key = key;
+        group.frames.push_back((seq, now, frame));
     }
 
     fn poll(&mut self, now: SimTime) -> Grant {
-        // One pass: discard frames that can never fit any window
+        // One fit per non-empty group: drop a group no window can ever fit
         // (oversized). Among the rest: if any may start right now, grant
-        // the highest-priority one; otherwise report the earliest future
-        // start.
-        let (gcl, bitrate) = (&self.gcl, self.bitrate);
-        let mut fits = FitMemo::new();
-        // (priority, seq, index among the kept frames)
+        // the front with the lowest (priority, seq); otherwise report the
+        // earliest future start. `now_best` is (priority, seq, group index).
         let mut now_best: Option<(u32, u64, usize)> = None;
         let mut future_best: Option<SimTime> = None;
-        let (queued, mut kept) = (self.queue.len(), 0usize);
-        self.queue.retain(|(prio, seq, _, frame)| {
-            let fit = fits.get(frame.class, frame.payload, || {
-                gcl.earliest_fit(
-                    now,
-                    frame.class,
-                    ethernet_frame_time(frame.payload, bitrate),
-                )
-            });
-            match fit {
+        for (idx, g) in self.groups.iter_mut().enumerate() {
+            let Some(&(seq, _, _)) = g.frames.front() else {
+                continue;
+            };
+            let (class, payload, priority) = g.key;
+            let tx = ethernet_frame_time(payload, self.bitrate);
+            match self.gcl.earliest_fit(now, class, tx) {
                 Some(start) if start == now => {
-                    if now_best.is_none_or(|(p, s, _)| (*prio, *seq) < (p, s)) {
-                        now_best = Some((*prio, *seq, kept));
+                    if now_best.is_none_or(|(p, s, _)| (priority, seq) < (p, s)) {
+                        now_best = Some((priority, seq, idx));
                     }
                 }
                 Some(start) => {
@@ -319,14 +303,17 @@ impl Arbiter for TsnGatedPort {
                         future_best = Some(start);
                     }
                 }
-                None => return false,
+                None => {
+                    self.dropped += g.frames.len() as u64;
+                    g.frames.clear();
+                }
             }
-            kept += 1;
-            true
-        });
-        self.dropped += (queued - kept) as u64;
+        }
         if let Some((_, _, idx)) = now_best {
-            let (_, _, arrival, frame) = self.queue.swap_remove(idx);
+            let (_, arrival, frame) = self.groups[idx]
+                .frames
+                .pop_front()
+                .expect("the granted group has a front frame");
             let tx = ethernet_frame_time(frame.payload, self.bitrate);
             return Grant::Tx(Transmission {
                 frame,
@@ -342,7 +329,7 @@ impl Arbiter for TsnGatedPort {
     }
 
     fn pending(&self) -> usize {
-        self.queue.len()
+        self.groups.iter().map(|g| g.frames.len()).sum()
     }
 }
 

@@ -48,11 +48,13 @@ cargo run --release -q -p dynplat-bench -- fig2_interference \
   >"$SMOKE_TMP/fig2_interference.txt"
 cmp "$SMOKE_TMP/fig2_interference.txt" scripts/reference/fig2_interference.txt
 
-echo "==> e5 update-safety and e12 chaos reports (cmp against the pinned bytes)"
-# Both tables are seed-pure end to end: e5 pins the staged/stop-restart
-# phase costs and the fleet update gate, e12 the campaign constants, the
-# degradation ladder and the drift detector.
-for exp in e5_update_safety e12_chaos; do
+echo "==> e3/e4 network, e5 update-safety and e12 chaos reports (cmp against the pinned bytes)"
+# All four tables are seed-pure end to end: fig3 and e4 pin the media
+# arbiters (the TSN gated port among them) under the three paradigms and
+# under bulk load, e5 the staged/stop-restart phase costs and the fleet
+# update gate, e12 the campaign constants, the degradation ladder and the
+# drift detector.
+for exp in fig3_paradigms e4_hw_access e5_update_safety e12_chaos; do
   cargo run --release -q -p dynplat-bench -- "$exp" >"$SMOKE_TMP/$exp.txt"
   cmp "$SMOKE_TMP/$exp.txt" "scripts/reference/$exp.txt"
 done

@@ -300,6 +300,103 @@ fn tsn_port_matches_the_naive_oracle() {
     }
 }
 
+/// One message as the fabric queues it at the backbone: a 60 KiB camera
+/// frame (41 segments), a 200-byte command (one key per priority), a
+/// random single frame or an oversized one.
+fn arb_message(rng: &mut SplitMix64, next_id: &mut u32) -> Vec<Frame> {
+    let class = class_of(rng.gen_range(0usize..3));
+    let priority = rng.gen_range(0u32..4);
+    let payloads = match rng.gen_range(0u32..8) {
+        0 => burst_60k(),
+        1 => vec![rng.gen_range(20_000usize..40_000)],
+        2..=4 => vec![200],
+        _ => vec![rng.gen_range(1usize..=1500)],
+    };
+    frames_of(payloads, class, priority, next_id)
+}
+
+/// The MTU segments of a 60 KiB message: 40 × 1500 bytes and 1440.
+fn burst_60k() -> Vec<usize> {
+    let mut segments = vec![1500; 61_440 / 1500];
+    segments.push(61_440 % 1500);
+    segments
+}
+
+fn frames_of(
+    payloads: Vec<usize>,
+    class: TrafficClass,
+    priority: u32,
+    next_id: &mut u32,
+) -> Vec<Frame> {
+    payloads
+        .into_iter()
+        .map(|payload| {
+            *next_id += 1;
+            Frame::new(MessageId(*next_id), payload)
+                .with_priority(priority)
+                .with_class(class)
+        })
+        .collect()
+}
+
+#[test]
+fn tsn_port_matches_the_naive_oracle_step_by_step() {
+    for case in 0..CASES {
+        let mut rng = case_rng(11, case);
+        let gcl = arb_multi_window_gcl(&mut rng);
+        let mut naive = NaiveTsnPort::new(MBIT100, gcl.clone());
+        let mut port = TsnGatedPort::new(MBIT100, gcl.clone());
+        let mut now = SimTime::ZERO;
+        let mut next_id = 0u32;
+        // Two 60 KiB bursts of different priority in one class that can
+        // carry a full segment, if the list has one.
+        let mtu = ethernet_frame_time(1500, MBIT100);
+        let burst_class = (0..3)
+            .map(class_of)
+            .find(|&c| gcl.earliest_fit(SimTime::ZERO, c, mtu).is_some())
+            .unwrap_or(TrafficClass::BestEffort);
+        let mut backlog = vec![
+            frames_of(burst_60k(), burst_class, 2, &mut next_id),
+            frames_of(burst_60k(), burst_class, 1, &mut next_id),
+        ];
+        // Rounds of random messages interleaved with polls, each polled
+        // until the queue drains, so drained groups are reused by later
+        // keys.
+        for round in 0..6 {
+            backlog.extend((0..rng.gen_range(1..6)).map(|_| arb_message(&mut rng, &mut next_id)));
+            for step in 0..2_000 {
+                if backlog.is_empty() && naive.pending() == 0 {
+                    break;
+                }
+                if !backlog.is_empty() && rng.gen_bool(0.2) {
+                    let i = rng.gen_range(0..backlog.len());
+                    for frame in backlog.swap_remove(i) {
+                        naive.enqueue(now, frame.clone());
+                        port.enqueue(now, frame);
+                    }
+                } else {
+                    let grant = port.poll(now);
+                    assert_eq!(
+                        grant,
+                        naive.poll(now),
+                        "case {case} round {round} step {step}"
+                    );
+                    // Mostly follow the medium; sometimes poll early or
+                    // late.
+                    now = match grant {
+                        Grant::Tx(tx) if rng.gen_bool(0.8) => tx.end,
+                        Grant::WaitUntil(t) if rng.gen_bool(0.8) => t,
+                        _ => now + SimDuration::from_nanos(rng.gen_range(0u64..150_000)),
+                    };
+                }
+                let at = format!("case {case} round {round} step {step}");
+                assert_eq!(port.pending(), naive.pending(), "{at}");
+                assert_eq!(port.dropped(), naive.dropped, "{at}");
+            }
+        }
+    }
+}
+
 #[test]
 fn tsn_idle_port_wait_never_exceeds_the_gate_delay_bound() {
     for case in 0..CASES {
