@@ -1,9 +1,9 @@
-//! E10 (§2.3 + §3.1): design-space exploration quality/runtime, admission
-//! control soundness, and the local-vs-cloud schedule management trade of
-//! \[21\].
+//! E10 (§2.3 + §3.1): design-space exploration quality, admission control
+//! soundness, and the local-vs-cloud schedule management trade of \[21\].
+//! The DSE runtimes are the `dse/*` rows of `micro`.
 //!
-//! Expected shape: greedy is fastest but can be beaten on cost; simulated
-//! annealing matches or beats random search at equal budget; the unsound
+//! Expected shape: greedy can be beaten on cost; simulated annealing
+//! matches or beats random search at equal budget; the unsound
 //! utilization-only admission test accepts task sets the exact test
 //! rejects; incremental (local) synthesis has zero disturbance but fails on
 //! fragmented schedules where cloud resynthesis succeeds at the price of
@@ -21,13 +21,7 @@ use dynplat_model::ir::{Deployment, MappingChoice, SystemModel};
 use dynplat_sched::admission::{AdmissionController, AdmissionTest};
 use dynplat_sched::manage::{ScheduleManager, SynthesisBackend};
 use dynplat_sched::rta;
-
-type DseRun<'a> = (
-    &'a str,
-    Box<dyn Fn() -> dynplat_dse::search::DseResult + 'a>,
-);
 use dynplat_sched::task::{TaskSet, TaskSpec};
-use std::time::Instant;
 
 /// `n_apps` vehicle functions, each free to map onto any ECU of a
 /// `pool`-sized domain-class pool on one gigabit backbone.
@@ -67,18 +61,10 @@ pub fn platform_model(n_apps: u32, pool: u16) -> SystemModel {
 }
 
 pub fn run() {
-    // -- DSE quality / runtime ---------------------------------------------------
+    // -- DSE quality -------------------------------------------------------------
     let table = Table::new(
         "E10a — DSE algorithms over growing architectures",
-        &[
-            "apps",
-            "algorithm",
-            "feasible",
-            "cost",
-            "peak_U",
-            "evals",
-            "runtime_ms",
-        ],
+        &["apps", "algorithm", "feasible", "cost", "peak_U", "evals"],
     );
     for n in [10u32, 30, 60] {
         let model = platform_model(n, (n / 6).clamp(2, 10) as u16);
@@ -88,16 +74,12 @@ pub fn run() {
             ..Default::default()
         };
 
-        let runs: Vec<DseRun> = vec![
-            ("greedy", Box::new(|| greedy_first_fit(&model))),
-            ("random", Box::new(|| random_search(&model, &cfg))),
-            ("annealing", Box::new(|| simulated_annealing(&model, &cfg))),
-            ("annealing-x4", Box::new(|| explore(&model, &cfg))),
-        ];
-        for (name, run) in runs {
-            let start = Instant::now();
-            let result = run();
-            let elapsed = start.elapsed().as_secs_f64() * 1e3;
+        for (name, result) in [
+            ("greedy", greedy_first_fit(&model)),
+            ("random", random_search(&model, &cfg)),
+            ("annealing", simulated_annealing(&model, &cfg)),
+            ("annealing-x4", explore(&model, &cfg)),
+        ] {
             let (_, obj) = result.best.expect("candidate exists");
             table.row(&[
                 n.to_string(),
@@ -106,7 +88,6 @@ pub fn run() {
                 obj.used_cost.to_string(),
                 format!("{:.3}", obj.peak_utilization),
                 result.evaluations.to_string(),
-                format!("{elapsed:.1}"),
             ]);
         }
     }

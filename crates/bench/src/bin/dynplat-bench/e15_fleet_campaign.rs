@@ -14,9 +14,9 @@
 //!
 //! Every figure in the table and the JSON lives on the simulated clock, so
 //! output is byte-identical across reruns **and across `--shards` values**
-//! — `scripts/ci.sh` pins both with a `cmp`. Wall-clock throughput is
-//! printed separately as a `#` comment (it may vary run to run and is
-//! deliberately kept out of the JSON).
+//! — `scripts/ci.sh` pins both. Wall-clock throughput goes to stderr as a
+//! `#` comment: it varies run to run, so it stays out of stdout and the
+//! JSON.
 
 use crate::{Flags, Outcome};
 use dynplat_bench::fleet::{arms_to_json, run_arms, FleetResult};
@@ -43,7 +43,7 @@ pub fn run(flags: &Flags) -> Outcome {
     }
 
     let simulated: u64 = results.iter().map(|r| u64::from(r.vehicles)).sum();
-    println!(
+    eprintln!(
         "# wall-clock: {} vehicle-campaigns in {:.2}s ({:.0} vehicles/s) — not part of the JSON",
         simulated,
         elapsed.as_secs_f64(),

@@ -14,12 +14,12 @@
 //! * `--out PATH` — write the run as JSON (schema `dynplat.e16.v1`);
 //! * `--telemetry DIR` — write each arm's merged telemetry artifact as
 //!   `DIR/TELEMETRY_<arm>.json` (byte-identical across `--shards`, the
-//!   file CI `cmp`s shard-flipped).
+//!   files CI compares shard-flipped).
 //!
 //! Every figure in the table and the JSON lives on the simulated clock, so
 //! output is byte-identical across reruns **and across `--shards` values**.
-//! Wall-clock throughput is printed separately as a `#` comment (it may
-//! vary run to run and is deliberately kept out of the JSON).
+//! Wall-clock throughput goes to stderr as a `#` comment: it varies run to
+//! run, so it stays out of stdout and the JSON.
 
 use crate::{Flags, Outcome};
 use dynplat_bench::telemetry::{run_telemetry_arms, telemetry_arms_to_json, TelemetryResult};
@@ -46,7 +46,7 @@ pub fn run(flags: &Flags) -> Outcome {
     }
 
     let simulated: u64 = results.iter().map(|r| 2 * u64::from(r.vehicles)).sum();
-    println!(
+    eprintln!(
         "# wall-clock: {} vehicle-phases in {:.2}s ({:.0} vehicles/s) — not part of the JSON",
         simulated,
         elapsed.as_secs_f64(),

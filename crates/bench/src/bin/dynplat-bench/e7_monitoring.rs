@@ -1,11 +1,10 @@
-//! E7 (§3.4): runtime monitoring — per-observation cost, fault detection
-//! latency, and certification data-set aggregation over a simulated fleet.
+//! E7 (§3.4): runtime monitoring — fault detection latency and
+//! certification data-set aggregation over a simulated fleet. The
+//! per-observation cost is the `monitor/observe_pair` row of `micro`.
 //!
-//! Expected shape: monitoring cost is sub-microsecond per activation (far
-//! below any control period, so "runtime monitoring" is affordable);
-//! detection latency for period/deadline/memory violations is a single
-//! observation; fleet aggregation yields response-time quantile bounds
-//! usable for certification arguments.
+//! Expected shape: detection latency for period/deadline/memory violations
+//! is a single observation; fleet aggregation yields response-time
+//! quantile bounds usable for certification arguments.
 
 use dynplat_bench::Table;
 use dynplat_common::rng::seeded_rng;
@@ -14,33 +13,14 @@ use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{TaskId, VehicleId};
 use dynplat_monitor::report::{CertificationDataSet, DiagnosticReport};
 use dynplat_monitor::{FaultKind, FaultRecorder, MonitorSpec, TaskMonitor, TaskObservation};
-use std::time::Instant;
 
 pub fn run() {
-    // -- per-observation overhead (real wall clock) ---------------------------
     let spec = MonitorSpec::new(
         TaskId(1),
         SimDuration::from_millis(10),
         SimDuration::from_millis(10),
         1 << 20,
     );
-    let mut monitor = TaskMonitor::new(spec.clone());
-    let mut recorder = FaultRecorder::default();
-    let n = 1_000_000u64;
-    let start = Instant::now();
-    for k in 0..n {
-        let t = SimTime::from_millis(k * 10);
-        monitor.observe(TaskObservation::Activation(t), &mut recorder);
-        monitor.observe(
-            TaskObservation::Completion {
-                release: t,
-                completion: t + SimDuration::from_millis(2),
-            },
-            &mut recorder,
-        );
-    }
-    let per_obs = start.elapsed().as_nanos() / u128::from(n * 2);
-    println!("# E7a — monitoring overhead: {per_obs} ns per observation ({n} activations)");
 
     // -- detection latency per fault class ------------------------------------
     let table = Table::new(

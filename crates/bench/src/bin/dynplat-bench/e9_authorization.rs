@@ -1,20 +1,17 @@
-//! E9 (§4.2): authentication and authorization — session setup after the
-//! lightweight framework of \[10\], model-derived access control, and
-//! runtime permission updates.
+//! E9 (§4.2): authorization — model-derived access control and runtime
+//! permission updates. The costs of session setup after the lightweight
+//! framework of \[10\] and of one authenticated message are rows of `micro`.
 //!
-//! Expected shape: session setup costs two MAC-ish operations (cheap),
-//! data-plane authentication is one truncated HMAC per message; the
-//! model-generated matrix grants exactly the declared bindings and nothing
-//! else; wildcard diagnosis grants are visible for audit; permission packs
-//! merged at runtime take effect immediately and bump the matrix version.
+//! Expected shape: the model-generated matrix grants exactly the declared
+//! bindings and nothing else; wildcard diagnosis grants are visible for
+//! audit; permission packs merged at runtime take effect immediately and
+//! bump the matrix version.
 
 use dynplat_bench::Table;
 use dynplat_common::{AppId, MethodId, ServiceId};
 use dynplat_model::dsl::parse_model;
 use dynplat_model::generate::access_matrix;
-use dynplat_security::authn::{service_accept_ticket, KeyServer, Principal, SecureChannel};
 use dynplat_security::authz::{AccessControlMatrix, Permission};
-use std::time::Instant;
 
 const MODEL: &str = r#"
 system {
@@ -33,32 +30,6 @@ system {
 "#;
 
 pub fn run() {
-    // -- session setup and data-plane costs -----------------------------------
-    let mut ks = KeyServer::new();
-    ks.enroll(Principal::Client(AppId(2)), [1; 32]);
-    ks.enroll(Principal::Service(ServiceId(1)), [2; 32]);
-    let reps = 5_000u32;
-    let start = Instant::now();
-    let mut last = None;
-    for _ in 0..reps {
-        last = Some(ks.grant_session(AppId(2), ServiceId(1)).expect("granted"));
-    }
-    let setup = start.elapsed() / reps;
-    let grant = last.expect("at least one grant");
-
-    let mut service =
-        service_accept_ticket(&[2; 32], AppId(2), ServiceId(1), &grant).expect("ticket ok");
-    let mut client = SecureChannel::new(grant.session_key);
-    let payload = vec![0u8; 64];
-    let reps = 20_000u32;
-    let start = Instant::now();
-    for _ in 0..reps {
-        let msg = client.seal(&payload);
-        service.open(&msg).expect("authentic");
-    }
-    let per_msg = start.elapsed() / reps;
-    println!("# E9a — session setup {setup:?}; authenticated 64 B message round {per_msg:?}");
-
     // -- model-derived matrix ---------------------------------------------------
     let model = parse_model(MODEL).expect("parses");
     let matrix = access_matrix(&model);

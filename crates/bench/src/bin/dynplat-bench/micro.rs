@@ -1,6 +1,8 @@
 //! Micro-benchmarks over the hot paths of every substrate: crypto
-//! primitives, wire codecs, schedulability analyses, TT synthesis, DSL
-//! parsing and fabric simulation.
+//! primitives, wire codecs, task monitoring, session authentication,
+//! schedulability analyses, TT synthesis, design-space exploration, DSL
+//! parsing and fabric simulation. The wall-clock costs behind E7–E10 are
+//! rows here, so that those experiments print only seed-pure figures.
 //!
 //! Prints one TSV row per benchmark (`name`, `ns_per_iter`, `iters`),
 //! each timed over a ~200 ms budget. Flags:
@@ -9,20 +11,27 @@
 //!
 //! The timings are wall-clock and vary run to run.
 
+use crate::e10_dse_admission::platform_model;
 use crate::{Flags, Outcome};
 use dynplat_comm::fabric::{Fabric, MessageSend};
 use dynplat_comm::wire::SomeIpHeader;
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{AppId, BusId, EcuId, MessageId, MethodId, ServiceId, TaskId};
+use dynplat_dse::search::{
+    explore, greedy_first_fit, random_search, simulated_annealing, DseConfig,
+};
 use dynplat_hw::ecu::{EcuClass, EcuSpec};
 use dynplat_hw::topology::{BusKind, BusSpec, HwTopology};
 use dynplat_model::dsl::parse_model;
+use dynplat_monitor::{FaultRecorder, MonitorSpec, TaskMonitor, TaskObservation};
 use dynplat_net::can::{CanAnalysis, CanMessageSpec};
 use dynplat_net::TrafficClass;
 use dynplat_obs::TraceCtx;
 use dynplat_sched::rta;
 use dynplat_sched::task::{TaskSet, TaskSpec};
 use dynplat_sched::tt;
+use dynplat_security::authn::{service_accept_ticket, KeyServer, Principal, SecureChannel};
+use dynplat_security::master::{VoucherIssuer, WeakEcuVerifier};
 use dynplat_security::package::{KeyRegistry, SignedPackage, UpdatePackage, Version};
 use dynplat_security::sha256::{hmac_sha256, sha256};
 use dynplat_security::sign::KeyPair;
@@ -73,6 +82,75 @@ fn bench_crypto(quick: bool) {
     bench("crypto/verify_signed_package_4KiB", quick, || {
         signed.verify(black_box(&registry)).expect("verifies")
     });
+    // E8a's accelerator-class baseline.
+    let package = UpdatePackage::new(AppId(1), Version::new(2, 0, 0), 7, vec![0xAB; 64 * 1024]);
+    let signed = SignedPackage::create(&package, &kp);
+    bench("crypto/verify_signed_package_64KiB", quick, || {
+        signed.verify(black_box(&registry)).expect("verifies")
+    });
+
+    // E8c: a weak ECU's voucher check against the signature verification it
+    // replaces, on a 64 B package where the asymmetric operation dominates.
+    // The toy 61-bit signature field (DESIGN.md §5) makes verification
+    // unrealistically cheap; on a production curve it costs orders of
+    // magnitude more than the voucher's single HMAC.
+    let package = UpdatePackage::new(AppId(2), Version::new(1, 0, 0), 1, vec![0u8; 64]);
+    let signed = SignedPackage::create(&package, &kp);
+    let psk = [0x55u8; 32];
+    let mut master = VoucherIssuer::new(registry.clone());
+    master.enroll(EcuId(0), psk);
+    let (_, voucher) = master
+        .verify_for(&signed, EcuId(0))
+        .expect("master verifies");
+    let weak = WeakEcuVerifier::new(EcuId(0), psk);
+    bench("security/voucher_check_64B", quick, || {
+        assert!(weak.accept(black_box(&signed.package_bytes), &voucher));
+    });
+    bench("security/verify_signed_package_64B", quick, || {
+        signed.verify(black_box(&registry)).expect("verifies")
+    });
+}
+
+/// E9a: session setup after \[10\], and one authenticated 64 B message
+/// sealed by the client and opened by the service.
+fn bench_session(quick: bool) {
+    let mut ks = KeyServer::new();
+    ks.enroll(Principal::Client(AppId(2)), [1; 32]);
+    ks.enroll(Principal::Service(ServiceId(1)), [2; 32]);
+    bench("security/session_setup", quick, || {
+        ks.grant_session(AppId(2), ServiceId(1)).expect("granted")
+    });
+    let grant = ks.grant_session(AppId(2), ServiceId(1)).expect("granted");
+    let mut service =
+        service_accept_ticket(&[2; 32], AppId(2), ServiceId(1), &grant).expect("ticket ok");
+    let mut client = SecureChannel::new(grant.session_key);
+    let payload = vec![0u8; 64];
+    bench("security/authenticated_64B_round", quick, || {
+        service
+            .open(&client.seal(black_box(&payload)))
+            .expect("authentic")
+    });
+}
+
+/// E7a: one on-time activation and its completion through a task monitor,
+/// i.e. two observations.
+fn bench_monitor(quick: bool) {
+    let period = SimDuration::from_millis(10);
+    let mut monitor = TaskMonitor::new(MonitorSpec::new(TaskId(1), period, period, 1 << 20));
+    let mut recorder = FaultRecorder::default();
+    let mut release = SimTime::ZERO;
+    bench("monitor/observe_pair", quick, || {
+        release += period;
+        let completion = release + SimDuration::from_millis(2);
+        monitor.observe(TaskObservation::Activation(release), &mut recorder)
+            + monitor.observe(
+                TaskObservation::Completion {
+                    release,
+                    completion,
+                },
+                &mut recorder,
+            )
+    });
 }
 
 fn bench_wire(quick: bool) {
@@ -111,6 +189,23 @@ fn bench_sched(quick: bool) {
             tt::synthesize(black_box(&set)).expect("synthesizes")
         });
     }
+}
+
+/// E10a: each DSE algorithm on the largest architecture of the table, 60
+/// apps over a 10-ECU pool.
+fn bench_dse(quick: bool) {
+    let model = platform_model(60, 10);
+    let cfg = DseConfig {
+        iterations: 1200,
+        seed: 3,
+        ..Default::default()
+    };
+    bench("dse/greedy/60_apps", quick, || greedy_first_fit(&model));
+    bench("dse/random/60_apps", quick, || random_search(&model, &cfg));
+    bench("dse/annealing/60_apps", quick, || {
+        simulated_annealing(&model, &cfg)
+    });
+    bench("dse/annealing-x4/60_apps", quick, || explore(&model, &cfg));
 }
 
 fn bench_can_analysis(quick: bool) {
@@ -187,7 +282,10 @@ pub fn run(flags: &Flags) -> Outcome {
     println!("benchmark\tns_per_iter\titers");
     bench_crypto(quick);
     bench_wire(quick);
+    bench_session(quick);
+    bench_monitor(quick);
     bench_sched(quick);
+    bench_dse(quick);
     bench_can_analysis(quick);
     bench_dsl(quick);
     bench_fabric(quick);

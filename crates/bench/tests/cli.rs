@@ -1,5 +1,6 @@
 //! Command-line contract of the `dynplat-bench` binary: usage errors exit 2
-//! with the usage on stderr, and E15's JSON does not depend on `--shards`.
+//! with the usage on stderr, E15's JSON does not depend on `--shards`, and
+//! its stdout is the same on every run.
 
 use std::process::{Command, Output};
 
@@ -38,6 +39,7 @@ fn usage_errors_exit_2_with_the_usage_on_stderr() {
 
 #[test]
 fn e15_json_is_shard_invariant() {
+    // (stdout, JSON) of one run.
     let report = |shards| {
         let path = format!(
             "{}/cli_e15_shards{shards}.json",
@@ -52,8 +54,15 @@ fn e15_json_is_shard_invariant() {
             "--shards",
             shards,
         ];
-        assert!(dynplat_bench(&args).status.success(), "--shards {shards}");
-        std::fs::read(&path).expect("read E15 JSON")
+        let out = dynplat_bench(&args);
+        assert!(out.status.success(), "--shards {shards}");
+        (out.stdout, std::fs::read(&path).expect("read E15 JSON"))
     };
-    assert_eq!(report("1"), report("3"));
+    let (stdout, json) = report("1");
+    assert_eq!(json, report("3").1);
+    // Stdout carries no wall-clock figure, so a rerun prints the same bytes.
+    assert_eq!(
+        String::from_utf8_lossy(&stdout),
+        String::from_utf8_lossy(&report("1").0)
+    );
 }

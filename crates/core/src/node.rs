@@ -217,11 +217,6 @@ impl PlatformNode {
         &self.faults
     }
 
-    /// Mutable access to the fault recorder (monitor feeding).
-    pub fn faults_mut(&mut self) -> &mut FaultRecorder {
-        &mut self.faults
-    }
-
     /// All hosted instances.
     pub fn instances(&self) -> impl Iterator<Item = (InstanceId, &Instance)> {
         self.instances.iter().map(|(k, v)| (*k, v))

@@ -16,8 +16,6 @@ pub struct MonitorSpec {
     pub task: TaskId,
     /// Expected activation period.
     pub period: SimDuration,
-    /// Allowed deviation of inter-activation times from the period.
-    pub period_tolerance: SimDuration,
     /// Relative deadline per activation.
     pub deadline: SimDuration,
     /// Allowed response-time spread (max − min).
@@ -38,17 +36,15 @@ impl MonitorSpec {
         MonitorSpec {
             task,
             period,
-            period_tolerance: period / 10,
             deadline,
             jitter_bound: deadline,
             memory_budget,
         }
     }
 
-    /// Overrides the period tolerance.
-    pub fn with_period_tolerance(mut self, tolerance: SimDuration) -> Self {
-        self.period_tolerance = tolerance;
-        self
+    /// Allowed deviation of inter-activation times from the period: 10%.
+    fn period_tolerance(&self) -> SimDuration {
+        self.period / 10
     }
 
     /// Overrides the jitter bound.
@@ -154,16 +150,17 @@ impl TaskMonitor {
                 self.activations += 1;
                 if let Some(last) = self.last_activation {
                     let gap = t.saturating_since(last);
-                    let lo = self.spec.period.saturating_sub(self.spec.period_tolerance);
-                    let hi = self.spec.period + self.spec.period_tolerance;
+                    let tolerance = self.spec.period_tolerance();
+                    let lo = self.spec.period.saturating_sub(tolerance);
+                    let hi = self.spec.period + tolerance;
                     if gap < lo || gap > hi {
                         recorder.record(Fault {
                             time: t,
                             task: self.spec.task,
                             kind: FaultKind::PeriodViolation,
                             detail: format!(
-                                "inter-activation {gap}, expected {} ± {}",
-                                self.spec.period, self.spec.period_tolerance
+                                "inter-activation {gap}, expected {} ± {tolerance}",
+                                self.spec.period
                             ),
                         });
                         raised += 1;
@@ -226,7 +223,7 @@ impl TaskMonitor {
         let Some(last) = self.last_activation else {
             return true; // never started: lifecycle's problem, not ours
         };
-        let bound = self.spec.period * 2 + self.spec.period_tolerance;
+        let bound = self.spec.period * 2 + self.spec.period_tolerance();
         if now.saturating_since(last) > bound {
             recorder.record(Fault {
                 time: now,

@@ -18,7 +18,6 @@
 use crate::{Arbiter, Frame, Grant, Transmission};
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::MessageId;
-use std::collections::VecDeque;
 
 const EXPOSED_CONTROL_BITS: u64 = 34;
 
@@ -257,10 +256,6 @@ pub fn uniform_message_set(
         })
         .collect()
 }
-
-// Re-export for offline replay of CAN traffic in experiments.
-#[doc(hidden)]
-pub type CanQueue = VecDeque<Frame>;
 
 #[cfg(test)]
 mod tests {

@@ -3,8 +3,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Scratch space for rerun/determinism checks: cleaned up even when a cmp
-# fails, so a broken gate never leaves *_rerun.json litter in the tree.
+# Scratch space for the rerun checks: cleaned up even when a cmp fails, so
+# a broken gate never leaves rerun litter in the tree.
 SMOKE_TMP="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_TMP"' EXIT
 
@@ -41,76 +41,31 @@ for example in examples/*.rs; do
   cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
 done
 
-echo "==> fig2 interference report (cmp against the pinned bytes)"
-# E2's table carries no wall-clock column, so its bytes pin the scheduler
-# simulator's outputs under all four policies end to end.
-cargo run --release -q -p dynplat-bench -- fig2_interference \
-  >"$SMOKE_TMP/fig2_interference.txt"
-cmp "$SMOKE_TMP/fig2_interference.txt" scripts/reference/fig2_interference.txt
+echo "==> experiment reports (diff -r against the pinned bytes)"
+# Every scenario but bench and micro is pure in its seed, so one diff pins
+# all their stdout, the e13 flight dump, the e14-e16 reports and the e16
+# telemetry rings. A change meant to move a report re-pins
+# scripts/reference/reports/ and says so. The diff is kept next to the
+# reports for the failure upload: it names the report that moved.
+rm -rf .gate_out
+reports=.gate_out/reports
+scripts/experiment_reports.sh "$reports"
+diff -r scripts/reference/reports "$reports" | tee .gate_out/reports.diff
 
-echo "==> e3/e4 network, e5 update-safety and e12 chaos reports (cmp against the pinned bytes)"
-# All four tables are seed-pure end to end: fig3 and e4 pin the media
-# arbiters (the TSN gated port among them) under the three paradigms and
-# under bulk load, e5 the staged/stop-restart phase costs and the fleet
-# update gate, e12 the campaign constants, the degradation ladder and the
-# drift detector.
-for exp in fig3_paradigms e4_hw_access e5_update_safety e12_chaos; do
-  cargo run --release -q -p dynplat-bench -- "$exp" >"$SMOKE_TMP/$exp.txt"
-  cmp "$SMOKE_TMP/$exp.txt" "scripts/reference/$exp.txt"
-done
-
-echo "==> e13 detection-latency smoke (tiny horizon)"
-cargo run --release -p dynplat-bench -- e13_detection_latency \
-  --horizon-ms 3000 --dump FLIGHT_e13.json >/dev/null
-cmp FLIGHT_e13.json scripts/reference/FLIGHT_e13.json
-
-echo "==> e14 uncertainty-adaptation smoke (tiny horizon, determinism-checked)"
-cargo run --release -p dynplat-bench -- e14_uncertainty_adaptation \
-  --horizon-ms 3000 --out E14_sweep.json >/dev/null
-cargo run --release -p dynplat-bench -- e14_uncertainty_adaptation \
-  --horizon-ms 3000 --out "$SMOKE_TMP/E14_sweep_rerun.json" >/dev/null
-cmp E14_sweep.json "$SMOKE_TMP/E14_sweep_rerun.json"
-# The sweep replays the E12 pressures through the threshold ladder and
-# the boundary estimator; its bytes pin both.
-cmp E14_sweep.json scripts/reference/E14_sweep.json
-
-echo "==> e15 fleet-campaign smoke (100k vehicles, shard-invariance-checked)"
-# The rerun flips the shard count: one cmp pins both rerun determinism and
-# the merge's independence from sharding.
-cargo run --release -p dynplat-bench -- e15_fleet_campaign \
-  --vehicles 100000 --shards 4 --out E15_campaign.json >/dev/null
-cargo run --release -p dynplat-bench -- e15_fleet_campaign \
-  --vehicles 100000 --shards 1 --out "$SMOKE_TMP/E15_campaign_rerun.json" >/dev/null
-cmp E15_campaign.json "$SMOKE_TMP/E15_campaign_rerun.json"
-# And both equal the pinned bytes: a change to simulated outputs fails
-# here instead of passing as "rerun equals run". A change meant to alter
-# them re-pins the reference and says so.
-cmp E15_campaign.json scripts/reference/E15_campaign.json
-
-echo "==> e16 slo-telemetry smoke (8k vehicles, shard-flipped telemetry cmp)"
-# The rerun flips the shard count; cmp-ing both the e16 report and every
-# merged TELEMETRY_<arm>.json pins determinism *and* the sketch/ring
-# merge's shard-invariance in one check.
-mkdir -p "$SMOKE_TMP/tel_a" "$SMOKE_TMP/tel_b"
-cargo run --release -p dynplat-bench -- e16_slo_telemetry \
-  --vehicles 8000 --shards 4 --out E16_slo.json \
-  --telemetry "$SMOKE_TMP/tel_a" >/dev/null
-cargo run --release -p dynplat-bench -- e16_slo_telemetry \
-  --vehicles 8000 --shards 1 --out "$SMOKE_TMP/E16_slo_rerun.json" \
-  --telemetry "$SMOKE_TMP/tel_b" >/dev/null
-cmp E16_slo.json "$SMOKE_TMP/E16_slo_rerun.json"
-cmp E16_slo.json scripts/reference/E16_slo.json
-for f in "$SMOKE_TMP"/tel_a/TELEMETRY_*.json; do
-  cmp "$f" "$SMOKE_TMP/tel_b/$(basename "$f")"
-  cmp "$f" "scripts/reference/$(basename "$f")"
-done
-# Every pinned arm was regenerated (a vanished arm would skip its cmp).
-for f in scripts/reference/TELEMETRY_*.json; do
-  test -e "$SMOKE_TMP/tel_a/$(basename "$f")"
-done
-# Keep the merged per-arm telemetry next to the report for the failure
-# artifact upload.
-cp "$SMOKE_TMP"/tel_a/TELEMETRY_*.json .
+echo "==> e14 rerun and e15/e16 shard-flip reruns (cmp against the captured reports)"
+# What a pin cannot show: a rerun reproduces the sweep, and the fleet
+# reports and merged telemetry do not depend on the shard count (the
+# capture runs the default 4 shards, these reruns 1).
+cargo run --release -q -p dynplat-bench -- e14_uncertainty_adaptation \
+  --out "$SMOKE_TMP/e14.json" >/dev/null
+cmp "$reports/e14.json" "$SMOKE_TMP/e14.json"
+cargo run --release -q -p dynplat-bench -- e15_fleet_campaign \
+  --shards 1 --out "$SMOKE_TMP/e15.json" >/dev/null
+cmp "$reports/e15.json" "$SMOKE_TMP/e15.json"
+cargo run --release -q -p dynplat-bench -- e16_slo_telemetry \
+  --shards 1 --out "$SMOKE_TMP/e16.json" --telemetry "$SMOKE_TMP/e16_telemetry" >/dev/null
+cmp "$reports/e16.json" "$SMOKE_TMP/e16.json"
+diff -r "$reports/e16_telemetry" "$SMOKE_TMP/e16_telemetry"
 
 echo "==> dynbench seed-1 digests (every workload vs dynbench/reference/)"
 # A digest that differs from its reference only counts the unit as
@@ -128,8 +83,8 @@ esac
 echo "==> perf smoke gate (bench vs BENCH_baseline.json, alloc gate armed)"
 # Single-threaded, so the counting allocator is armed: any heap allocation
 # in a steady-state deliver, TSN stream or dispatch loop fails this step,
-# not just a perf drop. It runs after the e13-e16 smokes so that a perf
-# trip on a noisy host still leaves their determinism cmps checked.
+# not just a perf drop. It runs after the report pins so that a perf trip
+# on a noisy host still leaves them checked.
 cargo run --release -p dynplat-bench -- bench \
   --quick --out BENCH_snapshot.json --check BENCH_baseline.json >/dev/null
 
