@@ -42,12 +42,15 @@ use std::time::Instant;
 /// Times `f` over enough iterations to smooth noise and prints the result
 /// as a TSV row (`name<TAB>ns_per_iter<TAB>iters`).
 fn bench<T>(name: &str, quick: bool, mut f: impl FnMut() -> T) {
-    // Warm up and calibrate the iteration count to a time budget.
+    // Warm up, so one-time costs (first-touch pages, a histogram's first
+    // registration) stay out of the calibration, then size the iteration
+    // count to a time budget from one warm call.
     let budget_ns: u128 = if quick { 2_000_000 } else { 200_000_000 };
+    black_box(f());
     let t0 = Instant::now();
     black_box(f());
     let once = t0.elapsed().as_nanos().max(1);
-    let iters = (budget_ns / once).clamp(1, 100_000) as u64;
+    let iters = (budget_ns / once).clamp(1, 10_000_000) as u64;
     let start = Instant::now();
     for _ in 0..iters {
         black_box(f());

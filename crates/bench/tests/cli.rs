@@ -1,6 +1,7 @@
 //! Command-line contract of the `dynplat-bench` binary: usage errors exit 2
-//! with the usage on stderr, E15's JSON does not depend on `--shards`, and
-//! its stdout is the same on every run.
+//! with the usage on stderr; E15's JSON does not depend on `--shards`, and
+//! its stdout is the same on every run; `micro --quick` prints one
+//! well-formed row per benchmark.
 
 use std::process::{Command, Output};
 
@@ -65,4 +66,35 @@ fn e15_json_is_shard_invariant() {
         String::from_utf8_lossy(&stdout),
         String::from_utf8_lossy(&report("1").0)
     );
+}
+
+#[test]
+fn micro_quick_prints_one_timed_row_per_benchmark() {
+    let out = dynplat_bench(&["micro", "--quick"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+    let mut lines = stdout.lines();
+    assert_eq!(lines.next(), Some("benchmark\tns_per_iter\titers"));
+    let mut names = Vec::new();
+    for line in lines {
+        let fields: Vec<&str> = line.split('\t').collect();
+        let [name, ns, iters] = fields[..] else {
+            panic!("not name<TAB>ns<TAB>iters: {line:?}");
+        };
+        ns.parse::<u128>()
+            .unwrap_or_else(|_| panic!("ns not an integer: {line:?}"));
+        let iters: u64 = iters
+            .parse()
+            .unwrap_or_else(|_| panic!("iters not an integer: {line:?}"));
+        assert!(iters >= 1, "{line:?}");
+        names.push(name);
+    }
+    for n in [10, 40] {
+        let row = format!("sched/tt_synthesis/{n}");
+        assert!(names.contains(&row.as_str()), "no {row} row in {names:?}");
+    }
 }

@@ -152,26 +152,6 @@ impl ScheduleManager {
             Err(_) => self.add_task(task, SynthesisBackend::Cloud { round_trip }),
         }
     }
-
-    /// Removes a task; the remaining slots keep their positions, so running
-    /// applications see zero disturbance.
-    ///
-    /// Returns `false` if the task is unknown.
-    pub fn remove_task(&mut self, id: dynplat_common::TaskId) -> bool {
-        if self.tasks.remove(id).is_none() {
-            return false;
-        }
-        let remaining: Vec<tt::TtEntry> = self
-            .schedule
-            .entries()
-            .iter()
-            .filter(|e| e.task != id)
-            .cloned()
-            .collect();
-        self.schedule = TtSchedule::from_entries(self.schedule.hyperperiod(), remaining)
-            .expect("subset of a valid schedule stays valid");
-        true
-    }
 }
 
 #[cfg(test)]
@@ -229,19 +209,6 @@ mod tests {
         let outcome = mgr.add_task_mixed(t(3, 4, 1), ms(100)).unwrap();
         assert!(matches!(outcome.backend, SynthesisBackend::Cloud { .. }));
         assert!(outcome.disturbance > 0);
-    }
-
-    #[test]
-    fn remove_task_frees_slots_without_moving_others() {
-        let set: TaskSet = [t(1, 4, 1), t(2, 8, 2)].into_iter().collect();
-        let mut mgr = ScheduleManager::with_initial(set).unwrap();
-        let before = mgr.schedule().clone();
-        assert!(mgr.remove_task(TaskId(2)));
-        assert!(!mgr.remove_task(TaskId(2)));
-        assert_eq!(tt::disturbance(&before, mgr.schedule()), 0);
-        assert!(mgr.schedule().entries().iter().all(|e| e.task != TaskId(2)));
-        // Freed capacity is reusable.
-        assert!(mgr.add_task(t(9, 8, 2), SynthesisBackend::Local).is_ok());
     }
 
     #[test]

@@ -357,11 +357,11 @@ impl Releases {
 }
 
 /// A reusable scheduler simulator. It owns the job store, the release
-/// merge, the ready heap, the busy-segment list and the output buffer, so
-/// back-to-back runs allocate nothing once these have grown to the largest
-/// task set seen. Back-to-back runs of one task set and config, under any
-/// policies, draw its execution times once. [`simulate_schedule`] is the
-/// one-shot form.
+/// merge, the ready heap, the busy-segment list, the time-triggered slot
+/// lookups and the output buffer, so back-to-back runs allocate nothing
+/// once these have grown to the largest task set seen. Back-to-back runs
+/// of one task set and config, under any policies, draw its execution
+/// times once. [`simulate_schedule`] is the one-shot form.
 ///
 /// # Examples
 ///
@@ -394,6 +394,11 @@ pub struct Simulator {
     ready: BinaryHeap<Reverse<(u32, u32, usize)>>,
     /// Busy segments `(start, end)`, sorted by start.
     busy: Vec<(SimTime, SimTime)>,
+    /// Time-triggered lookups: `(task id, task index)` sorted by id, each
+    /// table entry's task index, and each task's slot count.
+    by_id: Vec<(TaskId, usize)>,
+    slot_task: Vec<Option<usize>>,
+    slots_of: Vec<u64>,
     stats: SchedStats,
 }
 
@@ -512,22 +517,38 @@ impl Simulator {
     fn place_slots(&mut self, set: &TaskSet, schedule: &TtSchedule, horizon: SimTime) {
         let hp = schedule.hyperperiod();
         assert!(!hp.is_zero(), "empty schedule for time-triggered policy");
-        for task in set.deterministic() {
-            let jobs_per_hp = hp / task.period;
-            assert!(
-                schedule.entries_of(task.id).count() as u64 == jobs_per_hp,
-                "schedule does not cover task {}",
-                task.id
-            );
+        let tasks = set.tasks();
+        self.by_id.clear();
+        self.by_id
+            .extend(tasks.iter().enumerate().map(|(i, t)| (t.id, i)));
+        self.by_id.sort_unstable();
+        let by_id = &self.by_id;
+        // Each entry's task index, or `None` for a task not in `set`.
+        self.slot_task.clear();
+        self.slot_task.extend(schedule.entries().iter().map(|e| {
+            by_id
+                .binary_search_by_key(&e.task, |&(id, _)| id)
+                .ok()
+                .map(|k| by_id[k].1)
+        }));
+        self.slots_of.clear();
+        self.slots_of.resize(tasks.len(), 0);
+        for &i in self.slot_task.iter().flatten() {
+            self.slots_of[i] += 1;
+        }
+        for (task, &slots) in tasks.iter().zip(&self.slots_of) {
+            if task.kind == AppKind::Deterministic {
+                assert!(
+                    slots == hp / task.period,
+                    "schedule does not cover task {}",
+                    task.id
+                );
+            }
         }
         self.busy.clear();
-        for entry in schedule.entries() {
-            let (task_idx, task) = set
-                .tasks()
-                .iter()
-                .enumerate()
-                .find(|(_, t)| t.id == entry.task)
-                .expect("schedule validated against set");
+        for (entry, &task_idx) in schedule.entries().iter().zip(&self.slot_task) {
+            let task_idx = task_idx.expect("schedule validated against set");
+            let task = &tasks[task_idx];
             let range = self.store.range(task_idx);
             let mine = &mut self.store.jobs[range];
             let jobs_per_hp = hp / task.period;

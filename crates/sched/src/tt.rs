@@ -8,6 +8,13 @@
 //! producing compact schedules; its output is validated structurally by
 //! [`TtSchedule::validate`] and behaviorally by the simulator.
 //!
+//! Placement keeps the occupied slots in one sorted list for the whole
+//! synthesis. A job binary-searches for the first slot that can delay it,
+//! scans forward to the first gap that fits, and inserts its slot in
+//! order. For `J` jobs in the hyperperiod that is `O(J log J)` searching
+//! plus `O(J)` element shifts per insert, so `O(J²)` moves in the worst
+//! case, against the `O(J² log J)` of re-sorting the table for every job.
+//!
 //! Two synthesis modes mirror the schedule-management framework of \[21\]:
 //!
 //! * [`synthesize`] — full resynthesis: may move every slot, packs best;
@@ -16,7 +23,7 @@
 //!   to running applications).
 
 use crate::task::{TaskSet, TaskSpec};
-use dynplat_common::time::{SimDuration, SimTime};
+use dynplat_common::time::SimDuration;
 use dynplat_common::TaskId;
 use std::fmt;
 
@@ -71,6 +78,15 @@ impl fmt::Display for TtSynthesisError {
 
 impl std::error::Error for TtSynthesisError {}
 
+/// A table's occupied slots as `(start, reach)`, sorted by start, where
+/// `reach` is the latest end among this slot and every slot before it.
+/// Reach is monotone even where slots overlap, as a slot that crosses the
+/// hyperperiod boundary overlaps the next repetition's once
+/// [`TtSchedule::expand_to`] replicates the table. So a binary search on
+/// reach finds the first slot that can delay a job released at a given
+/// time.
+type Slots = Vec<(SimDuration, SimDuration)>;
+
 /// A complete time-triggered table repeating every hyperperiod.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TtSchedule {
@@ -79,27 +95,6 @@ pub struct TtSchedule {
 }
 
 impl TtSchedule {
-    /// Builds a schedule from raw entries, sorting them and rejecting
-    /// overlapping slots. Used when reconstructing a table after removing a
-    /// task (remaining slots keep their positions).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first overlapping pair found.
-    pub fn from_entries(hyperperiod: SimDuration, entries: Vec<TtEntry>) -> Result<Self, String> {
-        let mut schedule = TtSchedule {
-            hyperperiod,
-            entries,
-        };
-        schedule.sort();
-        for pair in schedule.entries.windows(2) {
-            if pair[0].end() > pair[1].start {
-                return Err(format!("slots overlap: {:?} and {:?}", pair[0], pair[1]));
-            }
-        }
-        Ok(schedule)
-    }
-
     /// The table's repetition period.
     pub fn hyperperiod(&self) -> SimDuration {
         self.hyperperiod
@@ -108,11 +103,6 @@ impl TtSchedule {
     /// All slots, sorted by start offset.
     pub fn entries(&self) -> &[TtEntry] {
         &self.entries
-    }
-
-    /// Slots of one task.
-    pub fn entries_of(&self, task: TaskId) -> impl Iterator<Item = &TtEntry> {
-        self.entries.iter().filter(move |e| e.task == task)
     }
 
     /// Total busy time within one hyperperiod.
@@ -128,17 +118,6 @@ impl TtSchedule {
         self.busy_time().as_nanos() as f64 / self.hyperperiod.as_nanos() as f64
     }
 
-    /// The slot active at absolute time `t`, if any.
-    pub fn slot_at(&self, t: SimTime) -> Option<&TtEntry> {
-        if self.hyperperiod.is_zero() {
-            return None;
-        }
-        let off = t % self.hyperperiod;
-        self.entries
-            .iter()
-            .find(|e| e.start <= off && off < e.end())
-    }
-
     /// Structural validation against the task set that produced it.
     ///
     /// Checks: entries sorted and non-overlapping; every job of every task
@@ -152,12 +131,22 @@ impl TtSchedule {
                 return Err(format!("slots overlap: {:?} and {:?}", pair[0], pair[1]));
             }
         }
-        for e in &self.entries {
-            if set.get(e.task).is_none() {
+        let tasks = set.tasks();
+        let mut by_id: Vec<(TaskId, usize)> =
+            tasks.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
+        by_id.sort_unstable();
+        // `(task index, entry position)`: each task's entries, in table
+        // order, form one run, and the runs follow the set's task order.
+        let mut owned = Vec::with_capacity(self.entries.len());
+        for (pos, e) in self.entries.iter().enumerate() {
+            let Ok(k) = by_id.binary_search_by_key(&e.task, |&(id, _)| id) else {
                 return Err(format!("foreign task {} in schedule", e.task));
-            }
+            };
+            owned.push((by_id[k].1, pos));
         }
-        for task in set.tasks() {
+        owned.sort_unstable();
+        let mut rest = owned.as_slice();
+        for (i, task) in tasks.iter().enumerate() {
             if self.hyperperiod % task.period != SimDuration::ZERO {
                 return Err(format!(
                     "hyperperiod not a multiple of {}'s period",
@@ -166,7 +155,9 @@ impl TtSchedule {
             }
             let jobs = self.hyperperiod / task.period;
             let mut seen = vec![false; jobs as usize];
-            for e in self.entries_of(task.id) {
+            let (mine, tail) = rest.split_at(rest.partition_point(|&(t, _)| t == i));
+            rest = tail;
+            for e in mine.iter().map(|&(_, pos)| &self.entries[pos]) {
                 if e.job >= jobs {
                     return Err(format!("job index {} out of range for {}", e.job, task.id));
                 }
@@ -199,32 +190,38 @@ impl TtSchedule {
         self.entries.sort_by_key(|e| e.start);
     }
 
-    /// Places all jobs of `task` into the current gaps; used by both
-    /// synthesis modes. Does not sort afterwards.
-    fn place_task(&mut self, task: &TaskSpec) -> Result<(), TtSynthesisError> {
+    /// Places all jobs of `task` into the gaps of `slots`, the table's
+    /// occupied slots; used by both synthesis modes. Each job takes the
+    /// earliest start at or after its release that fits before the next
+    /// slot, and its slot joins `slots` in order. Pushes one entry per job
+    /// and does not sort `entries`.
+    fn place_task(&mut self, task: &TaskSpec, slots: &mut Slots) -> Result<(), TtSynthesisError> {
         let jobs = self.hyperperiod / task.period;
         for job in 0..jobs {
             let release = task.period * job + task.offset;
             let latest_start = release + task.deadline - task.wcet;
             let mut candidate = release;
-            // Scan occupied slots in start order for the first fitting gap.
-            let mut occupied: Vec<(SimDuration, SimDuration)> =
-                self.entries.iter().map(|e| (e.start, e.end())).collect();
-            occupied.sort();
-            for (s, e) in occupied {
-                if candidate + task.wcet <= s {
+            // Slots that reach no later than the release cannot delay the
+            // job; scan the rest in start order for the first fitting gap.
+            let mut at = slots.partition_point(|&(_, reach)| reach <= release);
+            while let Some(&(start, reach)) = slots.get(at) {
+                if candidate + task.wcet <= start {
                     break; // fits before this slot
                 }
-                if e > candidate {
-                    candidate = e;
-                }
+                candidate = candidate.max(reach);
                 if candidate > latest_start {
                     return Err(TtSynthesisError::NoFeasibleSlot { task: task.id, job });
                 }
+                at += 1;
             }
             if candidate > latest_start {
                 return Err(TtSynthesisError::NoFeasibleSlot { task: task.id, job });
             }
+            // Every later slot starts at or after the new slot's end, so
+            // only the new slot's own reach needs computing.
+            let end = candidate + task.wcet;
+            let reach = at.checked_sub(1).map_or(end, |prev| slots[prev].1.max(end));
+            slots.insert(at, (candidate, reach));
             self.entries.push(TtEntry {
                 task: task.id,
                 job,
@@ -298,8 +295,9 @@ pub fn synthesize(set: &TaskSet) -> Result<TtSchedule, TtSynthesisError> {
     };
     let mut tasks: Vec<&TaskSpec> = set.tasks().iter().collect();
     tasks.sort_by_key(|t| (t.period, t.id.raw()));
+    let mut slots = Slots::new();
     for task in tasks {
-        schedule.place_task(task)?;
+        schedule.place_task(task, &mut slots)?;
     }
     schedule.sort();
     Ok(schedule)
@@ -329,7 +327,16 @@ pub fn insert_incremental(
         schedule.hyperperiod.lcm(task.period)
     };
     let mut expanded = schedule.expand_to(new_hp);
-    expanded.place_task(task)?;
+    let mut reach = SimDuration::ZERO;
+    let mut slots: Slots = expanded
+        .entries
+        .iter()
+        .map(|e| {
+            reach = reach.max(e.end());
+            (e.start, reach)
+        })
+        .collect();
+    expanded.place_task(task, &mut slots)?;
     expanded.sort();
     Ok(expanded)
 }
@@ -345,19 +352,24 @@ pub fn disturbance(old: &TtSchedule, new: &TtSchedule) -> usize {
     let common = old.hyperperiod.lcm(new.hyperperiod);
     let old_x = old.expand_to(common);
     let new_x = new.expand_to(common);
-    let mut moved = 0;
-    for e in old_x.entries() {
-        let matching = new_x
-            .entries()
-            .iter()
-            .find(|n| n.task == e.task && n.job == e.job);
-        match matching {
-            Some(n) if n.start == e.start => {}
-            Some(_) => moved += 1,
-            None => {} // task removed; not counted as disturbance
-        }
-    }
-    moved
+    // The new start of each `(task, job)`; the stable sort keeps a
+    // repeated key's slots in table order, and the first one counts.
+    let mut new_starts: Vec<((TaskId, u64), SimDuration)> = new_x
+        .entries
+        .iter()
+        .map(|n| ((n.task, n.job), n.start))
+        .collect();
+    new_starts.sort_by_key(|&(key, _)| key);
+    old_x
+        .entries
+        .iter()
+        .filter(|e| {
+            let key = (e.task, e.job);
+            let at = new_starts.partition_point(|&(k, _)| k < key);
+            // A task the new table dropped is not a disturbance.
+            matches!(new_starts.get(at), Some(&(k, start)) if k == key && start != e.start)
+        })
+        .count()
 }
 
 #[cfg(test)]
@@ -390,22 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn slot_lookup() {
-        let set: TaskSet = [t(1, 4, 2)].into_iter().collect();
-        let schedule = synthesize(&set).unwrap();
-        assert_eq!(
-            schedule.slot_at(SimTime::from_millis(0)).unwrap().task,
-            TaskId(1)
-        );
-        assert!(schedule.slot_at(SimTime::from_millis(3)).is_none());
-        // Repeats every hyperperiod.
-        assert_eq!(
-            schedule.slot_at(SimTime::from_millis(9)).unwrap().task,
-            TaskId(1)
-        );
-    }
-
-    #[test]
     fn incremental_insert_preserves_existing_slots() {
         let set: TaskSet = [t(1, 4, 1), t(2, 8, 2)].into_iter().collect();
         let base = synthesize(&set).unwrap();
@@ -430,6 +426,25 @@ mod tests {
         let mut full_set = set.clone();
         full_set.push(t(2, 6, 1));
         grown.validate(&full_set).unwrap();
+    }
+
+    #[test]
+    fn insertion_skips_a_slot_that_crosses_the_hyperperiod() {
+        // b's slot [8, 15) crosses the 10 ms hyperperiod, so the table
+        // expanded to 20 ms holds it around a's second slot [10, 13).
+        let b = t(2, 10, 7).with_offset(ms(8));
+        let set: TaskSet = [t(1, 10, 3), b].into_iter().collect();
+        let base = synthesize(&set).unwrap();
+        assert_eq!(base.entries()[1].end(), ms(15));
+        // Released at 13 ms, inside b's slot: the first gap opens at 15 ms.
+        let late = t(3, 20, 1).with_offset(ms(13)).with_deadline(ms(7));
+        let grown = insert_incremental(&base, &late).unwrap();
+        let slot = grown
+            .entries()
+            .iter()
+            .find(|e| e.task == TaskId(3))
+            .unwrap();
+        assert_eq!(slot.start, ms(15));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use dynplat::sched::admission::{AdmissionController, AdmissionTest};
 use dynplat::sched::server::PeriodicServer;
 use dynplat::sched::simulate::{simulate_schedule, Policy, SchedSimConfig, Simulator};
 use dynplat::sched::task::{TaskSet, TaskSpec};
-use dynplat::sched::tt;
+use dynplat::sched::tt::{self, TtEntry, TtSchedule, TtSynthesisError};
 use dynplat::security::package::{KeyRegistry, SignedPackage, UpdatePackage, Version};
 use dynplat::security::sha256::{hmac_sha256, sha256, Sha256};
 use dynplat::security::sign::KeyPair;
@@ -315,6 +315,161 @@ fn incremental_insert_never_disturbs() {
             assert!(grown.validate(&full).is_ok(), "case {case}");
         }
     }
+}
+
+/// The placement `tt` used before it kept one sorted slot list: every job
+/// collects and re-sorts all placed slots, then scans them in start order
+/// for the first gap that fits. The oracle for the equivalence test below.
+fn place_task_resorting(
+    hyperperiod: SimDuration,
+    entries: &mut Vec<TtEntry>,
+    task: &TaskSpec,
+) -> Result<(), TtSynthesisError> {
+    let jobs = hyperperiod / task.period;
+    for job in 0..jobs {
+        let release = task.period * job + task.offset;
+        let latest_start = release + task.deadline - task.wcet;
+        let mut candidate = release;
+        let mut occupied: Vec<(SimDuration, SimDuration)> =
+            entries.iter().map(|e| (e.start, e.end())).collect();
+        occupied.sort();
+        for (s, e) in occupied {
+            if candidate + task.wcet <= s {
+                break;
+            }
+            if e > candidate {
+                candidate = e;
+            }
+            if candidate > latest_start {
+                return Err(TtSynthesisError::NoFeasibleSlot { task: task.id, job });
+            }
+        }
+        if candidate > latest_start {
+            return Err(TtSynthesisError::NoFeasibleSlot { task: task.id, job });
+        }
+        entries.push(TtEntry {
+            task: task.id,
+            job,
+            start: candidate,
+            duration: task.wcet,
+        });
+    }
+    Ok(())
+}
+
+type Table = Result<(SimDuration, Vec<TtEntry>), TtSynthesisError>;
+
+fn table(schedule: Result<TtSchedule, TtSynthesisError>) -> Table {
+    schedule.map(|s| (s.hyperperiod(), s.entries().to_vec()))
+}
+
+/// `tt::synthesize` over [`place_task_resorting`].
+fn synthesize_resorting(set: &TaskSet) -> Table {
+    if set.utilization() > 1.0 + 1e-12 {
+        return Err(TtSynthesisError::OverUtilized);
+    }
+    let hyperperiod = set.hyperperiod();
+    let mut entries = Vec::new();
+    let mut tasks: Vec<&TaskSpec> = set.tasks().iter().collect();
+    tasks.sort_by_key(|t| (t.period, t.id.raw()));
+    for task in tasks {
+        place_task_resorting(hyperperiod, &mut entries, task)?;
+    }
+    entries.sort_by_key(|e| e.start);
+    Ok((hyperperiod, entries))
+}
+
+/// `tt::insert_incremental` over [`place_task_resorting`].
+fn insert_resorting(schedule: &TtSchedule, task: &TaskSpec) -> Table {
+    if schedule.entries().iter().any(|e| e.task == task.id) {
+        return Err(TtSynthesisError::DuplicateTask(task.id));
+    }
+    let hyperperiod = if schedule.hyperperiod().is_zero() {
+        task.period
+    } else {
+        schedule.hyperperiod().lcm(task.period)
+    };
+    let mut entries = schedule.expand_to(hyperperiod).entries().to_vec();
+    place_task_resorting(hyperperiod, &mut entries, task)?;
+    entries.sort_by_key(|e| e.start);
+    Ok((hyperperiod, entries))
+}
+
+/// A task with a release offset and a constrained deadline, taking about
+/// `share` of the CPU; periods mix so that hyperperiods hold many jobs.
+fn rand_tt_task(rng: &mut SplitMix64, id: u32, share: f64) -> TaskSpec {
+    const PERIODS_US: [u64; 7] = [2_000, 4_000, 5_000, 8_000, 10_000, 20_000, 40_000];
+    let period = PERIODS_US[rng.gen_range(0..PERIODS_US.len())];
+    let wcet = ((share * period as f64) as u64).clamp(1, period);
+    let deadline = rng.gen_range(wcet..=period);
+    let offset = rng.gen_range(0..period);
+    TaskSpec::periodic(
+        TaskId(id),
+        format!("t{id}"),
+        SimDuration::from_micros(period),
+        SimDuration::from_micros(wcet),
+    )
+    .with_deadline(SimDuration::from_micros(deadline))
+    .with_offset(SimDuration::from_micros(offset))
+}
+
+/// Up to six tasks whose utilization totals a draw from [0.3, 1.05].
+fn rand_tt_set(rng: &mut SplitMix64) -> TaskSet {
+    let n = rng.gen_range(1usize..=6);
+    let total = rng.gen_range(0.3..=1.05);
+    let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..1.0)).collect();
+    let sum: f64 = weights.iter().sum();
+    (0..n)
+        .map(|i| rand_tt_task(rng, i as u32, total * weights[i] / sum))
+        .collect()
+}
+
+#[test]
+fn tt_synthesis_matches_the_per_job_resort() {
+    let (mut placed, mut infeasible) = ([0u32; 2], [0u32; 2]);
+    let mut overlapping = 0;
+    let mut tally = |k: usize, result: &Table| match result {
+        Ok(_) => placed[k] += 1,
+        Err(TtSynthesisError::NoFeasibleSlot { .. }) => infeasible[k] += 1,
+        Err(_) => {}
+    };
+    for case in 0..512 {
+        let mut rng = case_rng(19, case);
+        let set = rand_tt_set(&mut rng);
+        let synthesized = tt::synthesize(&set);
+        let oracle = synthesize_resorting(&set);
+        assert_eq!(table(synthesized.clone()), oracle, "case {case}");
+        tally(0, &oracle);
+        let Ok(schedule) = synthesized else {
+            continue;
+        };
+        let share = rng.gen_range(0.02..0.4);
+        let task = rand_tt_task(&mut rng, 1000, share);
+        let oracle = insert_resorting(&schedule, &task);
+        assert_eq!(
+            table(tt::insert_incremental(&schedule, &task)),
+            oracle,
+            "case {case}"
+        );
+        tally(1, &oracle);
+        // A slot that crosses the hyperperiod boundary overlaps the next
+        // repetition's slots once the table is expanded for the new task.
+        let expanded = schedule.expand_to(schedule.hyperperiod().lcm(task.period));
+        if expanded
+            .entries()
+            .windows(2)
+            .any(|w| w[0].end() > w[1].start)
+        {
+            overlapping += 1;
+        }
+    }
+    for k in 0..2 {
+        assert!(
+            placed[k] > 0 && infeasible[k] > 0,
+            "{placed:?} {infeasible:?}"
+        );
+    }
+    assert!(overlapping > 0, "no insertion met an overlapping table");
 }
 
 #[test]
