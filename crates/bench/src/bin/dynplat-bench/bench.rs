@@ -379,7 +379,10 @@ fn run_route_phase(budget: std::time::Duration) -> ([u64; 1], std::time::Duratio
 }
 
 /// Scheduler dispatch: preemptive fixed-priority simulation over a
-/// 20-task set, one reused [`Simulator`]. Returns `([completions], elapsed)`.
+/// 20-task set, one reused [`Simulator`]. Every timed run takes a fresh
+/// seed, so each one draws its jobs' execution times anew instead of
+/// replaying the simulator's generation memo. Returns
+/// `([completions], elapsed)`.
 fn run_sched_phase(budget: std::time::Duration) -> ([u64; 1], std::time::Duration) {
     let set: TaskSet = (0..20u32)
         .map(|i| {
@@ -392,7 +395,7 @@ fn run_sched_phase(budget: std::time::Duration) -> ([u64; 1], std::time::Duratio
             .with_priority(i)
         })
         .collect();
-    let cfg = SchedSimConfig {
+    let mut cfg = SchedSimConfig {
         horizon: SimDuration::from_secs(1),
         ..Default::default()
     };
@@ -405,6 +408,7 @@ fn run_sched_phase(budget: std::time::Duration) -> ([u64; 1], std::time::Duratio
     alloc_gate::set_counting(true);
     let start = Instant::now();
     while start.elapsed() < budget {
+        cfg.seed += 1;
         let stats = sim.run(&set, &policy, &cfg);
         completions += stats.tasks.iter().map(|t| t.completions).sum::<u64>();
     }

@@ -42,15 +42,27 @@ use std::time::Instant;
 /// Times `f` over enough iterations to smooth noise and prints the result
 /// as a TSV row (`name<TAB>ns_per_iter<TAB>iters`).
 fn bench<T>(name: &str, quick: bool, mut f: impl FnMut() -> T) {
+    const MAX_ITERS: u64 = 10_000_000;
     // Warm up, so one-time costs (first-touch pages, a histogram's first
-    // registration) stay out of the calibration, then size the iteration
-    // count to a time budget from one warm call.
+    // registration) stay out of the calibration. Then time a doubling batch
+    // until it passes 1 % of the budget: for a call of tens of ns, one
+    // call's time is mostly the timer's own cost. The run is sized from
+    // the last batch.
     let budget_ns: u128 = if quick { 2_000_000 } else { 200_000_000 };
     black_box(f());
-    let t0 = Instant::now();
-    black_box(f());
-    let once = t0.elapsed().as_nanos().max(1);
-    let iters = (budget_ns / once).clamp(1, 10_000_000) as u64;
+    let mut batch: u64 = 1;
+    let batch_ns = loop {
+        let t0 = Instant::now();
+        for _ in 0..batch {
+            black_box(f());
+        }
+        let took = t0.elapsed().as_nanos().max(1);
+        if took * 100 >= budget_ns || batch >= MAX_ITERS {
+            break took;
+        }
+        batch *= 2;
+    };
+    let iters = (budget_ns * u128::from(batch) / batch_ns).clamp(1, u128::from(MAX_ITERS)) as u64;
     let start = Instant::now();
     for _ in 0..iters {
         black_box(f());

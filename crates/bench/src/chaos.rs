@@ -671,7 +671,8 @@ mod tests {
         );
         assert!(s.nda_shed > 0, "QM load is shed while degraded");
         // The report carries the same story (shared E7 reporting path).
-        assert_eq!(s.report.worst_degradation(), Some(s.worst_level));
+        let worst = s.report.degradation.iter().map(|t| t.level).max();
+        assert_eq!(worst, Some(s.worst_level));
         assert!(s.report.fault_counts[&FaultKind::NodeFailure] >= 1);
     }
 }

@@ -3,11 +3,9 @@
 //! §2.2: interface requirements "might consist of multiple attributes, such
 //! as latency and jitter for real-time applications or bandwidth for
 //! streaming applications". A [`QosSpec`] travels with each interface
-//! definition; the verification engine checks deployments against it and
-//! the fabric maps it onto a traffic class.
+//! definition, and the verification engine checks deployments against it.
 
 use dynplat_common::time::SimDuration;
-use dynplat_net::TrafficClass;
 
 /// Requirements a communication relation must satisfy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -26,75 +24,5 @@ impl QosSpec {
     /// No requirements (best effort).
     pub fn best_effort() -> Self {
         QosSpec::default()
-    }
-
-    /// A hard-latency control relation (critical traffic class).
-    pub fn control(max_latency: SimDuration) -> Self {
-        QosSpec {
-            max_latency: Some(max_latency),
-            max_jitter: Some(max_latency / 2),
-            min_bandwidth: None,
-            critical: true,
-        }
-    }
-
-    /// A bandwidth-bound streaming relation.
-    pub fn streaming(min_bandwidth: u64) -> Self {
-        QosSpec {
-            max_latency: None,
-            max_jitter: None,
-            min_bandwidth: Some(min_bandwidth),
-            critical: false,
-        }
-    }
-
-    /// The traffic class the fabric should use for this relation.
-    pub fn traffic_class(&self) -> TrafficClass {
-        if self.critical {
-            TrafficClass::Critical
-        } else if self.min_bandwidth.is_some() {
-            TrafficClass::Stream
-        } else {
-            TrafficClass::BestEffort
-        }
-    }
-
-    /// Checks an observed (latency, jitter) pair against the bounds.
-    pub fn is_met(&self, latency: SimDuration, jitter: SimDuration) -> bool {
-        self.max_latency.is_none_or(|b| latency <= b) && self.max_jitter.is_none_or(|b| jitter <= b)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ms(v: u64) -> SimDuration {
-        SimDuration::from_millis(v)
-    }
-
-    #[test]
-    fn class_mapping() {
-        assert_eq!(
-            QosSpec::best_effort().traffic_class(),
-            TrafficClass::BestEffort
-        );
-        assert_eq!(
-            QosSpec::control(ms(5)).traffic_class(),
-            TrafficClass::Critical
-        );
-        assert_eq!(
-            QosSpec::streaming(2_000_000).traffic_class(),
-            TrafficClass::Stream
-        );
-    }
-
-    #[test]
-    fn bounds_check() {
-        let q = QosSpec::control(ms(10)); // jitter bound 5 ms
-        assert!(q.is_met(ms(10), ms(5)));
-        assert!(!q.is_met(ms(11), ms(1)));
-        assert!(!q.is_met(ms(1), ms(6)));
-        assert!(QosSpec::best_effort().is_met(ms(999), ms(999)));
     }
 }

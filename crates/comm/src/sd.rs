@@ -243,11 +243,6 @@ impl ServiceDirectory {
             }
         }
     }
-
-    /// Number of live offers.
-    pub fn offer_count(&self) -> usize {
-        self.offers.len()
-    }
 }
 
 #[cfg(test)]
@@ -300,7 +295,10 @@ mod tests {
         // After TTL, offers are gone from find even before expire() runs.
         assert!(dir.find(t0 + s(4), ServiceId(1)).is_empty());
         assert_eq!(dir.expire(t0 + s(4)), 3);
-        assert_eq!(dir.offer_count(), 0);
+        // expire() removed them: a lookup at a time still inside the TTL
+        // finds nothing.
+        assert!(dir.find(t0 + s(1), ServiceId(1)).is_empty());
+        assert!(dir.offer(t0 + s(1), inst(2, 0)).is_none());
     }
 
     #[test]

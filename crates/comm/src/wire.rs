@@ -174,18 +174,6 @@ impl SomeIpHeader {
         self
     }
 
-    /// Derives the matching response header. The request's trace context
-    /// is preserved, so the response stays on the caller's causal chain.
-    pub fn to_response(mut self, code: ReturnCode) -> Self {
-        self.message_type = if code == ReturnCode::Ok {
-            MessageType::Response
-        } else {
-            MessageType::Error
-        };
-        self.return_code = code;
-        self
-    }
-
     /// Encodes header (plus trace extension when active) plus payload
     /// into one datagram.
     pub fn encode(&self, payload: &[u8]) -> Vec<u8> {
@@ -348,16 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn response_derivation() {
-        let req = SomeIpHeader::request(ServiceId(1), MethodId(2), 3, 4);
-        let ok = req.to_response(ReturnCode::Ok);
-        assert_eq!(ok.message_type, MessageType::Response);
-        assert_eq!(ok.session, 4, "session is preserved for matching");
-        let err = req.to_response(ReturnCode::UnknownMethod);
-        assert_eq!(err.message_type, MessageType::Error);
-    }
-
-    #[test]
     fn rejects_wrong_protocol_version() {
         let h = SomeIpHeader::request(ServiceId(1), MethodId(2), 3, 4);
         let mut wire = h.encode(&[]);
@@ -401,17 +379,6 @@ mod tests {
         assert_eq!(wire[14] & TRACE_FLAG, 0);
         let (decoded, _) = SomeIpHeader::decode(&wire).expect("well-formed datagram must decode");
         assert_eq!(decoded.trace, TraceCtx::NONE);
-    }
-
-    #[test]
-    fn response_inherits_request_trace() {
-        let req =
-            SomeIpHeader::request(ServiceId(1), MethodId(2), 3, 4).with_trace(TraceCtx::root(77));
-        let resp = req.to_response(ReturnCode::Ok);
-        assert_eq!(resp.trace, req.trace);
-        let (decoded, _) =
-            SomeIpHeader::decode(&resp.encode(&[])).expect("response datagram must decode");
-        assert_eq!(decoded.trace, req.trace);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! let mut w = ByteWriter::new();
 //! w.put_u16(0x0103);
 //! w.put_bytes(b"abc");
-//! let buf = w.into_bytes();
+//! let buf = w.into_vec();
 //!
 //! let mut r = ByteReader::new(&buf);
 //! assert_eq!(r.take_u16()?, 0x0103);
@@ -156,23 +156,6 @@ impl ByteWriter {
     /// `true` if nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// Overwrites a previously written big-endian `u32` at `offset`.
-    ///
-    /// Used for back-patching length fields in headers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + 4` exceeds the written length.
-    pub fn patch_u32(&mut self, offset: usize, v: u32) {
-        assert!(offset + 4 <= self.buf.len(), "patch offset out of range");
-        self.buf[offset..offset + 4].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Finishes writing and returns the buffer.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
     }
 
     /// Finishes writing and returns an owned `Vec<u8>`.
@@ -386,17 +369,6 @@ mod tests {
         let buf = w.into_vec();
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.take_string().unwrap_err(), CodecError::InvalidUtf8);
-    }
-
-    #[test]
-    fn patch_u32_back_fills_header_length() {
-        let mut w = ByteWriter::new();
-        w.put_u32(0); // placeholder
-        w.put_bytes(b"payload");
-        w.patch_u32(0, 7);
-        let buf = w.into_vec();
-        let mut r = ByteReader::new(&buf);
-        assert_eq!(r.take_u32().unwrap(), 7);
     }
 
     #[test]

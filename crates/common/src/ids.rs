@@ -112,45 +112,6 @@ impl fmt::Display for ServiceInstance {
     }
 }
 
-/// Monotonic allocator for identifier types; keeps experiment setup code free
-/// of magic numbers.
-///
-/// # Examples
-///
-/// ```
-/// use dynplat_common::ids::{AppId, IdAllocator};
-///
-/// let mut ids = IdAllocator::<AppId>::new();
-/// assert_eq!(ids.next_id(), AppId(0));
-/// assert_eq!(ids.next_id(), AppId(1));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct IdAllocator<T> {
-    next: u64,
-    _marker: std::marker::PhantomData<T>,
-}
-
-impl<T: From<u32>> IdAllocator<T> {
-    /// Creates an allocator starting at zero.
-    pub fn new() -> Self {
-        IdAllocator {
-            next: 0,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Returns the next identifier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `u32::MAX` identifiers are allocated.
-    pub fn next_id(&mut self) -> T {
-        let id = u32::try_from(self.next).expect("identifier space exhausted");
-        self.next += 1;
-        T::from(id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,14 +132,6 @@ mod tests {
         set.insert(TaskId(2));
         assert_eq!(set.len(), 2);
         assert!(TaskId(1) < TaskId(2));
-    }
-
-    #[test]
-    fn allocator_is_monotonic() {
-        let mut ids = IdAllocator::<MessageId>::new();
-        let a = ids.next_id();
-        let b = ids.next_id();
-        assert!(a < b);
     }
 
     #[test]

@@ -125,32 +125,6 @@ impl ClockModel {
         }
     }
 
-    /// The configured offset in nanoseconds.
-    pub fn offset_ns(self) -> i64 {
-        self.offset_ns
-    }
-
-    /// The configured drift in parts per million.
-    pub fn drift_ppm(self) -> f64 {
-        self.drift_ppm
-    }
-
-    /// Reads this clock at global time `global`; saturates at zero if the
-    /// offset would make local time negative.
-    pub fn local_time(self, global: SimTime) -> SimTime {
-        let g = global.as_nanos() as f64;
-        let local = g * (1.0 + self.drift_ppm * 1e-6) + self.offset_ns as f64;
-        SimTime::from_nanos(local.max(0.0) as u64)
-    }
-
-    /// Absolute disagreement between this clock and a perfect clock at
-    /// `global`.
-    pub fn error_at(self, global: SimTime) -> SimDuration {
-        let local = self.local_time(global).as_nanos() as i128;
-        let g = global.as_nanos() as i128;
-        SimDuration::from_nanos(local.abs_diff(g) as u64)
-    }
-
     /// When, in global time, this clock shows `local_target`.
     ///
     /// This is the instant a "switch at local time T" command actually fires
@@ -216,37 +190,6 @@ impl GaussianNoise {
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         self.mean + self.sigma * z
     }
-
-    /// Draws one sample clamped to `[min, max]` (physical sensors saturate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min > max`.
-    pub fn sample_clamped<R: Rng>(self, rng: &mut R, min: f64, max: f64) -> f64 {
-        assert!(min <= max, "min must not exceed max");
-        self.sample(rng).clamp(min, max)
-    }
-}
-
-/// Draws a random clock per ECU: offset uniform in `±max_offset`, drift
-/// uniform in `±max_drift_ppm`.
-pub fn random_clock<R: Rng>(
-    rng: &mut R,
-    max_offset: SimDuration,
-    max_drift_ppm: f64,
-) -> ClockModel {
-    let off_range = max_offset.as_nanos() as i64;
-    let offset = if off_range == 0 {
-        0
-    } else {
-        rng.gen_range(-off_range..=off_range)
-    };
-    let drift = if max_drift_ppm == 0.0 {
-        0.0
-    } else {
-        rng.gen_range(-max_drift_ppm..=max_drift_ppm)
-    };
-    ClockModel::new(offset, drift)
 }
 
 #[cfg(test)]
@@ -290,8 +233,6 @@ mod tests {
     #[test]
     fn perfect_clock_is_identity() {
         let t = SimTime::from_secs(100);
-        assert_eq!(ClockModel::PERFECT.local_time(t), t);
-        assert_eq!(ClockModel::PERFECT.error_at(t), SimDuration::ZERO);
         assert_eq!(ClockModel::PERFECT.global_time_showing(t), t);
     }
 
@@ -299,25 +240,21 @@ mod tests {
     fn offset_shifts_local_time() {
         let c = ClockModel::new(1_000_000, 0.0); // +1 ms
         let t = SimTime::from_secs(1);
-        assert_eq!(c.local_time(t), t + SimDuration::from_millis(1));
-        assert_eq!(c.error_at(t), SimDuration::from_millis(1));
-        let back = c.global_time_showing(c.local_time(t));
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn negative_offset_saturates_at_zero() {
-        let c = ClockModel::new(-5_000_000, 0.0);
-        assert_eq!(c.local_time(SimTime::from_millis(1)), SimTime::ZERO);
+        assert_eq!(c.global_time_showing(t + SimDuration::from_millis(1)), t);
+        // A reading the clock showed before global zero saturates there.
+        assert_eq!(
+            c.global_time_showing(SimTime::from_micros(500)),
+            SimTime::ZERO
+        );
     }
 
     #[test]
     fn drift_accumulates() {
         let c = ClockModel::new(0, 100.0); // 100 ppm fast
         let t = SimTime::from_secs(10);
-        // 100 ppm over 10 s = 1 ms ahead.
-        let err = c.error_at(t);
-        assert!(err >= SimDuration::from_micros(999) && err <= SimDuration::from_micros(1001));
+        // 100 ppm over 10 s: the clock shows 10 s about 1 ms early.
+        let early = t - c.global_time_showing(t);
+        assert!(early >= SimDuration::from_micros(999) && early <= SimDuration::from_micros(1001));
     }
 
     #[test]
@@ -337,7 +274,7 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_noise_is_deterministic_and_clamps() {
+    fn gaussian_noise_is_deterministic() {
         let n = GaussianNoise::centered(1.0);
         let a: Vec<f64> = {
             let mut rng = seeded_rng(7);
@@ -349,22 +286,6 @@ mod tests {
         };
         assert_eq!(a, b);
         let mut rng = seeded_rng(8);
-        for _ in 0..200 {
-            let s = n.sample_clamped(&mut rng, -0.5, 0.5);
-            assert!((-0.5..=0.5).contains(&s));
-        }
         assert_eq!(GaussianNoise::new(3.0, 0.0).sample(&mut rng), 3.0);
-    }
-
-    #[test]
-    fn random_clock_within_configured_bounds() {
-        let mut rng = seeded_rng(11);
-        for _ in 0..200 {
-            let c = random_clock(&mut rng, SimDuration::from_millis(2), 50.0);
-            assert!(c.offset_ns().abs() <= 2_000_000);
-            assert!(c.drift_ppm().abs() <= 50.0);
-        }
-        let perfect = random_clock(&mut rng, SimDuration::ZERO, 0.0);
-        assert_eq!(perfect, ClockModel::PERFECT);
     }
 }

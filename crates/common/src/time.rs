@@ -82,31 +82,9 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked difference; `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Adds a duration, saturating at [`SimTime::MAX`].
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
-    }
-
-    /// The next multiple of `period` at or after this instant.
-    ///
-    /// Useful for aligning activations to a time-triggered grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn align_up(self, period: SimDuration) -> SimTime {
-        assert!(period.0 > 0, "period must be non-zero");
-        let rem = self.0 % period.0;
-        if rem == 0 {
-            self
-        } else {
-            SimTime(self.0 - rem + period.0)
-        }
     }
 }
 
@@ -402,21 +380,6 @@ mod tests {
         let b = SimTime::from_millis(2);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
         assert_eq!(b.saturating_since(a), SimDuration::from_millis(1));
-        assert_eq!(a.checked_since(b), None);
-    }
-
-    #[test]
-    fn align_up_to_grid() {
-        let p = SimDuration::from_millis(10);
-        assert_eq!(
-            SimTime::from_millis(10).align_up(p),
-            SimTime::from_millis(10)
-        );
-        assert_eq!(
-            SimTime::from_millis(11).align_up(p),
-            SimTime::from_millis(20)
-        );
-        assert_eq!(SimTime::ZERO.align_up(p), SimTime::ZERO);
     }
 
     #[test]

@@ -82,15 +82,6 @@ impl DataType {
         DataType::Record(fields.into_iter().map(|(n, t)| (n.into(), t)).collect())
     }
 
-    /// Convenience constructor for [`DataType::Enum`].
-    pub fn enumeration<I, S>(variants: I) -> DataType
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        DataType::Enum(variants.into_iter().map(Into::into).collect())
-    }
-
     /// Minimum and maximum encoded size in bytes.
     ///
     /// Variable-size leaves ([`DataType::Str`], [`DataType::Blob`]) report a
@@ -412,7 +403,10 @@ mod tests {
     fn sensor_type() -> DataType {
         DataType::record([
             ("id", DataType::U16),
-            ("mode", DataType::enumeration(["off", "eco", "sport"])),
+            (
+                "mode",
+                DataType::Enum(vec!["off".into(), "eco".into(), "sport".into()]),
+            ),
             ("samples", DataType::array(DataType::F64, 3)),
             ("label", DataType::Str),
         ])
@@ -444,7 +438,7 @@ mod tests {
             fields.pop();
         }
         assert!(!v.conforms_to(&ty));
-        assert!(!Value::EnumOrdinal(3).conforms_to(&DataType::enumeration(["a", "b"])));
+        assert!(!Value::EnumOrdinal(3).conforms_to(&DataType::Enum(vec!["a".into(), "b".into()])));
     }
 
     #[test]
@@ -509,7 +503,7 @@ mod tests {
     #[test]
     fn decode_rejects_bad_enum_ordinal() {
         let bytes = vec![9u8];
-        let err = Value::decode(&bytes, &DataType::enumeration(["x"])).unwrap_err();
+        let err = Value::decode(&bytes, &DataType::Enum(vec!["x".into()])).unwrap_err();
         assert!(matches!(err, CodecError::InvalidValue { .. }));
     }
 

@@ -211,7 +211,7 @@ impl DegradationManager {
                 "core.degradation",
                 format!("-> {level:?} (pressure {pressure:.3})"),
             );
-            fr.trigger_if_armed(t, &format!("ladder transition -> {level:?}"));
+            fr.trigger(t, &format!("ladder transition -> {level:?}"));
         }
     }
 

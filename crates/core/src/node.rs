@@ -409,11 +409,6 @@ impl PlatformNode {
         self.transition(id, LifecycleState::Running)?;
         Ok(id)
     }
-
-    /// The process manager (isolation queries).
-    pub fn processes(&self) -> &ProcessManager {
-        &self.processes
-    }
 }
 
 #[cfg(test)]

@@ -127,7 +127,7 @@ impl RedundancyGroup {
                 "core.redundancy",
                 format!("app {} promoted {promoted}", self.app),
             );
-            fr.trigger_if_armed(t, &format!("failover: app {} -> {promoted}", self.app));
+            fr.trigger(t, &format!("failover: app {} -> {promoted}", self.app));
         }
     }
 

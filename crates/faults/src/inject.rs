@@ -128,14 +128,6 @@ pub struct InjectionStats {
     pub babble_messages: u64,
 }
 
-impl InjectionStats {
-    /// Every message the plan removed from the system before the
-    /// application layer could see it.
-    pub fn total_losses(&self) -> u64 {
-        self.drops + self.corruptions + self.partition_losses + self.crash_losses
-    }
-}
-
 /// The seed-driven decision engine behind [`ChaosFabric`].
 ///
 /// One SplitMix64 stream per stochastic fault category keeps decisions
@@ -596,7 +588,15 @@ mod tests {
         let mut chaos = ChaosFabric::new(Fabric::new(topo()), FaultPlan::quiet(1));
         let got = chaos.run(batch(50), |_| vec![]);
         assert_eq!(got, expected);
-        assert_eq!(chaos.injector().stats().total_losses(), 0);
+        let seen_only = InjectionStats {
+            messages: 50,
+            ..InjectionStats::default()
+        };
+        assert_eq!(
+            chaos.injector().stats(),
+            seen_only,
+            "every send seen, none touched"
+        );
         assert!(chaos.injector().log().is_empty());
     }
 

@@ -293,19 +293,6 @@ impl FaultPlan {
             .max()
             .unwrap_or(SimTime::ZERO)
     }
-
-    /// `true` if the plan injects nothing at all.
-    pub fn is_quiet(&self) -> bool {
-        self.drop_rate == 0.0
-            && self.corrupt_rate == 0.0
-            && self.duplicate_rate == 0.0
-            && self.delay_spike_rate == 0.0
-            && self.partitions.is_empty()
-            && self.babblers.is_empty()
-            && self.crashes.is_empty()
-            && self.hangs.is_empty()
-            && self.drifts.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -319,7 +306,6 @@ mod tests {
     #[test]
     fn quiet_plan_is_quiet_and_valid() {
         let plan = FaultPlan::quiet(1);
-        assert!(plan.is_quiet());
         assert!(plan.validate().is_ok());
     }
 
@@ -332,7 +318,6 @@ mod tests {
             .crash(EcuId(2), ms(500))
             .hang(EcuId(1), ms(300), ms(350))
             .drift(EcuId(0), 150);
-        assert!(!plan.is_quiet());
         assert!(plan.validate().is_ok());
         assert!(plan.partitions[0].active_at(ms(150)));
         assert!(!plan.partitions[0].active_at(ms(200)));

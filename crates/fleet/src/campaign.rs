@@ -297,11 +297,6 @@ impl CampaignReport {
         self.waves.iter().map(|w| w.rolled_back).sum()
     }
 
-    /// Largest single-wave rollback (the storm peak).
-    pub fn storm_peak(&self) -> u64 {
-        self.waves.iter().map(|w| w.rolled_back).max().unwrap_or(0)
-    }
-
     /// Offer-to-verified durations (ms, sorted ascending) of every vehicle
     /// that completed the full update pipeline successfully — the
     /// campaign's completion-time distribution. Wave-rolled-back vehicles
@@ -721,7 +716,8 @@ mod tests {
             "a tripping wave must burn past its budget: {failed_wave:?}"
         );
         assert!(failed_wave.rolled_back > 0);
-        assert_eq!(report.storm_peak(), failed_wave.rolled_back);
+        // Only the tripping wave rolls back; the halt stops the rest.
+        assert_eq!(report.storm_total(), failed_wave.rolled_back);
         assert!(
             report
                 .outcomes

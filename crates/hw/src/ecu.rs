@@ -45,12 +45,6 @@ impl CpuSpec {
     pub fn exec_time(&self, mega_instructions: f64) -> SimDuration {
         SimDuration::from_secs_f64(mega_instructions / self.mips as f64)
     }
-
-    /// Scaling factor relative to a reference CPU: how much longer work
-    /// takes here than on `reference`.
-    pub fn slowdown_vs(&self, reference: &CpuSpec) -> f64 {
-        reference.mips as f64 / self.mips as f64
-    }
 }
 
 /// Hardware support for cryptographic operations (§4.1: "not all ECUs might
@@ -368,7 +362,6 @@ mod tests {
         let work = 16.0; // 16 million instructions
         assert_eq!(slow.exec_time(work), SimDuration::from_millis(100));
         assert!(fast.exec_time(work) < SimDuration::from_millis(1));
-        assert!(slow.slowdown_vs(&fast) > 100.0);
     }
 
     #[test]

@@ -197,12 +197,6 @@ impl RouteCache {
         }
     }
 
-    /// The dense index of an ECU, usable with batch helpers that want to
-    /// avoid repeated id translation. `None` for unknown ECUs.
-    pub fn ecu_index(&self, ecu: EcuId) -> Option<usize> {
-        self.index_of(ecu).map(|i| i as usize)
-    }
-
     /// Warms the `(src, *)` row: one BFS fills the route to *every*
     /// destination, so a batch fanout from `src` resolves each leg with a
     /// plain table lookup. A no-op when the row is already filled.
@@ -328,8 +322,6 @@ mod tests {
             cache.prefetch(EcuId(7)),
             Err(TopologyError::UnknownEcu(EcuId(7)))
         );
-        assert_eq!(cache.ecu_index(EcuId(2)), Some(2));
-        assert_eq!(cache.ecu_index(EcuId(7)), None);
     }
 
     #[test]

@@ -251,11 +251,6 @@ impl HwTopology {
             .filter(move |b| b.attached.contains(&ecu))
     }
 
-    /// `true` if `ecu` bridges two or more buses.
-    pub fn is_gateway(&self, ecu: EcuId) -> bool {
-        self.buses_of(ecu).take(2).count() >= 2
-    }
-
     /// Finds the minimum-hop bus path from `src` to `dst` by breadth-first
     /// search over the ECU/bus bipartite graph.
     ///
@@ -349,8 +344,8 @@ mod tests {
         let t = three_ecu_two_bus();
         let r = t.route(EcuId(0), EcuId(2)).unwrap();
         assert_eq!(r.buses, vec![BusId(0), BusId(1)]);
-        assert!(t.is_gateway(EcuId(1)));
-        assert!(!t.is_gateway(EcuId(0)));
+        assert_eq!(t.buses_of(EcuId(1)).count(), 2, "ecu1 bridges both buses");
+        assert_eq!(t.buses_of(EcuId(0)).count(), 1);
     }
 
     #[test]

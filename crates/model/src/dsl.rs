@@ -1038,7 +1038,10 @@ system {
         assert_eq!(
             *ty,
             DataType::record([
-                ("mode", DataType::enumeration(["off", "eco", "sport"])),
+                (
+                    "mode",
+                    DataType::Enum(vec!["off".into(), "eco".into(), "sport".into()])
+                ),
                 ("data", DataType::array(DataType::F64, 2)),
             ])
         );

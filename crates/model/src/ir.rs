@@ -179,17 +179,6 @@ impl Deployment {
         self.replicas.get(&app).copied().unwrap_or(1).max(1)
     }
 
-    /// Declares that `app` must run `n` synchronized replicas on distinct
-    /// ECUs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn require_replicas(&mut self, app: AppId, n: u8) {
-        assert!(n > 0, "replica count must be at least 1");
-        self.replicas.insert(app, n);
-    }
-
     /// Number of concrete mapping combinations this deployment admits.
     pub fn variant_count(&self) -> u64 {
         self.mapping

@@ -36,4 +36,4 @@ pub use ir::{
     AppModel, ConsumedPort, Deployment, EventDef, MappingChoice, MethodDef, PortKind,
     ServiceInterface, StreamDef, SystemModel,
 };
-pub use verify::{plan_replicas, verify, verify_all_variants, Violation};
+pub use verify::{verify, verify_all_variants, Violation};

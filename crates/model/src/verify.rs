@@ -430,7 +430,7 @@ fn check_communication(
 }
 
 /// `true` if `ecu` could host `app` on its own (memory, CPU, GPU) — the
-/// per-candidate feasibility used by replica planning.
+/// per-candidate feasibility behind the replica check.
 fn candidate_feasible(model: &SystemModel, app: &AppModel, ecu: EcuId) -> bool {
     let Some(spec) = model.hardware.ecu(ecu) else {
         return false;
@@ -445,28 +445,6 @@ fn candidate_feasible(model: &SystemModel, app: &AppModel, ecu: EcuId) -> bool {
         return false;
     }
     true
-}
-
-/// Plans the replica placement of a fail-operational app: up to `required`
-/// distinct, individually feasible candidate ECUs in candidate order.
-/// Returns `None` when not enough feasible candidates exist.
-pub fn plan_replicas(model: &SystemModel, app: AppId) -> Option<Vec<EcuId>> {
-    let app_model = model.application(app)?;
-    let required = usize::from(model.deployment.replicas_of(app));
-    let choice = model.deployment.mapping.get(&app)?;
-    let mut placement: Vec<EcuId> = Vec::new();
-    for &ecu in choice.candidates() {
-        if placement.contains(&ecu) {
-            continue;
-        }
-        if candidate_feasible(model, app_model, ecu) {
-            placement.push(ecu);
-            if placement.len() == required {
-                return Some(placement);
-            }
-        }
-    }
-    None
 }
 
 fn check_replicas(model: &SystemModel, out: &mut Vec<Violation>) {
@@ -768,13 +746,9 @@ system {
             verify(&model, &assignment).is_empty(),
             "two high ECUs suffice"
         );
-        // Planner skips the infeasible low-end candidate.
-        let plan = crate::verify::plan_replicas(&model, AppId(1)).unwrap();
-        assert_eq!(plan, vec![EcuId(0), EcuId(1)]);
-
         // Demand three replicas: the low-end ECU cannot host the app
         // (memory + CPU), so only two feasible candidates exist.
-        model.deployment.require_replicas(AppId(1), 3);
+        model.deployment.replicas.insert(AppId(1), 3);
         let v = verify(&model, &assignment);
         assert!(
             v.iter().any(|x| matches!(
@@ -787,7 +761,6 @@ system {
             )),
             "{v:?}"
         );
-        assert!(crate::verify::plan_replicas(&model, AppId(1)).is_none());
         // The DSL round-trips the replica requirement.
         let printed = crate::dsl::print_model(&model);
         assert!(printed.contains("replicas 3"));

@@ -144,7 +144,7 @@ impl FaultRecorder {
     /// Attaches a flight recorder. Every recorded fault lands in its
     /// event ring (stage `monitor.fault`), and — because detection is the
     /// moment a black box should freeze — fires
-    /// [`FlightRecorder::trigger_if_armed`] with the fault as the reason.
+    /// [`FlightRecorder::trigger`] with the fault as the reason.
     #[must_use]
     pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Self {
         self.flight = Some(flight);
@@ -167,7 +167,7 @@ impl FaultRecorder {
                 "monitor.fault",
                 format!("{}: {}", fault.kind, fault.detail),
             );
-            fr.trigger_if_armed(t, &format!("fault detected: {}", fault.kind));
+            fr.trigger(t, &format!("fault detected: {}", fault.kind));
         }
         self.faults.push(fault);
         if self.faults.len() > self.capacity {
@@ -281,11 +281,12 @@ mod tests {
         assert_eq!(dumps[0].time_ns, SimTime::from_millis(5).as_nanos());
         assert_eq!(dumps[0].events.len(), 1);
         assert_eq!(dumps[0].events[0].stage, "monitor.fault");
-        // Disarmed means disabled: further faults leave no flight trace.
-        flight.disarm();
+        // An unarmed recorder is disabled: faults leave no flight trace.
+        let idle = Arc::new(FlightRecorder::new(64));
+        let mut r = FaultRecorder::new(10).with_flight(idle.clone());
         r.record(fault(6, FaultKind::DeadlineMiss));
-        assert_eq!(flight.dumps().len(), 1);
-        assert_eq!(flight.total_events(), 1);
-        assert_eq!(r.total(), 2, "the fault counters still see everything");
+        assert!(idle.dumps().is_empty());
+        assert_eq!(idle.total_events(), 0);
+        assert_eq!(r.total(), 1, "the fault counters still see everything");
     }
 }

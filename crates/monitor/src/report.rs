@@ -124,12 +124,6 @@ impl DiagnosticReport {
             })
             .collect()
     }
-
-    /// The deepest degradation level the vehicle reached, if any
-    /// transitions were logged.
-    pub fn worst_degradation(&self) -> Option<DegradationLevel> {
-        self.degradation.iter().map(|t| t.level).max()
-    }
 }
 
 /// Fleet-level aggregation: per-task response-time histograms with fixed
@@ -338,7 +332,8 @@ mod tests {
             report.fault_summary(),
             vec![(FaultKind::MessageLoss, 2), (FaultKind::NodeFailure, 1)]
         );
-        assert_eq!(report.worst_degradation(), Some(DegradationLevel::Degraded));
+        let levels: Vec<DegradationLevel> = report.degradation.iter().map(|t| t.level).collect();
+        assert_eq!(levels, [DegradationLevel::Degraded, DegradationLevel::Full]);
         // Drains do not reset the surfaced counters.
         let mut rec2 = rec.clone();
         rec2.drain();

@@ -11,9 +11,12 @@
 //! 16 batches and reports the burn over the newest batch, a **fast**
 //! window of 4 (reacts quickly, recovers quickly) and a **slow** window
 //! of 16 (the sustained picture). The moment the fast burn reaches 1.0
-//! it arms the attached [`FlightRecorder`], and it disarms once the fast
-//! burn falls below half that level — so by the time a trip fires, the
-//! causal window leading up to it is already on tape.
+//! it arms the attached [`FlightRecorder`] and records an arming event —
+//! so by the time a trip fires, the causal window leading up to it is
+//! already on tape. The hysteresis applies to the gate's own arming
+//! state: it clears once the fast burn falls below half that level, so
+//! the next crossing records a fresh arming event. The recorder itself
+//! stays armed.
 //!
 //! A burn rate is a noisy point sample, and tripping on a point is
 //! exactly the hair-trigger behaviour the paper's uncertainty management
@@ -208,7 +211,7 @@ impl SloBurnGate {
                 // the fast window never crossed the arming level (e.g. a
                 // slow sustained burn).
                 fr.arm();
-                dump = fr.trigger_if_armed(
+                dump = fr.trigger(
                     at.as_nanos(),
                     &format!(
                         "slo {} burn-rate trip: burn {:.3} exceed {:.3}",
@@ -338,17 +341,18 @@ mod tests {
         assert!((v.fast_burn - 0.7).abs() < 1e-9, "{v:?}");
         feed(0, 100);
         assert_eq!(arming_events(&flight, "arm.test"), 1);
-        // Fast burn 0.3 is under half the level: the gate disarms, and
-        // the next spike is a fresh crossing.
+        // Fast burn 0.3 is under half the level: the gate clears its own
+        // arming state, and the next spike is a fresh crossing.
         for _ in 0..4 {
             v = feed(97, 3);
         }
         assert!((v.fast_burn - 0.3).abs() < 1e-9, "{v:?}");
+        assert!(flight.is_armed(), "the recorder stays armed");
         feed(0, 100);
         assert_eq!(
             arming_events(&flight, "arm.test"),
             2,
-            "a disarmed gate must re-arm on the next crossing"
+            "a cleared gate must re-arm on the next crossing"
         );
     }
 

@@ -615,7 +615,7 @@ mod tests {
             t += 250;
         }
         flight.arm();
-        flight.trigger_if_armed(SimTime::from_millis(t).as_nanos(), "test freeze");
+        flight.trigger(SimTime::from_millis(t).as_nanos(), "test freeze");
         let dumps = flight.dumps();
         assert_eq!(dumps.len(), 1);
         let ev = dumps[0]

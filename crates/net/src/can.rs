@@ -243,20 +243,6 @@ impl CanAnalysis {
     }
 }
 
-/// Convenience: generate `n` periodic messages with descending priority and
-/// evenly spread periods, as used by workload generators.
-pub fn uniform_message_set(
-    n: usize,
-    payload: usize,
-    base_period: SimDuration,
-) -> Vec<CanMessageSpec> {
-    (0..n)
-        .map(|i| {
-            CanMessageSpec::periodic(MessageId(i as u32), payload, base_period * (1 + i as u64))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,12 +344,8 @@ mod tests {
     #[test]
     fn overload_is_flagged_unschedulable() {
         // 20 8-byte messages at 2 ms each on 500 kbit/s: U = 20*270us/2ms = 2.7.
-        let msgs = uniform_message_set(20, 8, SimDuration::from_millis(2))
-            .into_iter()
-            .map(|mut m| {
-                m.period = SimDuration::from_millis(2);
-                m
-            })
+        let msgs = (0..20)
+            .map(|i| CanMessageSpec::periodic(MessageId(i), 8, SimDuration::from_millis(2)))
             .collect();
         let analysis = CanAnalysis::new(KBIT500, msgs);
         assert!(analysis.utilization() > 1.0);

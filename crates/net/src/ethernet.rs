@@ -55,9 +55,6 @@ fn frame_time_cached(payload: usize, bitrate: u64, npb: u64) -> SimDuration {
     }
 }
 
-/// Maximum payload per Ethernet frame (standard MTU).
-pub const MTU_BYTES: usize = 1500;
-
 /// Plain FIFO egress port — the no-isolation baseline.
 #[derive(Debug)]
 pub struct FifoPort {
@@ -176,21 +173,6 @@ impl Arbiter for StrictPriorityPort {
     }
 }
 
-/// Splits a payload of arbitrary size into MTU-sized frame payloads — the
-/// segmentation the middleware applies before handing data to a port.
-pub fn segment_payload(total: usize) -> Vec<usize> {
-    if total == 0 {
-        return vec![0];
-    }
-    let full = total / MTU_BYTES;
-    let rest = total % MTU_BYTES;
-    let mut out = vec![MTU_BYTES; full];
-    if rest > 0 {
-        out.push(rest);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,16 +285,5 @@ mod tests {
             urgent.latency() >= bulk_time * 50,
             "FIFO should make urgent wait out the backlog"
         );
-    }
-
-    #[test]
-    fn segmentation_covers_total() {
-        assert_eq!(segment_payload(0), vec![0]);
-        assert_eq!(segment_payload(100), vec![100]);
-        assert_eq!(segment_payload(1500), vec![1500]);
-        assert_eq!(segment_payload(3001), vec![1500, 1500, 1]);
-        let segs = segment_payload(1_000_000);
-        assert_eq!(segs.iter().sum::<usize>(), 1_000_000);
-        assert!(segs.iter().all(|&s| s <= MTU_BYTES));
     }
 }

@@ -182,7 +182,6 @@ struct FlightInner {
 /// ```
 #[derive(Debug)]
 pub struct FlightRecorder {
-    enabled: AtomicBool,
     armed: AtomicBool,
     capacity: usize,
     max_dumps: usize,
@@ -213,7 +212,6 @@ impl FlightRecorder {
     fn build(capacity: usize, registry: Option<Arc<MetricsRegistry>>) -> Self {
         assert!(capacity > 0, "ring capacity must be non-zero");
         FlightRecorder {
-            enabled: AtomicBool::new(false),
             armed: AtomicBool::new(false),
             capacity,
             max_dumps: 8,
@@ -227,24 +225,14 @@ impl FlightRecorder {
         }
     }
 
-    /// Enables recording and arms triggers.
+    /// Enables recording and arms triggers. There is no way back: a
+    /// recorder stays armed for its lifetime.
     pub fn arm(&self) {
-        self.enabled.store(true, Ordering::Release);
         self.armed.store(true, Ordering::Release);
     }
 
-    /// Disables recording and disarms triggers (events are retained).
-    pub fn disarm(&self) {
-        self.armed.store(false, Ordering::Release);
-        self.enabled.store(false, Ordering::Release);
-    }
-
-    /// Whether [`FlightRecorder::record`] currently stores events.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
-    }
-
-    /// Whether triggers currently freeze dumps.
+    /// Whether [`FlightRecorder::record`] stores events and triggers
+    /// freeze dumps.
     pub fn is_armed(&self) -> bool {
         self.armed.load(Ordering::Acquire)
     }
@@ -254,7 +242,7 @@ impl FlightRecorder {
         self.max_dumps
     }
 
-    /// Records one event; a no-op unless the recorder is enabled.
+    /// Records one event; a no-op unless the recorder is armed.
     pub fn record(
         &self,
         time_ns: u64,
@@ -262,7 +250,7 @@ impl FlightRecorder {
         stage: &'static str,
         detail: impl Into<String>,
     ) {
-        if !self.is_enabled() {
+        if !self.is_armed() {
             return;
         }
         let mut inner = self.inner.lock().expect("flight lock");
@@ -278,11 +266,11 @@ impl FlightRecorder {
         inner.total_events += 1;
     }
 
-    /// Freezes a dump of the current ring (plus a metrics snapshot) no
-    /// matter the armed state; `None` when disabled or the dump quota is
-    /// exhausted.
+    /// Freezes a dump of the current ring (plus a metrics snapshot) — the
+    /// hook instrumented code calls at incident sites. `None` when the
+    /// recorder is not armed or the dump quota is exhausted.
     pub fn trigger(&self, time_ns: u64, reason: &str) -> Option<FlightDump> {
-        if !self.is_enabled() {
+        if !self.is_armed() {
             return None;
         }
         let mut inner = self.inner.lock().expect("flight lock");
@@ -303,16 +291,6 @@ impl FlightRecorder {
         };
         inner.dumps.push(dump.clone());
         Some(dump)
-    }
-
-    /// [`FlightRecorder::trigger`], but only when armed — the hook
-    /// instrumented code calls at incident sites.
-    pub fn trigger_if_armed(&self, time_ns: u64, reason: &str) -> Option<FlightDump> {
-        if self.is_armed() {
-            self.trigger(time_ns, reason)
-        } else {
-            None
-        }
     }
 
     /// The frozen dumps, in trigger order.
@@ -336,7 +314,7 @@ impl FlightRecorder {
         self.inner.lock().expect("flight lock").total_events
     }
 
-    /// Clears events and dumps; enabled/armed state is unchanged.
+    /// Clears events and dumps; the armed state is unchanged.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("flight lock");
         inner.events.clear();
@@ -366,7 +344,6 @@ mod tests {
         fr.record(1, TraceCtx::root(1), "stage", "detail");
         assert_eq!(fr.total_events(), 0);
         assert!(fr.trigger(2, "incident").is_none());
-        assert!(fr.trigger_if_armed(2, "incident").is_none());
     }
 
     #[test]
@@ -377,7 +354,7 @@ mod tests {
             fr.record(i, TraceCtx::root(1).child(i), "s", format!("e{i}"));
         }
         assert_eq!(fr.total_events(), 5);
-        let dump = fr.trigger_if_armed(9, "overflow").expect("dump");
+        let dump = fr.trigger(9, "overflow").expect("dump");
         assert_eq!(dump.events.len(), 3);
         assert_eq!(dump.events[0].detail, "e2");
         assert_eq!(dump.events[2].detail, "e4");

@@ -57,12 +57,6 @@ pub fn is_edf_schedulable(set: &TaskSet) -> bool {
         .all(|t| demand_bound(set, t) <= t)
 }
 
-/// The maximum extra utilization that could still be admitted under EDF
-/// with implicit deadlines (headroom to 1.0).
-pub fn edf_headroom(set: &TaskSet) -> f64 {
-    (1.0 - set.utilization()).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,7 +77,6 @@ mod tests {
         .collect();
         assert!((set.utilization() - 1.0).abs() < 1e-12);
         assert!(is_edf_schedulable(&set));
-        assert_eq!(edf_headroom(&set), 0.0);
     }
 
     #[test]
@@ -124,6 +117,5 @@ mod tests {
     #[test]
     fn empty_set_is_schedulable() {
         assert!(is_edf_schedulable(&TaskSet::new()));
-        assert_eq!(edf_headroom(&TaskSet::new()), 1.0);
     }
 }

@@ -104,21 +104,6 @@ impl ServerAnalysis {
             .into_iter()
             .all(|t| demand_bound(child, t) <= self.server.supply_bound(t))
     }
-
-    /// The smallest budget (at granularity `step`) for which this server's
-    /// period admits `child`; `None` if even a full-period budget fails.
-    pub fn minimal_budget(&self, child: &TaskSet, step: SimDuration) -> Option<SimDuration> {
-        assert!(!step.is_zero(), "step must be non-zero");
-        let mut budget = step;
-        while budget <= self.server.period {
-            let candidate = ServerAnalysis::new(PeriodicServer::new(budget, self.server.period));
-            if candidate.admits(child) {
-                return Some(budget);
-            }
-            budget += step;
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -182,18 +167,6 @@ mod tests {
     fn empty_child_is_admitted() {
         let analysis = ServerAnalysis::new(PeriodicServer::new(ms(1), ms(10)));
         assert!(analysis.admits(&TaskSet::new()));
-    }
-
-    #[test]
-    fn minimal_budget_search() {
-        let child: TaskSet = [TaskSpec::periodic(TaskId(1), "c", ms(50), ms(5))]
-            .into_iter()
-            .collect();
-        let analysis = ServerAnalysis::new(PeriodicServer::new(ms(1), ms(10)));
-        let min = analysis.minimal_budget(&child, ms(1)).unwrap();
-        assert!(min >= ms(2) && min <= ms(10), "got {min}");
-        // The found budget indeed admits.
-        assert!(ServerAnalysis::new(PeriodicServer::new(min, ms(10))).admits(&child));
     }
 
     #[test]

@@ -121,16 +121,6 @@ impl TaskStats {
     pub fn jitter(&self) -> SimDuration {
         self.response_max.saturating_sub(self.response_min)
     }
-
-    /// Deadline-miss ratio over released jobs whose deadline fell inside
-    /// the horizon.
-    pub fn miss_rate(&self) -> f64 {
-        if self.activations == 0 {
-            0.0
-        } else {
-            self.deadline_misses as f64 / self.activations as f64
-        }
-    }
 }
 
 /// Results of a simulation run.
@@ -739,7 +729,7 @@ fn collect_stats(
             };
             if let Some(at) = missed_at {
                 misses += 1;
-                if flight.is_enabled() {
+                if flight.is_armed() {
                     let ctx = if trace.is_active() {
                         trace.child(k as u64)
                     } else {
@@ -752,7 +742,7 @@ fn collect_stats(
                         "sched.deadline_miss",
                         format!("task {} job {}", task.id, k),
                     );
-                    flight.trigger_if_armed(t, &format!("deadline miss: task {}", task.id));
+                    flight.trigger(t, &format!("deadline miss: task {}", task.id));
                 }
             }
         }
@@ -895,7 +885,7 @@ mod tests {
             assert!(t.completions <= t.activations);
             assert!(t.response_min <= t.response_max);
             assert!(t.response_mean <= t.response_max);
-            assert!(t.miss_rate() >= 0.0 && t.miss_rate() <= 1.0);
+            assert!(t.deadline_misses <= t.activations);
         }
         // 400 ms / 10 ms period = 40 activations of the DA task.
         assert_eq!(stats.task(TaskId(1)).unwrap().activations, 40);

@@ -39,16 +39,6 @@ impl TestLevel {
             TestLevel::Hil => SimDuration::from_secs(240), // flash + boot
         }
     }
-
-    /// Whether production software (not just the model) is exercised.
-    pub fn covers_software(self) -> bool {
-        !matches!(self, TestLevel::Mil)
-    }
-
-    /// Whether target hardware behavior is exercised.
-    pub fn covers_hardware(self) -> bool {
-        matches!(self, TestLevel::Hil)
-    }
 }
 
 impl fmt::Display for TestLevel {
@@ -71,14 +61,6 @@ mod tests {
         assert!(TestLevel::Sil.step_cost() < TestLevel::Hil.step_cost());
         assert!(TestLevel::Mil.setup_cost() < TestLevel::Sil.setup_cost());
         assert!(TestLevel::Sil.setup_cost() < TestLevel::Hil.setup_cost());
-    }
-
-    #[test]
-    fn coverage_grows_with_level() {
-        assert!(!TestLevel::Mil.covers_software());
-        assert!(TestLevel::Sil.covers_software());
-        assert!(!TestLevel::Sil.covers_hardware());
-        assert!(TestLevel::Hil.covers_hardware());
     }
 
     #[test]

@@ -82,9 +82,9 @@ esac
 
 echo "==> perf smoke gate (bench vs BENCH_baseline.json, alloc gate armed)"
 # Single-threaded, so the counting allocator is armed: any heap allocation
-# in a steady-state deliver, TSN stream or dispatch loop fails this step,
-# not just a perf drop. It runs after the report pins so that a perf trip
-# on a noisy host still leaves them checked.
+# in a steady-state deliver, TSN stream, FlexRay stream or dispatch loop
+# fails this step, not just a perf drop. It runs after the report pins so
+# that a perf trip on a noisy host still leaves them checked.
 cargo run --release -p dynplat-bench -- bench \
   --quick --out BENCH_snapshot.json --check BENCH_baseline.json >/dev/null
 
