@@ -41,7 +41,7 @@
 //! allocation-free once warmed.
 
 use crate::{alloc_gate, Flags, Outcome};
-use dynplat_bench::Table;
+use dynplat_bench::{outln, Table};
 use dynplat_comm::fabric::{BusPort, Fabric};
 use dynplat_comm::paradigm::{
     run_rpc_into, run_stream_into, EventBus, EventScratch, Publication, RpcCall, RpcScratch,
@@ -593,8 +593,8 @@ pub fn run(flags: &Flags) -> Outcome {
             ]);
         }
     }
-    println!();
-    println!("{}", snapshot.to_prometheus());
+    outln!();
+    outln!("{}", snapshot.to_prometheus());
 
     if let Some(path) = flags.get("--out") {
         if let Err(e) = std::fs::write(path, snapshot.to_json()) {

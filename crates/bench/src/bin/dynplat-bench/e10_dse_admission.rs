@@ -9,7 +9,7 @@
 //! fragmented schedules where cloud resynthesis succeeds at the price of
 //! slot migrations and a network round trip.
 
-use dynplat_bench::{ms, vehicle_functions, Table};
+use dynplat_bench::{ms, outln, vehicle_functions, Table};
 use dynplat_common::time::SimDuration;
 use dynplat_common::{EcuId, TaskId};
 use dynplat_dse::search::{
@@ -229,7 +229,7 @@ pub fn run() {
 
     // Sanity: every schedule the manager holds is still analyzable.
     let dm = rta::assign_deadline_monotonic(mgr.tasks());
-    println!(
+    outln!(
         "# post-update RTA schedulable: {}",
         rta::is_schedulable(&dm)
     );

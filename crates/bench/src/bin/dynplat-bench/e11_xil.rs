@@ -7,7 +7,7 @@
 //! real time) — the paper's argument for shifting testing to earlier
 //! stages; certification effort multiplies with ASIL.
 
-use dynplat_bench::Table;
+use dynplat_bench::{outln, Table};
 use dynplat_common::Asil;
 use dynplat_xil::control::VirtualControlUnit;
 use dynplat_xil::harness::{cruise_suite, FaultInjection, TestCase, TestHarness};
@@ -70,7 +70,7 @@ pub fn run() {
     }
 
     // -- coverage note ----------------------------------------------------------
-    println!(
+    outln!(
         "# coverage: MiL covers model only; SiL adds production software; HiL adds target hardware"
     );
 }

@@ -14,7 +14,7 @@
 //! binary twice prints byte-identical tables.
 
 use dynplat_bench::chaos::{burst_plan, run_campaign, sweep_plan, CampaignConfig, CampaignSummary};
-use dynplat_bench::Table;
+use dynplat_bench::{outln, Table};
 use dynplat_comm::retry::RetryPolicy;
 
 const SEED: u64 = 0xE12_5EED;
@@ -49,7 +49,7 @@ pub fn run() {
         let summary = run_campaign(&cfg);
         summary.print_row(&table, "burst");
         if name == "standard" {
-            println!(
+            outln!(
                 "# burst/standard fault counters: {}",
                 summary
                     .report
@@ -59,7 +59,7 @@ pub fn run() {
                     .collect::<Vec<_>>()
                     .join(", ")
             );
-            println!(
+            outln!(
                 "# burst/standard ladder: {}",
                 summary
                     .transitions

@@ -16,7 +16,7 @@
 
 use crate::{Flags, Outcome};
 use dynplat_bench::detect::{run_all, DetectionOutcome};
-use dynplat_bench::Table;
+use dynplat_bench::{outln, Table};
 use dynplat_common::time::SimDuration;
 use std::process::ExitCode;
 
@@ -40,7 +40,7 @@ pub fn run(flags: &Flags) -> Outcome {
         .iter()
         .filter(|o| o.capture_latency.is_some())
         .count();
-    println!("# captured {}/{} scenarios", captured, outcomes.len());
+    outln!("# captured {}/{} scenarios", captured, outcomes.len());
 
     if let Some(path) = flags.get("--dump") {
         let dump = outcomes
@@ -49,7 +49,7 @@ pub fn run(flags: &Flags) -> Outcome {
             .next()
             .expect("at least one scenario froze a dump");
         std::fs::write(path, dump.to_json()).expect("write flight dump");
-        println!("# first flight dump written to {path}");
+        outln!("# first flight dump written to {path}");
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -20,7 +20,7 @@
 
 use crate::{Flags, Outcome};
 use dynplat_bench::adapt::{run_sweep, sweep_to_json, AdaptationResult};
-use dynplat_bench::Table;
+use dynplat_bench::{outln, Table};
 use dynplat_common::time::SimDuration;
 use std::process::ExitCode;
 
@@ -44,7 +44,7 @@ pub fn run(flags: &Flags) -> Outcome {
         .iter()
         .filter(|r| r.uncertainty.false_descents < r.threshold.false_descents)
         .count();
-    println!(
+    outln!(
         "# uncertainty mode strictly fewer false degradations on {}/{} points",
         wins,
         results.len()
@@ -52,7 +52,7 @@ pub fn run(flags: &Flags) -> Outcome {
 
     if let Some(path) = flags.get("--out") {
         std::fs::write(path, sweep_to_json(SEED, &results)).expect("write E14 sweep JSON");
-        println!("# sweep written to {path}");
+        outln!("# sweep written to {path}");
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -20,7 +20,7 @@
 
 use crate::{Flags, Outcome};
 use dynplat_bench::fleet::{arms_to_json, run_arms, FleetResult};
-use dynplat_bench::Table;
+use dynplat_bench::{outln, Table};
 use std::process::ExitCode;
 
 const SEED: u64 = 0xE15_5EED;
@@ -53,7 +53,7 @@ pub fn run(flags: &Flags) -> Outcome {
     if let Some(path) = flags.get("--out") {
         std::fs::write(path, arms_to_json(SEED, vehicles, &results))
             .expect("write E15 campaign JSON");
-        println!("# campaign written to {path}");
+        outln!("# campaign written to {path}");
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -23,7 +23,7 @@
 
 use crate::{Flags, Outcome};
 use dynplat_bench::telemetry::{run_telemetry_arms, telemetry_arms_to_json, TelemetryResult};
-use dynplat_bench::Table;
+use dynplat_bench::{outln, Table};
 use std::process::ExitCode;
 
 const SEED: u64 = 0xE16_5EED;
@@ -56,14 +56,14 @@ pub fn run(flags: &Flags) -> Outcome {
     if let Some(path) = flags.get("--out") {
         std::fs::write(path, telemetry_arms_to_json(SEED, vehicles, &results))
             .expect("write E16 JSON");
-        println!("# results written to {path}");
+        outln!("# results written to {path}");
     }
     if let Some(dir) = flags.get("--telemetry") {
         std::fs::create_dir_all(dir).expect("create telemetry directory");
         for r in &results {
             let path = format!("{dir}/TELEMETRY_{}.json", r.arm);
             std::fs::write(&path, &r.telemetry).expect("write telemetry artifact");
-            println!("# telemetry written to {path}");
+            outln!("# telemetry written to {path}");
         }
     }
     Ok(ExitCode::SUCCESS)

@@ -8,7 +8,7 @@
 //! entirely when the coordinator fails.
 
 use dynplat_bench::fleet::e5d_spec;
-use dynplat_bench::{ms, Table};
+use dynplat_bench::{ms, outln, Table};
 use dynplat_common::jitter::ClockModel;
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{AppId, AppKind, Asil, EcuId};
@@ -109,7 +109,7 @@ pub fn run() {
     let clocks: BTreeMap<EcuId, ClockModel> =
         [(EcuId(0), ClockModel::PERFECT)].into_iter().collect();
     let (failed, switched) = centralized_switch_update(&clocks, SimTime::from_secs(100), true);
-    println!(
+    outln!(
         "# E5c — coordinator failure: replicas switched = {}, phases = {:?}",
         switched.len(),
         failed.phases

@@ -6,7 +6,7 @@
 //! the group alive through more failures; a single replica means losing
 //! the function entirely.
 
-use dynplat_bench::{ms, Table};
+use dynplat_bench::{ms, outln, Table};
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::{AppId, EcuId, InstanceId};
 use dynplat_core::redundancy::{RedundancyError, RedundancyGroup};
@@ -77,7 +77,7 @@ pub fn run() {
 
     // Single replica: the function is lost (the case redundancy exists for).
     let result = crash_scenario(10, 2, 1, 1_000);
-    println!(
+    outln!(
         "# single replica after master loss: {:?}",
         result.expect_err("must fail")
     );

@@ -8,7 +8,7 @@
 //! The wall-clock costs (package verification, and the weak-ECU voucher
 //! check against a signature verification) are rows of `micro`.
 
-use dynplat_bench::Table;
+use dynplat_bench::{outln, Table};
 use dynplat_common::{AppId, EcuId};
 use dynplat_hw::ecu::CryptoSupport;
 use dynplat_security::master::{RedundantMasters, VoucherIssuer};
@@ -38,7 +38,7 @@ pub fn run() {
         let factor = class.verify_cost_factor().expect("verifying classes");
         table.row(&[class.to_string(), format!("{factor:.1}")]);
     }
-    println!("# crypto class `none`: cannot verify locally — delegated to the update master");
+    outln!("# crypto class `none`: cannot verify locally — delegated to the update master");
 
     // -- attack rejection -----------------------------------------------------
     let table = Table::new(

@@ -13,6 +13,7 @@
 
 use crate::e10_dse_admission::platform_model;
 use crate::{Flags, Outcome};
+use dynplat_bench::outln;
 use dynplat_comm::fabric::{Fabric, MessageSend};
 use dynplat_comm::wire::SomeIpHeader;
 use dynplat_common::time::{SimDuration, SimTime};
@@ -68,7 +69,7 @@ fn bench<T>(name: &str, quick: bool, mut f: impl FnMut() -> T) {
         black_box(f());
     }
     let per_iter = start.elapsed().as_nanos() / u128::from(iters);
-    println!("{name}\t{per_iter}\t{iters}");
+    outln!("{name}\t{per_iter}\t{iters}");
 }
 
 fn bench_crypto(quick: bool) {
@@ -294,7 +295,7 @@ fn bench_fabric(quick: bool) {
 
 pub fn run(flags: &Flags) -> Outcome {
     let quick = flags.get("--quick").is_some();
-    println!("benchmark\tns_per_iter\titers");
+    outln!("benchmark\tns_per_iter\titers");
     bench_crypto(quick);
     bench_wire(quick);
     bench_session(quick);

@@ -2,7 +2,8 @@
 //!
 //! Every figure/experiment scenario of the `dynplat-bench` binary (see
 //! DESIGN.md §4) prints a TSV table via [`Table`] so EXPERIMENTS.md can
-//! quote machine-readable rows, plus a human-readable header.
+//! quote machine-readable rows, plus a human-readable header. All of its
+//! stdout goes through one writer, [`outln!`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,6 +18,36 @@ pub mod telemetry;
 use dynplat_common::time::SimDuration;
 use dynplat_common::{AppId, AppKind, Asil};
 use dynplat_model::ir::AppModel;
+use std::fmt;
+use std::io::{self, Write as _};
+
+/// Prints one line to stdout like `println!`, through [`write_line`].
+///
+/// A reader that closes the pipe early (`dynplat-bench micro | head -3`)
+/// ends the process quietly, where `println!` panics.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_line(::std::format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_line(::std::format_args!($($arg)*))
+    };
+}
+
+/// Writes `line` and a newline to stdout: the one writer behind [`Table`]
+/// and [`outln!`]. On a closed pipe the process exits with status 0; on
+/// any other write error it says why on stderr and exits with status 1.
+pub fn write_line(line: fmt::Arguments<'_>) {
+    match writeln!(io::stdout().lock(), "{line}") {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("dynplat-bench: cannot write stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 /// A TSV table printer for experiment outputs.
 #[derive(Debug)]
@@ -27,8 +58,8 @@ pub struct Table {
 impl Table {
     /// Starts a table, printing the header row.
     pub fn new(title: &str, columns: &[&str]) -> Self {
-        println!("# {title}");
-        println!("{}", columns.join("\t"));
+        outln!("# {title}");
+        outln!("{}", columns.join("\t"));
         Table {
             columns: columns.iter().map(|s| (*s).to_owned()).collect(),
         }
@@ -41,7 +72,7 @@ impl Table {
     /// Panics if the number of cells differs from the header.
     pub fn row(&self, cells: &[String]) {
         assert_eq!(cells.len(), self.columns.len(), "row arity mismatch");
-        println!("{}", cells.join("\t"));
+        outln!("{}", cells.join("\t"));
     }
 }
 

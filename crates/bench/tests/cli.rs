@@ -1,9 +1,11 @@
 //! Command-line contract of the `dynplat-bench` binary: usage errors exit 2
 //! with the usage on stderr; E15's JSON does not depend on `--shards`, and
 //! its stdout is the same on every run; `micro --quick` prints one
-//! well-formed row per benchmark.
+//! well-formed row per benchmark, and ends quietly when its reader closes
+//! the pipe early.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 fn dynplat_bench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dynplat-bench"))
@@ -97,4 +99,33 @@ fn micro_quick_prints_one_timed_row_per_benchmark() {
         let row = format!("sched/tt_synthesis/{n}");
         assert!(names.contains(&row.as_str()), "no {row} row in {names:?}");
     }
+}
+
+#[test]
+fn a_reader_that_closes_the_pipe_early_ends_the_run_quietly() {
+    // `micro` prints its rows as it times them, so rows are still to come
+    // when the pipe closes after the header (`micro --quick | head -1`).
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dynplat-bench"))
+        .args(["micro", "--quick"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dynplat-bench");
+    let mut header = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut header)
+        .expect("read the header");
+    assert_eq!(header, "benchmark\tns_per_iter\titers\n");
+    let out = child.wait_with_output().expect("wait for dynplat-bench");
+    assert!(
+        out.status.success(),
+        "{:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

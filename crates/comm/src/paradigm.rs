@@ -77,14 +77,6 @@ impl EventScratch {
         EventScratch::default()
     }
 
-    /// Wire frames staged by the most recent
-    /// [`EventBus::publish_all_into`], one per publication, in input
-    /// order. The refs stay valid (decodable via [`Fabric::payload`])
-    /// until the next call on this scratch, which recycles them.
-    pub fn staged_frames(&self) -> &[PayloadRef] {
-        &self.staged
-    }
-
     /// Fabric sends issued by the most recent
     /// [`EventBus::publish_all_into`] — one per subscriber leg, i.e. the
     /// publish-side work at the fabric level.
@@ -136,8 +128,8 @@ impl<'a> EventBus<'a> {
     ///
     /// Simulation semantics are identical to [`EventBus::publish_all`]:
     /// each leg's simulated size is the publication's `payload` field (the
-    /// staged frame is the wire representation, header included, available
-    /// through [`EventScratch::staged_frames`] until the next call).
+    /// staged frame is the wire representation, header included, and stays
+    /// in the arena until the next call on `scratch`).
     pub fn publish_all_into(
         &mut self,
         publications: &[Publication],
@@ -599,12 +591,13 @@ mod tests {
             assert_eq!(out, baseline, "round {round} must match the wrapper");
             // One staged wire frame per publication, decodable until the
             // next call, carrying the notification header.
-            assert_eq!(scratch.staged_frames().len(), pubs.len());
-            let frame = f2.payload(scratch.staged_frames()[0]);
-            let (h, body) = SomeIpHeader::decode(frame).expect("staged frame must decode");
-            assert_eq!(h.service, ServiceId(1));
-            assert_eq!(h.method, MethodId(1));
-            assert_eq!(body.len(), 100);
+            assert_eq!(scratch.staged.len(), pubs.len());
+            let (h, body) =
+                SomeIpHeader::decode(f2.payload(scratch.staged[0])).expect("staged frame decodes");
+            assert_eq!(
+                (h.service, h.method, body.len()),
+                (ServiceId(1), MethodId(1), 100)
+            );
             let stats = f2.arena_stats();
             assert_eq!(stats.live, pubs.len());
             if round == 0 {

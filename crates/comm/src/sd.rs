@@ -212,22 +212,8 @@ impl ServiceDirectory {
         self.offers.get(&instance).filter(|o| o.expires > now)
     }
 
-    /// Live subscribers of an event group at `now`.
-    pub fn subscribers(
-        &self,
-        now: SimTime,
-        instance: ServiceInstance,
-        group: EventGroupId,
-    ) -> Vec<&SubscriptionState> {
-        self.subs
-            .get(&(instance, group))
-            .map(|list| list.iter().filter(|s| s.expires > now).collect())
-            .unwrap_or_default()
-    }
-
     /// Visits the live subscribers of an event group at `now` without
-    /// allocating — the fanout hot path's variant of
-    /// [`ServiceDirectory::subscribers`].
+    /// allocating (the fanout hot path's lookup).
     pub fn for_each_subscriber<F>(
         &self,
         now: SimTime,
@@ -255,6 +241,18 @@ mod tests {
 
     fn s(v: u64) -> SimDuration {
         SimDuration::from_secs(v)
+    }
+
+    /// The live subscribers `for_each_subscriber` visits, in visit order.
+    fn live(
+        dir: &ServiceDirectory,
+        now: SimTime,
+        instance: ServiceInstance,
+        group: EventGroupId,
+    ) -> Vec<SubscriptionState> {
+        let mut subs = Vec::new();
+        dir.for_each_subscriber(now, instance, group, |sub| subs.push(sub.clone()));
+        subs
     }
 
     #[test]
@@ -324,7 +322,7 @@ mod tests {
                 ttl: s(10),
             },
         );
-        assert_eq!(dir.subscribers(t0, inst(1, 0), EventGroupId(1)).len(), 1);
+        assert_eq!(live(&dir, t0, inst(1, 0), EventGroupId(1)).len(), 1);
         dir.apply(
             t0,
             &SdEntry::StopOffer {
@@ -332,7 +330,7 @@ mod tests {
             },
         );
         assert!(dir.offer(t0, inst(1, 0)).is_none());
-        assert!(dir.subscribers(t0, inst(1, 0), EventGroupId(1)).is_empty());
+        assert!(live(&dir, t0, inst(1, 0), EventGroupId(1)).is_empty());
     }
 
     #[test]
@@ -347,7 +345,7 @@ mod tests {
         };
         dir.apply(SimTime::ZERO, &sub(s(2)));
         dir.apply(SimTime::from_secs(1), &sub(s(5)));
-        let subs = dir.subscribers(SimTime::from_secs(3), inst(1, 0), EventGroupId(1));
+        let subs = live(&dir, SimTime::from_secs(3), inst(1, 0), EventGroupId(1));
         assert_eq!(subs.len(), 1);
         assert_eq!(subs[0].expires, SimTime::from_secs(6));
     }
@@ -375,7 +373,7 @@ mod tests {
                 subscriber: AppId(5),
             },
         );
-        let subs = dir.subscribers(SimTime::ZERO, inst(1, 0), EventGroupId(1));
+        let subs = live(&dir, SimTime::ZERO, inst(1, 0), EventGroupId(1));
         assert_eq!(subs.len(), 1);
         assert_eq!(subs[0].subscriber, AppId(6));
     }
@@ -408,9 +406,7 @@ mod tests {
         );
         // Offer (1) + its subscription (1) lapse together.
         assert_eq!(dir.expire(t0 + s(3)), 2);
-        assert!(dir
-            .subscribers(t0 + s(3), inst(1, 0), EventGroupId(1))
-            .is_empty());
+        assert!(live(&dir, t0 + s(3), inst(1, 0), EventGroupId(1)).is_empty());
         // Even by raw map inspection nothing is retained for the instance.
         assert_eq!(dir.subs.len(), 0);
     }
@@ -450,11 +446,7 @@ mod tests {
             );
         }
         assert_eq!(dir.expire(t0 + s(3)), 2); // offer 1.0 + its sub
-        assert_eq!(
-            dir.subscribers(t0 + s(3), inst(1, 1), EventGroupId(1))
-                .len(),
-            1
-        );
+        assert_eq!(live(&dir, t0 + s(3), inst(1, 1), EventGroupId(1)).len(), 1);
     }
 
     #[test]
@@ -514,12 +506,9 @@ mod tests {
             },
         );
         assert_eq!(
-            dir.subscribers(SimTime::from_secs(1), inst(1, 0), EventGroupId(1))
-                .len(),
+            live(&dir, SimTime::from_secs(1), inst(1, 0), EventGroupId(1)).len(),
             1
         );
-        assert!(dir
-            .subscribers(SimTime::from_secs(3), inst(1, 0), EventGroupId(1))
-            .is_empty());
+        assert!(live(&dir, SimTime::from_secs(3), inst(1, 0), EventGroupId(1)).is_empty());
     }
 }

@@ -13,12 +13,12 @@
 //!
 //! let mut w = ByteWriter::new();
 //! w.put_u16(0x0103);
-//! w.put_bytes(b"abc");
+//! w.put_len_prefixed(b"abc");
 //! let buf = w.into_vec();
 //!
 //! let mut r = ByteReader::new(&buf);
 //! assert_eq!(r.take_u16()?, 0x0103);
-//! assert_eq!(r.take_bytes(3)?, b"abc");
+//! assert_eq!(r.take_len_prefixed(16)?, b"abc");
 //! assert!(r.is_empty());
 //! # Ok::<(), dynplat_common::codec::CodecError>(())
 //! ```
@@ -261,15 +261,6 @@ impl<'a> ByteReader<'a> {
     /// Returns [`CodecError::UnexpectedEnd`] if fewer than 8 bytes remain.
     pub fn take_f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.take_u64()?))
-    }
-
-    /// Reads exactly `n` raw bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::UnexpectedEnd`] if fewer than `n` bytes remain.
-    pub fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        self.take(n)
     }
 
     /// Reads a `u32` length prefix followed by that many bytes, rejecting

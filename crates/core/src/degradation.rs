@@ -7,10 +7,14 @@
 //! recovery is guarded by hysteresis (pressure must stay below a fraction
 //! of the entry threshold for a hold period) so a flapping fault source
 //! cannot bounce the vehicle between levels.
+//!
+//! The shedding policy is [`DegradationLevel::admits`], asked through
+//! [`DegradationManager::admits`]: the E12 chaos run checks it for every
+//! application on every round, and a round the level does not admit
+//! sends nothing.
 
-use crate::platform::DynamicPlatform;
 use dynplat_common::time::{SimDuration, SimTime};
-use dynplat_common::{AppId, AppKind, Asil, DegradationLevel, UncertaintyEstimate};
+use dynplat_common::{AppKind, Asil, DegradationLevel, UncertaintyEstimate};
 use dynplat_obs::{FlightRecorder, TraceCtx};
 use std::sync::Arc;
 
@@ -213,41 +217,6 @@ impl DegradationManager {
             );
             fr.trigger(t, &format!("ladder transition -> {level:?}"));
         }
-    }
-
-    /// Which of `apps` must be shed at the current level, NDA-first by
-    /// construction of [`DegradationLevel::admits`].
-    pub fn shed_plan(&self, apps: impl IntoIterator<Item = (AppId, AppKind, Asil)>) -> Vec<AppId> {
-        apps.into_iter()
-            .filter(|(_, kind, asil)| !self.level.admits(*kind, *asil))
-            .map(|(id, _, _)| id)
-            .collect()
-    }
-
-    /// Applies the current level to a running platform: stops every
-    /// serving application the level no longer admits. Returns the stopped
-    /// app ids (empty at [`DegradationLevel::Full`]).
-    pub fn enforce(&self, now: SimTime, platform: &mut DynamicPlatform) -> Vec<AppId> {
-        let running: Vec<(AppId, AppKind, Asil)> = platform
-            .nodes()
-            .flat_map(|(_, node)| {
-                node.instances()
-                    .filter(|(_, inst)| inst.state.is_serving())
-                    .map(|(_, inst)| {
-                        (
-                            inst.manifest.id(),
-                            inst.manifest.kind(),
-                            inst.manifest.asil(),
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let mut shed = self.shed_plan(running);
-        shed.sort();
-        shed.dedup();
-        shed.retain(|app| platform.stop_app(now, *app).is_ok());
-        shed
     }
 }
 
@@ -458,23 +427,5 @@ mod tests {
             m.observe_estimate(ms(610), &est(ms(610), 0.02, 0.03, 0.05, true)),
             Some(DegradationLevel::Degraded)
         );
-    }
-
-    #[test]
-    fn shed_plan_drops_nda_before_da() {
-        let mut m = manager();
-        let apps = [
-            (AppId(1), AppKind::Deterministic, Asil::C),
-            (AppId(2), AppKind::NonDeterministic, Asil::Qm),
-            (AppId(3), AppKind::NonDeterministic, Asil::B),
-            (AppId(4), AppKind::Deterministic, Asil::Qm),
-        ];
-        assert!(m.shed_plan(apps).is_empty());
-        m.observe(ms(0), 0.2);
-        assert_eq!(m.shed_plan(apps), vec![AppId(2)]);
-        m.observe(ms(1), 0.9);
-        assert_eq!(m.shed_plan(apps), vec![AppId(2), AppId(3), AppId(4)]);
-        // The ASIL-C control loop survives to the end of the ladder.
-        assert!(m.admits(AppKind::Deterministic, Asil::C));
     }
 }

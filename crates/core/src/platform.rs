@@ -314,10 +314,9 @@ impl DynamicPlatform {
                 }
             }
         }
-        let _ = now;
         for service in withdrawals {
             self.directory.apply(
-                SimTime::ZERO.max(now),
+                now,
                 &SdEntry::StopOffer {
                     instance: ServiceInstance::new(service, 0),
                 },
@@ -554,10 +553,12 @@ mod tests {
         platform
             .deploy(now, EcuId(2), consumer, &signed_package(2, &authority, 2))
             .unwrap();
-        let subs = platform.directory().subscribers(
+        let mut subs = Vec::new();
+        platform.directory().for_each_subscriber(
             now,
             ServiceInstance::new(ServiceId(10), 0),
             EventGroupId(1),
+            |s| subs.push(s.clone()),
         );
         assert_eq!(subs.len(), 1);
         assert_eq!(subs[0].host, EcuId(2));

@@ -69,28 +69,18 @@ pub struct ProcessManager {
     next_group: u32,
     assignment: BTreeMap<AppId, ProcessGroupId>,
     group_asil: BTreeMap<ProcessGroupId, Asil>,
-    isolate_always: bool,
 }
 
 impl ProcessManager {
-    /// Creates a manager for an ECU with or without an MMU. By default,
-    /// same-ASIL apps share a process group (fewer processes); call
-    /// [`ProcessManager::isolate_every_app`] for one-process-per-app.
+    /// Creates a manager for an ECU with or without an MMU. Same-ASIL apps
+    /// share a process group (fewer processes).
     pub fn new(mmu: bool) -> Self {
         ProcessManager {
             mmu,
             next_group: 0,
             assignment: BTreeMap::new(),
             group_asil: BTreeMap::new(),
-            isolate_always: false,
         }
-    }
-
-    /// Switches to strict one-process-per-app isolation (MMU required to
-    /// have any effect).
-    pub fn isolate_every_app(mut self) -> Self {
-        self.isolate_always = true;
-        self
     }
 
     /// Assigns a process group to `app` at `asil`.
@@ -121,12 +111,10 @@ impl ProcessManager {
             self.assignment.insert(app, gid);
             return Ok(gid);
         }
-        if !self.isolate_always {
-            // Reuse a group of the same ASIL when present.
-            if let Some((&gid, _)) = self.group_asil.iter().find(|(_, &a)| a == asil) {
-                self.assignment.insert(app, gid);
-                return Ok(gid);
-            }
+        // Reuse a group of the same ASIL when present.
+        if let Some((&gid, _)) = self.group_asil.iter().find(|(_, &a)| a == asil) {
+            self.assignment.insert(app, gid);
+            return Ok(gid);
         }
         let gid = self.fresh_group(asil);
         self.assignment.insert(app, gid);
@@ -163,15 +151,7 @@ mod tests {
         let g2 = pm.assign(AppId(2), Asil::Qm).unwrap();
         let g3 = pm.assign(AppId(3), Asil::D).unwrap();
         assert_ne!(g1, g2);
-        assert_eq!(g1, g3, "same ASIL shares a group by default");
-    }
-
-    #[test]
-    fn strict_isolation_gives_every_app_its_own_group() {
-        let mut pm = ProcessManager::new(true).isolate_every_app();
-        let g1 = pm.assign(AppId(1), Asil::B).unwrap();
-        let g2 = pm.assign(AppId(2), Asil::B).unwrap();
-        assert_ne!(g1, g2);
+        assert_eq!(g1, g3, "same ASIL shares a group");
     }
 
     #[test]

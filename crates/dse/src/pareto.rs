@@ -67,11 +67,6 @@ impl ParetoArchive {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// The cheapest archived design.
-    pub fn cheapest(&self) -> Option<&ParetoPoint> {
-        self.points.iter().min_by_key(|p| p.objectives.used_cost)
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +96,7 @@ mod tests {
         // Dominating point evicts both.
         assert!(a.offer(BTreeMap::new(), obj(70, 0.4)));
         assert_eq!(a.len(), 1);
-        assert_eq!(a.cheapest().unwrap().objectives.used_cost, 70);
+        assert_eq!(a.points()[0].objectives.used_cost, 70);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::vehicle::{VehicleOutcome, VehicleVerdict};
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_faults::FaultPlan;
 use dynplat_monitor::slo::{SloBurnGate, SloSpec};
-use dynplat_obs::{FlightRecorder, MetricsRegistry};
+use dynplat_obs::FlightRecorder;
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
@@ -318,15 +318,10 @@ impl CampaignReport {
         ms
     }
 
-    /// Vehicles whose completion took more than `factor` × the median —
-    /// the straggler tail a partitioned region produces.
-    pub fn straggler_count(&self, factor: f64) -> u64 {
-        Self::stragglers_in(&self.completion_ms_sorted(), factor)
-    }
-
-    /// [`CampaignReport::straggler_count`] over an already sorted
-    /// completion distribution (as [`CampaignReport::completion_ms_sorted`]
-    /// returns it), for callers that hold one.
+    /// Vehicles whose completion took more than `factor` × the median of
+    /// `sorted_ms`, a sorted completion distribution as
+    /// [`CampaignReport::completion_ms_sorted`] returns it: the straggler
+    /// tail a partitioned region produces.
     pub fn stragglers_in(sorted_ms: &[u64], factor: f64) -> u64 {
         let Some(&median) = sorted_ms.get(sorted_ms.len() / 2) else {
             return 0;
@@ -370,69 +365,6 @@ impl CampaignReport {
             );
         }
         out
-    }
-
-    /// Publishes the merged campaign into a metrics registry under
-    /// `fleet.*` — counters for every pipeline verdict, the wave ledger,
-    /// the completion-time distribution as a histogram (bulk-merged with
-    /// `record_n`, one call per distinct millisecond value), and the
-    /// per-stage latency sketches merged into histograms of the same
-    /// bucket layout.
-    pub fn publish(&self, registry: &MetricsRegistry) {
-        let t = &self.totals;
-        registry
-            .counter("fleet.vehicles.simulated")
-            .add(t.simulated);
-        registry.counter("fleet.vehicles.admitted").add(t.admitted);
-        registry
-            .counter("fleet.vehicles.rejected_flash")
-            .add(t.rejected_flash);
-        registry
-            .counter("fleet.vehicles.rejected_config")
-            .add(t.rejected_config);
-        registry.counter("fleet.vehicles.offline").add(t.offline);
-        registry.counter("fleet.vehicles.updated").add(t.updated);
-        registry
-            .counter("fleet.vehicles.verify_failed")
-            .add(t.verify_failed);
-        registry
-            .counter("fleet.vehicles.wave_rolled_back")
-            .add(self.storm_total());
-        registry.counter("fleet.vehicles.skipped").add(self.skipped);
-        let promoted = self.waves.iter().filter(|w| w.promoted).count() as u64;
-        registry.counter("fleet.waves.promoted").add(promoted);
-        registry
-            .counter("fleet.waves.rolled_back")
-            .add(self.waves.len() as u64 - promoted);
-        registry
-            .gauge("fleet.campaign.sim_duration_ms")
-            .set(self.completed_at.as_millis() as i64);
-        registry
-            .gauge("fleet.campaign.admitted_per_sim_sec_milli")
-            .set((self.admitted_per_sim_sec() * 1e3) as i64);
-        let hist = registry.histogram("fleet.vehicle.completion_ms");
-        let sorted = self.completion_ms_sorted();
-        let mut i = 0usize;
-        while i < sorted.len() {
-            let mut j = i + 1;
-            while j < sorted.len() && sorted[j] == sorted[i] {
-                j += 1;
-            }
-            hist.record_n(sorted[i], (j - i) as u64);
-            i = j;
-        }
-        registry
-            .histogram("fleet.stage.download_ms")
-            .merge(&self.totals.download_ms);
-        registry
-            .histogram("fleet.stage.finalize_ms")
-            .merge(&self.totals.finalize_ms);
-        registry
-            .histogram("fleet.stage.stall_ms")
-            .merge(&self.totals.stall_ms);
-        registry
-            .histogram("fleet.stage.e2e_ms")
-            .merge(&self.totals.e2e_ms);
     }
 }
 
@@ -732,6 +664,10 @@ mod tests {
         );
     }
 
+    fn stragglers(report: &CampaignReport) -> u64 {
+        CampaignReport::stragglers_in(&report.completion_ms_sorted(), 4.0)
+    }
+
     #[test]
     fn partitions_produce_a_straggler_tail() {
         let plan = FaultPlan::quiet(SEED)
@@ -741,7 +677,7 @@ mod tests {
         let faulted = run(4_000, 2, plan);
         assert!(!faulted.halted, "stragglers are slow, not broken");
         assert!(
-            faulted.straggler_count(4.0) > quiet.straggler_count(4.0),
+            stragglers(&faulted) > stragglers(&quiet),
             "partitioned regions must stretch the tail"
         );
         let q_max = *quiet.completion_ms_sorted().last().expect("non-empty");
@@ -763,39 +699,7 @@ mod tests {
         assert_eq!(report.totals.simulated, report.outcomes.len() as u64);
         let wave_admitted: u64 = report.waves.iter().map(|w| w.admitted).sum();
         assert_eq!(wave_admitted, report.totals.admitted);
-    }
-
-    #[test]
-    fn publish_exports_conserving_counters() {
-        let report = run(3_000, 2, FaultPlan::quiet(SEED));
-        let registry = MetricsRegistry::new();
-        report.publish(&registry);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counters["fleet.vehicles.simulated"], 3_000);
-        assert_eq!(
-            snap.counters["fleet.vehicles.admitted"]
-                + snap.counters["fleet.vehicles.rejected_flash"]
-                + snap.counters["fleet.vehicles.rejected_config"]
-                + snap.counters["fleet.vehicles.offline"],
-            snap.counters["fleet.vehicles.simulated"]
-        );
-        assert_eq!(
-            snap.histograms["fleet.vehicle.completion_ms"].count,
-            snap.counters["fleet.vehicles.updated"]
-        );
-        assert_eq!(snap.counters["fleet.waves.promoted"], 4);
-        for stage in [
-            "fleet.stage.download_ms",
-            "fleet.stage.finalize_ms",
-            "fleet.stage.stall_ms",
-            "fleet.stage.e2e_ms",
-        ] {
-            assert_eq!(
-                snap.histograms[stage].count, snap.counters["fleet.vehicles.admitted"],
-                "{stage} must hold one sample per admitted vehicle"
-            );
-        }
-        assert!(!report.slo_summary().is_empty());
+        assert_eq!(report.slo_summary().lines().count(), report.waves.len());
     }
 
     #[test]

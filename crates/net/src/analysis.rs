@@ -1,17 +1,85 @@
-//! Worst-case analyses for the Ethernet media.
+//! Worst-case analyses for the bus media.
 //!
-//! The verification engine needs latency bounds before deployment (§2.2):
-//! [`EthernetAnalysis`] gives the classic non-preemptive strict-priority
-//! response-time bound per flow (one lower-priority frame of blocking plus
-//! higher-priority interference — the 802.1p analogue of the CAN analysis),
-//! and [`worst_case_gate_delay`] bounds how long a frame of a traffic class
-//! can wait for its 802.1Qbv gate when the port is otherwise idle.
+//! The verification engine needs latency bounds before deployment (§2.2).
+//! [`crate::CanAnalysis`] and [`EthernetAnalysis`] share one
+//! non-preemptive fixed-priority response-time fixed point (one
+//! lower-priority frame of blocking plus higher-priority interference);
+//! each keeps only its frame time, its `ε` and which flows block or
+//! interfere. [`worst_case_gate_delay`] bounds how long a frame of a
+//! traffic class can wait for its 802.1Qbv gate when the port is
+//! otherwise idle.
 
 use crate::ethernet::ethernet_frame_time;
 use crate::tsn::GateControlList;
 use crate::TrafficClass;
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::MessageId;
+
+/// One flow's worst-case response time.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Wcrt {
+    /// The analyzed flow.
+    pub id: MessageId,
+    /// Worst-case response time (release to end of transmission), or `None`
+    /// when the fixed point exceeds the flow's period (the analysis bails
+    /// out and deems the flow unschedulable).
+    pub wcrt: Option<SimDuration>,
+}
+
+/// A flow as the fixed point sees it: its id, frame time `C` and period `T`.
+pub(crate) type TimedFlow = (MessageId, SimDuration, SimDuration);
+
+/// Sum of `C / T` over `flows` (1.0 = saturated medium).
+pub(crate) fn utilization(flows: &[TimedFlow]) -> f64 {
+    flows
+        .iter()
+        .map(|&(_, c, t)| c.as_nanos() as f64 / t.as_nanos() as f64)
+        .sum()
+}
+
+/// Non-preemptive fixed-priority response times of `flows`.
+///
+/// For flow *i*: `w = B_i + Σ_{k ∈ hp(i)} ⌈(w + ε) / T_k⌉ · C_k` and
+/// `R_i = w + C_i`, where `B_i` is the longest `C_k` of the flows `k` with
+/// `blocks(i, k)` and `hp(i)` the flows `k` with `interferes(i, k)`. The
+/// iteration bails out with `None` once `w + C_i` exceeds `T_i`.
+pub(crate) fn fixed_priority_wcrts(
+    flows: &[TimedFlow],
+    eps: SimDuration,
+    blocks: impl Fn(usize, usize) -> bool,
+    interferes: impl Fn(usize, usize) -> bool,
+) -> Vec<Wcrt> {
+    (0..flows.len())
+        .map(|i| {
+            let (id, c, period) = flows[i];
+            let blocking = (0..flows.len())
+                .filter(|&k| blocks(i, k))
+                .map(|k| flows[k].1)
+                .max()
+                .unwrap_or(SimDuration::ZERO);
+            let hp: Vec<TimedFlow> = (0..flows.len())
+                .filter(|&k| interferes(i, k))
+                .map(|k| flows[k])
+                .collect();
+            let mut w = blocking;
+            let wcrt = loop {
+                let interference: SimDuration = hp
+                    .iter()
+                    .map(|&(_, c_k, t_k)| c_k * (w + eps).as_nanos().div_ceil(t_k.as_nanos()))
+                    .sum();
+                let w_next = blocking + interference;
+                if w_next == w {
+                    break Some(w + c);
+                }
+                if w_next + c > period {
+                    break None;
+                }
+                w = w_next;
+            };
+            Wcrt { id, wcrt }
+        })
+        .collect()
+}
 
 /// A periodic Ethernet flow for response-time analysis.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,16 +106,6 @@ impl EthFlowSpec {
     }
 }
 
-/// Per-flow analysis result.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EthWcrt {
-    /// The analyzed flow.
-    pub id: MessageId,
-    /// Worst-case response time (arrival to last bit), or `None` when the
-    /// fixed point exceeds the flow's period (analysis bails out).
-    pub wcrt: Option<SimDuration>,
-}
-
 /// Strict-priority (802.1p) egress-port analysis.
 #[derive(Clone, Debug)]
 pub struct EthernetAnalysis {
@@ -70,66 +128,35 @@ impl EthernetAnalysis {
         EthernetAnalysis { bitrate, flows }
     }
 
-    /// Port utilization of the flow set.
-    pub fn utilization(&self) -> f64 {
+    fn timed(&self) -> Vec<TimedFlow> {
         self.flows
             .iter()
-            .map(|f| {
-                ethernet_frame_time(f.payload, self.bitrate).as_nanos() as f64
-                    / f.period.as_nanos() as f64
-            })
-            .sum()
+            .map(|f| (f.id, ethernet_frame_time(f.payload, self.bitrate), f.period))
+            .collect()
     }
 
-    /// Worst-case response times under non-preemptive strict priority.
+    /// Port utilization of the flow set.
+    pub fn utilization(&self) -> f64 {
+        utilization(&self.timed())
+    }
+
+    /// Worst-case response times under non-preemptive strict priority,
+    /// with `ε` = 1 ns.
     ///
-    /// For flow *i*: `w = B_i + Σ_{j ∈ hp(i)} ⌈(w + ε) / T_j⌉ · C_j`,
-    /// `R_i = w + C_i`, with `B_i` the largest lower-or-equal-priority
-    /// frame (ties interfere, so equal priorities count as blocking *and*
-    /// the FIFO ahead-of-us term is absorbed into the bound by treating
-    /// them as higher priority once).
-    pub fn response_times(&self) -> Vec<EthWcrt> {
-        let eps = SimDuration::from_nanos(1);
-        self.flows
-            .iter()
-            .map(|f| {
-                let c = ethernet_frame_time(f.payload, self.bitrate);
-                let blocking = self
-                    .flows
-                    .iter()
-                    .filter(|o| o.priority >= f.priority && o.id != f.id)
-                    .map(|o| ethernet_frame_time(o.payload, self.bitrate))
-                    .max()
-                    .unwrap_or(SimDuration::ZERO);
-                let hp: Vec<&EthFlowSpec> = self
-                    .flows
-                    .iter()
-                    .filter(|o| {
-                        o.priority < f.priority || (o.priority == f.priority && o.id != f.id)
-                    })
-                    .collect();
-                let mut w = blocking;
-                let wcrt = loop {
-                    let interference: SimDuration = hp
-                        .iter()
-                        .map(|o| {
-                            let c_o = ethernet_frame_time(o.payload, self.bitrate);
-                            let releases = (w + eps).as_nanos().div_ceil(o.period.as_nanos());
-                            c_o * releases
-                        })
-                        .sum();
-                    let w_next = blocking + interference;
-                    if w_next == w {
-                        break Some(w + c);
-                    }
-                    if w_next + c > f.period {
-                        break None;
-                    }
-                    w = w_next;
-                };
-                EthWcrt { id: f.id, wcrt }
-            })
-            .collect()
+    /// `B_i` is the largest lower-or-equal-priority frame. An
+    /// equal-priority flow counts both as blocking and as interference:
+    /// that absorbs the FIFO order among ties into the bound.
+    pub fn response_times(&self) -> Vec<Wcrt> {
+        let f = &self.flows;
+        fixed_priority_wcrts(
+            &self.timed(),
+            SimDuration::from_nanos(1),
+            |i, k| f[k].priority >= f[i].priority && f[k].id != f[i].id,
+            |i, k| {
+                f[k].priority < f[i].priority
+                    || (f[k].priority == f[i].priority && f[k].id != f[i].id)
+            },
+        )
     }
 
     /// `true` when every flow has a bounded WCRT within its period.

@@ -15,6 +15,7 @@
 //! the wire with `g = 34` exposed control bits, i.e. 135 bit times for an
 //! 8-byte frame.
 
+use crate::analysis::{fixed_priority_wcrts, utilization, TimedFlow, Wcrt};
 use crate::{Arbiter, Frame, Grant, Transmission};
 use dynplat_common::time::{SimDuration, SimTime};
 use dynplat_common::MessageId;
@@ -126,32 +127,17 @@ pub struct CanMessageSpec {
     pub payload: usize,
     /// Activation period.
     pub period: SimDuration,
-    /// Release jitter bound.
-    pub jitter: SimDuration,
 }
 
 impl CanMessageSpec {
-    /// Creates a jitter-free periodic message.
+    /// Creates a periodic message.
     pub fn periodic(id: MessageId, payload: usize, period: SimDuration) -> Self {
         CanMessageSpec {
             id,
             payload,
             period,
-            jitter: SimDuration::ZERO,
         }
     }
-}
-
-/// Result of the worst-case response-time analysis for one message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CanWcrt {
-    /// The analyzed message.
-    pub id: MessageId,
-    /// Worst-case response time (release to end of transmission), or `None`
-    /// if the fixed-point iteration exceeded the message's period (the
-    /// simple analysis then does not apply and the set is deemed
-    /// unschedulable for that message).
-    pub wcrt: Option<SimDuration>,
 }
 
 /// Worst-case response-time analysis for a CAN message set.
@@ -176,65 +162,31 @@ impl CanAnalysis {
         CanAnalysis { bitrate, messages }
     }
 
-    /// Bus utilization of the message set (1.0 = saturated).
-    pub fn utilization(&self) -> f64 {
+    fn timed(&self) -> Vec<TimedFlow> {
         self.messages
             .iter()
-            .map(|m| {
-                can_frame_time(m.payload, self.bitrate).as_nanos() as f64
-                    / m.period.as_nanos() as f64
-            })
-            .sum()
+            .map(|m| (m.id, can_frame_time(m.payload, self.bitrate), m.period))
+            .collect()
+    }
+
+    /// Bus utilization of the message set (1.0 = saturated).
+    pub fn utilization(&self) -> f64 {
+        utilization(&self.timed())
     }
 
     /// Computes the worst-case response time of every message.
     ///
-    /// Classic analysis: for message *m*, the queueing delay `w` satisfies
-    /// `w = B_m + Σ_{k ∈ hp(m)} ⌈(w + J_k + τ_bit) / T_k⌉ · C_k`, where
-    /// `B_m` is the longest lower-priority frame (non-preemptive blocking),
-    /// and `R_m = J_m + w + C_m`.
-    pub fn response_times(&self) -> Vec<CanWcrt> {
-        let tau_bit = SimDuration::from_nanos(1_000_000_000 / self.bitrate);
-        self.messages
-            .iter()
-            .map(|m| {
-                let c_m = can_frame_time(m.payload, self.bitrate);
-                let blocking = self
-                    .messages
-                    .iter()
-                    .filter(|k| k.id.raw() > m.id.raw())
-                    .map(|k| can_frame_time(k.payload, self.bitrate))
-                    .max()
-                    .unwrap_or(SimDuration::ZERO);
-                let hp: Vec<&CanMessageSpec> = self
-                    .messages
-                    .iter()
-                    .filter(|k| k.id.raw() < m.id.raw())
-                    .collect();
-
-                let mut w = blocking;
-                let wcrt = loop {
-                    let interference: SimDuration = hp
-                        .iter()
-                        .map(|k| {
-                            let c_k = can_frame_time(k.payload, self.bitrate);
-                            let num = (w + k.jitter + tau_bit).as_nanos();
-                            let releases = num.div_ceil(k.period.as_nanos());
-                            c_k * releases
-                        })
-                        .sum();
-                    let w_next = blocking + interference;
-                    if w_next == w {
-                        break Some(m.jitter + w + c_m);
-                    }
-                    if m.jitter + w_next + c_m > m.period {
-                        break None; // exceeds period: simple analysis bails out
-                    }
-                    w = w_next;
-                };
-                CanWcrt { id: m.id, wcrt }
-            })
-            .collect()
+    /// Classic analysis with `ε = τ_bit`: `B_m` is the longest frame of a
+    /// higher id (non-preemptive blocking), and `hp(m)` the messages of a
+    /// lower id.
+    pub fn response_times(&self) -> Vec<Wcrt> {
+        let m = &self.messages;
+        fixed_priority_wcrts(
+            &self.timed(),
+            SimDuration::from_nanos(1_000_000_000 / self.bitrate),
+            |i, k| m[k].id.raw() > m[i].id.raw(),
+            |i, k| m[k].id.raw() < m[i].id.raw(),
+        )
     }
 
     /// `true` if every message has a finite WCRT not exceeding its period.

@@ -693,7 +693,8 @@ mod tests {
     #[test]
     fn sketches_and_exemplars_live_in_the_registry() {
         // A worker's sketch is published by merging it into a registry
-        // histogram; the result equals the sketch's own snapshot.
+        // histogram; the result equals the snapshot of a histogram that
+        // recorded the same values.
         let r = MetricsRegistry::new();
         let mut sketch = Sketch::new();
         sketch.record_n(100, 4);
@@ -704,7 +705,10 @@ mod tests {
         let e = r.exemplars("reg.exemplars");
         e.offer(9_000, crate::TraceCtx::new(0xAB, 2));
         let snap = r.snapshot();
-        assert_eq!(snap.histograms["reg.sketch"], sketch.to_snapshot());
+        let recorded = Histogram::default();
+        recorded.record_n(100, 4);
+        recorded.record(5_000);
+        assert_eq!(snap.histograms["reg.sketch"], recorded.snapshot());
         let ex = r.exemplar_snapshot();
         assert_eq!(ex["reg.exemplars"][0].value, 9_000);
         r.reset();

@@ -21,7 +21,7 @@
 //! byte-identical across shard counts. A merged sketch is published into a
 //! registry [`crate::Histogram`] with [`crate::Histogram::merge`].
 
-use crate::snapshot::{merge_buckets, nearest_rank, HistogramSnapshot};
+use crate::snapshot::{merge_buckets, nearest_rank};
 
 /// Number of linear sub-buckets per power-of-two range, as a bit count.
 pub const SKETCH_SUBBITS: u32 = 5;
@@ -231,20 +231,6 @@ impl Sketch {
     pub fn nonzero_buckets(&self) -> &[(u16, u64)] {
         &self.buckets
     }
-
-    /// A serializable point-in-time copy, in the same layout-independent
-    /// shape a [`crate::Histogram`] snapshot has.
-    pub fn to_snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::from_buckets(
-            self.buckets
-                .iter()
-                .map(|&(i, n)| (sketch_bucket_upper(i), n))
-                .collect(),
-            self.sum,
-            self.min(),
-            self.max,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -371,11 +357,16 @@ mod tests {
                 b.record(v * 13 + 5);
             }
         }
-        let mut via_snapshot = a.to_snapshot();
-        via_snapshot.merge(&b.to_snapshot());
+        let snapshot = |s: &Sketch| {
+            let h = crate::Histogram::default();
+            h.merge(s);
+            h.snapshot()
+        };
+        let mut via_snapshot = snapshot(&a);
+        via_snapshot.merge(&snapshot(&b));
         let mut direct = a.clone();
         direct.merge(&b);
-        assert_eq!(via_snapshot, direct.to_snapshot());
+        assert_eq!(via_snapshot, snapshot(&direct));
         assert_eq!(via_snapshot.quantile(0.95), via_snapshot.p95);
     }
 }

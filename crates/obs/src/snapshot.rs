@@ -14,8 +14,8 @@
 //!   not add up.
 //!
 //! [`HistogramSnapshot`] is the one snapshot type of every quantile
-//! structure: [`crate::Histogram::snapshot`] and
-//! [`crate::Sketch::to_snapshot`] both produce it.
+//! structure: [`crate::Histogram::snapshot`] produces it, and a
+//! [`crate::Sketch`] reaches it through [`crate::Histogram::merge`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -400,8 +400,10 @@ mod tests {
         for v in [100u64, 200, 900] {
             sk.record(v);
         }
+        let h = crate::Histogram::default();
+        h.merge(&sk);
         snap.histograms
-            .insert("fleet.stage.download_ms".into(), sk.to_snapshot());
+            .insert("fleet.stage.download_ms".into(), h.snapshot());
         snap
     }
 

@@ -22,6 +22,11 @@ echo "==> dynplat-analysis --workspace (invariant lint, allowlist-gated)"
 cargo run --release -q -p dynplat-analysis -- \
   --workspace --report ANALYSIS_findings.json
 
+echo "==> pub census (public items no program reaches, keep-list gated)"
+# Fails on a public item that only tests or comments reach unless the
+# script's keep-list gives the reason it stays, and on a stale entry.
+python3 scripts/pub_census.py >/dev/null
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

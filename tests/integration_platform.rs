@@ -93,10 +93,12 @@ fn model_to_running_platform() {
     // Offers and subscriptions materialized from the manifests.
     let now = SimTime::ZERO;
     assert_eq!(platform.directory().find(now, ServiceId(10)).len(), 1);
-    let subs = platform.directory().subscribers(
+    let mut subs = Vec::new();
+    platform.directory().for_each_subscriber(
         now,
         ServiceInstance::new(ServiceId(10), 0),
         EventGroupId(1),
+        |s| subs.push(s.clone()),
     );
     assert_eq!(subs.len(), 1);
     assert_eq!(subs[0].subscriber, AppId(3));

@@ -9,8 +9,9 @@ use dynplat::common::rng::{seeded_rng, split_seed, Rng, SplitMix64};
 use dynplat::common::time::{SimDuration, SimTime};
 use dynplat::common::value::{DataType, Value};
 use dynplat::common::{AppId, AppKind, MessageId, MethodId, ServiceId, TaskId};
+use dynplat::net::analysis::{EthFlowSpec, EthernetAnalysis, Wcrt};
 use dynplat::net::can::{can_frame_time, CanAnalysis, CanArbiter, CanMessageSpec};
-use dynplat::net::{simulate, Frame, TxEvent};
+use dynplat::net::{ethernet_frame_time, simulate, Frame, TxEvent};
 use dynplat::obs::TraceCtx;
 use dynplat::sched::admission::{AdmissionController, AdmissionTest};
 use dynplat::sched::server::PeriodicServer;
@@ -840,6 +841,144 @@ fn can_frame_time_is_monotone_in_payload() {
             last = t;
         }
     }
+}
+
+/// `CanAnalysis::response_times` as a loop of its own, the way it stood
+/// before the CAN and Ethernet analyses shared one fixed point (release
+/// jitter, always zero, left out).
+fn can_wcrts_reference(bitrate: u64, msgs: &[CanMessageSpec]) -> Vec<Wcrt> {
+    let tau_bit = SimDuration::from_nanos(1_000_000_000 / bitrate);
+    msgs.iter()
+        .map(|m| {
+            let c_m = can_frame_time(m.payload, bitrate);
+            let blocking = msgs
+                .iter()
+                .filter(|k| k.id.raw() > m.id.raw())
+                .map(|k| can_frame_time(k.payload, bitrate))
+                .max()
+                .unwrap_or(SimDuration::ZERO);
+            let hp: Vec<&CanMessageSpec> =
+                msgs.iter().filter(|k| k.id.raw() < m.id.raw()).collect();
+            let mut w = blocking;
+            let wcrt = loop {
+                let interference: SimDuration = hp
+                    .iter()
+                    .map(|k| {
+                        let releases = (w + tau_bit).as_nanos().div_ceil(k.period.as_nanos());
+                        can_frame_time(k.payload, bitrate) * releases
+                    })
+                    .sum();
+                let w_next = blocking + interference;
+                if w_next == w {
+                    break Some(w + c_m);
+                }
+                if w_next + c_m > m.period {
+                    break None;
+                }
+                w = w_next;
+            };
+            Wcrt { id: m.id, wcrt }
+        })
+        .collect()
+}
+
+/// `EthernetAnalysis::response_times` as a loop of its own, the way it
+/// stood before the two analyses shared one fixed point.
+fn eth_wcrts_reference(bitrate: u64, flows: &[EthFlowSpec]) -> Vec<Wcrt> {
+    let eps = SimDuration::from_nanos(1);
+    flows
+        .iter()
+        .map(|f| {
+            let c = ethernet_frame_time(f.payload, bitrate);
+            let blocking = flows
+                .iter()
+                .filter(|o| o.priority >= f.priority && o.id != f.id)
+                .map(|o| ethernet_frame_time(o.payload, bitrate))
+                .max()
+                .unwrap_or(SimDuration::ZERO);
+            let hp: Vec<&EthFlowSpec> = flows
+                .iter()
+                .filter(|o| o.priority < f.priority || (o.priority == f.priority && o.id != f.id))
+                .collect();
+            let mut w = blocking;
+            let wcrt = loop {
+                let interference: SimDuration = hp
+                    .iter()
+                    .map(|o| {
+                        let releases = (w + eps).as_nanos().div_ceil(o.period.as_nanos());
+                        ethernet_frame_time(o.payload, bitrate) * releases
+                    })
+                    .sum();
+                let w_next = blocking + interference;
+                if w_next == w {
+                    break Some(w + c);
+                }
+                if w_next + c > f.period {
+                    break None;
+                }
+                w = w_next;
+            };
+            Wcrt { id: f.id, wcrt }
+        })
+        .collect()
+}
+
+#[test]
+fn both_bus_analyses_keep_their_own_loops_results() {
+    let mut unschedulable = [0u32; 2];
+    let mut bounded = [0u32; 2];
+    for case in 0..4 * CASES {
+        let mut rng = case_rng(20, case);
+
+        // CAN: random (possibly repeated) ids, standard and odd bitrates.
+        let bitrate = [125_000, 250_000, 333_333, 500_000, 1_000_000][rng.gen_range(0usize..5)];
+        let n = rng.gen_range(1usize..12);
+        let msgs: Vec<CanMessageSpec> = (0..n)
+            .map(|_| {
+                CanMessageSpec::periodic(
+                    MessageId(rng.gen_range(0u32..16)),
+                    rng.gen_range(0usize..9),
+                    SimDuration::from_micros(rng.gen_range(500u64..20_000)),
+                )
+            })
+            .collect();
+        let got = CanAnalysis::new(bitrate, msgs.clone()).response_times();
+        assert_eq!(got, can_wcrts_reference(bitrate, &msgs), "CAN case {case}");
+
+        // Ethernet: few priority levels, so equal priorities are common.
+        let bitrate = [10_000_000, 100_000_000, 1_000_000_000][rng.gen_range(0usize..3)];
+        let n = rng.gen_range(1usize..10);
+        let flows: Vec<EthFlowSpec> = (0..n)
+            .map(|i| {
+                EthFlowSpec::new(
+                    MessageId(i as u32),
+                    rng.gen_range(46usize..1501),
+                    rng.gen_range(0u32..3),
+                    SimDuration::from_micros(rng.gen_range(20u64..5_000)),
+                )
+            })
+            .collect();
+        let eth = EthernetAnalysis::new(bitrate, flows.clone()).response_times();
+        assert_eq!(
+            eth,
+            eth_wcrts_reference(bitrate, &flows),
+            "Ethernet case {case}"
+        );
+
+        for (bus, rts) in [got, eth].iter().enumerate() {
+            for r in rts {
+                match r.wcrt {
+                    Some(_) => bounded[bus] += 1,
+                    None => unschedulable[bus] += 1,
+                }
+            }
+        }
+    }
+    // Both outcomes of the fixed point are exercised on both buses.
+    assert!(
+        bounded.iter().chain(&unschedulable).all(|&n| n > 0),
+        "{bounded:?} {unschedulable:?}"
+    );
 }
 
 // ------------------------------------------------------------------- model --

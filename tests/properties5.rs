@@ -16,8 +16,8 @@
 //! * the one bucket layout is accurate and shared: snapshot p50/p95/p99
 //!   lie within 1/32 of the exact nearest-rank quantile, and
 //!   `Histogram::record`, ragged `LocalHistogram` flushes,
-//!   `Histogram::merge` of sketches and `Sketch::to_snapshot` give equal
-//!   snapshots of the same multiset;
+//!   `Histogram::merge` of ragged sketches and of one whole sketch give
+//!   equal snapshots of the same multiset;
 //! * histogram snapshots stay self-consistent under concurrent striped
 //!   flushes: every mid-flight snapshot's quantiles derive from the same
 //!   bucket read as its count (the quantile/snapshot drift regression),
@@ -53,6 +53,14 @@ fn entry(n: u64) -> RingEntry {
         seq: n,
         slot: (n % 1024) as u32,
     }
+}
+
+/// A sketch's snapshot, taken the way programs take it: merged into a
+/// histogram, then [`Histogram::snapshot`].
+fn sketch_snapshot(sketch: &Sketch) -> HistogramSnapshot {
+    let h = Histogram::default();
+    h.merge(sketch);
+    h.snapshot()
 }
 
 // ------------------------------------------------------------ wraparound --
@@ -239,11 +247,11 @@ fn sketch_merge_conserves_and_is_order_invariant() {
         }
 
         // Snapshot merge commutes with sketch merge.
-        let mut snap = shards[0].to_snapshot();
+        let mut snap = sketch_snapshot(&shards[0]);
         for s in &shards[1..] {
-            snap.merge(&s.to_snapshot());
+            snap.merge(&sketch_snapshot(s));
         }
-        assert_eq!(snap, direct.to_snapshot());
+        assert_eq!(snap, sketch_snapshot(&direct));
     }
 }
 
@@ -270,10 +278,10 @@ fn histogram_snapshot_merge_conserves_and_is_order_invariant() {
         // Snapshot merges of either source, in either order, equal the
         // direct snapshot, and their quantiles rederive from the merged
         // buckets exactly like a direct snapshot's do.
-        let expect = direct.to_snapshot();
+        let expect = sketch_snapshot(&direct);
         let snaps: Vec<HistogramSnapshot> = sketches
             .iter()
-            .map(Sketch::to_snapshot)
+            .map(sketch_snapshot)
             .chain(histograms.iter().map(Histogram::snapshot))
             .collect();
         for (label, order) in [
@@ -369,9 +377,9 @@ fn every_feed_path_gives_the_same_snapshot() {
             "case {case}: Histogram::merge(&Sketch)"
         );
         assert_eq!(
-            whole.to_snapshot(),
+            sketch_snapshot(&whole),
             expect,
-            "case {case}: Sketch::to_snapshot"
+            "case {case}: Histogram::merge of the whole sketch"
         );
     }
 }
@@ -462,7 +470,7 @@ fn snapshots_stay_self_consistent_under_concurrent_striped_flushes() {
     }
     assert_eq!(
         final_snap,
-        fold.to_sketch().to_snapshot(),
+        sketch_snapshot(&fold.to_sketch()),
         "after the join, buckets, count, sum, min and max equal the one-thread fold"
     );
 }
