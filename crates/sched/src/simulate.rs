@@ -21,18 +21,20 @@
 //! Engine layout: jobs live *task-major* in one store (task `i`'s jobs are
 //! one contiguous, release-ordered slice), so a time-triggered slot finds
 //! its job by index and the statistics are one walk over the store.
-//! Arrival order across tasks comes from a per-task next-release merge
-//! (one heap entry per task), the fixed-priority ready set is a binary
-//! heap keyed by priority, and idle time flows from the busy segments
-//! through the server budget into the NDA drain as one lazy pipeline.
+//! Arrival order across tasks is one `(release, task index)`-sorted list,
+//! merged from the per-task slices when the jobs are drawn, which each
+//! policy walks (whole, or its DA or NDA part) as a cursor. The
+//! fixed-priority ready set is a binary heap keyed by priority, and idle
+//! time flows from the busy segments through the server budget into the
+//! NDA drain as one lazy pipeline.
 //! Response and slack samples go into local histograms flushed once per
 //! run. A [`Simulator`] keeps all of that scratch between runs, and its
 //! draws too: a run whose generation inputs (horizon, execution-time
 //! model, seed, and each task's timing parameters) equal the previous
 //! run's resets the stored jobs instead of redrawing their execution
-//! times. E2 runs one task set under all four policies, so three of every
-//! four draws are skipped. [`simulate_schedule`] runs on one simulator per
-//! thread.
+//! times or re-merging their arrival order. E2 runs one task set under all
+//! four policies, so three of every four draws and merges are skipped.
+//! [`simulate_schedule`] runs on one simulator per thread.
 
 use crate::server::PeriodicServer;
 use crate::task::{TaskSet, TaskSpec};
@@ -189,6 +191,12 @@ struct Job {
 struct JobStore {
     jobs: Vec<Job>,
     start: Vec<usize>,
+    /// Arrival order: `(release, task index, store position)` of every
+    /// job, sorted by `(release, task index)`. Part of the generation memo.
+    order: Vec<(SimTime, usize, usize)>,
+    /// Scratch of the k-way merge that builds `order`: `(next release,
+    /// task index, store position, end of the task's range)` per task.
+    merge: BinaryHeap<Reverse<(SimTime, usize, usize, usize)>>,
     /// The generation inputs `jobs` was drawn from; `None` while a
     /// generation is in flight or before the first.
     key: Option<GenKey>,
@@ -238,8 +246,8 @@ impl JobStore {
     /// Releases every job of `set` within the horizon. Execution times come
     /// from one seeded stream drawn task by task, each task's jobs in
     /// release order. When the generation inputs equal the last run's, the
-    /// jobs already hold exactly those draws: they are only reset to
-    /// unstarted, and nothing is drawn.
+    /// jobs already hold exactly those draws and `order` their arrival
+    /// order: the jobs are only reset to unstarted, and nothing is drawn.
     fn generate(&mut self, set: &TaskSet, cfg: &SchedSimConfig) {
         if self.key.as_ref().is_some_and(|k| k.matches(set, cfg)) {
             for job in &mut self.jobs {
@@ -286,6 +294,26 @@ impl JobStore {
             }
         }
         self.start.push(self.jobs.len());
+        // One k-way merge of the per-task slices, holding one heap entry
+        // per task instead of one per job.
+        self.order.clear();
+        self.order.reserve(self.jobs.len());
+        self.merge.clear();
+        for (task, w) in self.start.windows(2).enumerate() {
+            if w[0] < w[1] {
+                self.merge
+                    .push(Reverse((self.jobs[w[0]].release, task, w[0], w[1])));
+            }
+        }
+        while let Some(mut top) = self.merge.peek_mut() {
+            let Reverse((release, task, pos, end)) = *top;
+            self.order.push((release, task, pos));
+            if pos + 1 < end {
+                *top = Reverse((self.jobs[pos + 1].release, task, pos + 1, end));
+            } else {
+                PeekMut::pop(top);
+            }
+        }
         key.record(set, cfg);
         self.key = Some(key);
     }
@@ -296,62 +324,53 @@ impl JobStore {
     }
 }
 
-/// Per-task next-release merge over a subset of the store's tasks. Yields
-/// jobs in `(release, task index)` order — the order of a release-sorted
-/// job list — holding one heap entry per task instead of one per job.
+/// Cursor over the store's arrival order, restricted to a subset of its
+/// tasks. Yields jobs in `(release, task index)` order.
 #[derive(Debug, Default)]
 struct Releases {
-    /// `(next release, task index, store position, end of the task's range)`.
-    heap: BinaryHeap<Reverse<(SimTime, usize, usize, usize)>>,
+    /// The subset's `(release, task index, store position)` entries.
+    due: Vec<(SimTime, usize, usize)>,
+    next: usize,
 }
 
 impl Releases {
-    /// Restarts the merge over the tasks `include` selects.
+    /// Restarts the cursor over the tasks `include` selects.
     fn reset(&mut self, store: &JobStore, include: impl Fn(usize) -> bool) {
-        self.heap.clear();
-        self.heap.reserve(store.start.len());
-        for task in 0..store.start.len().saturating_sub(1) {
-            let Range { start, end } = store.range(task);
-            if start < end && include(task) {
-                self.heap
-                    .push(Reverse((store.jobs[start].release, task, start, end)));
-            }
-        }
+        self.due.clear();
+        self.due
+            .extend(store.order.iter().filter(|&&(_, task, _)| include(task)));
+        self.next = 0;
     }
 
     /// Release time of the next job, if any remain.
     fn peek(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.0)
+        self.due.get(self.next).map(|e| e.0)
     }
 
     /// Takes the next job as `(task index, store position)`.
-    fn pop(&mut self, jobs: &[Job]) -> Option<(usize, usize)> {
-        let mut top = self.heap.peek_mut()?;
-        let Reverse((_, task, pos, end)) = *top;
-        if pos + 1 < end {
-            *top = Reverse((jobs[pos + 1].release, task, pos + 1, end));
-        } else {
-            PeekMut::pop(top);
-        }
+    fn pop(&mut self) -> Option<(usize, usize)> {
+        let &(_, task, pos) = self.due.get(self.next)?;
+        self.next += 1;
         Some((task, pos))
     }
 
     /// Takes the next job if it is released at or before `t`.
-    fn pop_due(&mut self, t: SimTime, jobs: &[Job]) -> Option<(usize, usize)> {
+    fn pop_due(&mut self, t: SimTime) -> Option<(usize, usize)> {
         if self.peek()? <= t {
-            self.pop(jobs)
+            self.pop()
         } else {
             None
         }
     }
 }
 
-/// A reusable scheduler simulator. It owns the job store, the release
-/// merge, the ready heap, the busy-segment list, the time-triggered slot
-/// lookups and the output buffer, so back-to-back runs allocate nothing
-/// once these have grown to the largest task set seen. Back-to-back runs
-/// of one task set and config, under any policies, draw its execution
-/// times once. [`simulate_schedule`] is the one-shot form.
+/// A reusable scheduler simulator. It owns the job store with its arrival
+/// order and merge heap, the release cursor, the ready heap, the
+/// busy-segment list, the time-triggered slot lookups and the output
+/// buffer, so back-to-back runs allocate nothing once these have grown to
+/// the largest task set seen. Back-to-back runs of one task set and
+/// config, under any policies, draw its execution times and merge its
+/// arrival order once. [`simulate_schedule`] is the one-shot form.
 ///
 /// # Examples
 ///
@@ -462,7 +481,7 @@ impl Simulator {
         self.busy.reserve(jobs.len());
         let mut t = SimTime::ZERO;
         loop {
-            while let Some((task, pos)) = self.releases.pop_due(t, jobs) {
+            while let Some((task, pos)) = self.releases.pop_due(t) {
                 let spec = &tasks[task];
                 self.ready
                     .push(Reverse((spec.priority, spec.id.raw(), pos)));
@@ -568,7 +587,7 @@ impl Simulator {
 /// finish within the horizon.
 fn run_fifo(jobs: &mut [Job], releases: &mut Releases, horizon: SimTime) {
     let mut t = SimTime::ZERO;
-    while let Some((_, pos)) = releases.pop(jobs) {
+    while let Some((_, pos)) = releases.pop() {
         let job = &mut jobs[pos];
         t = t.max(job.release);
         let fin = t + job.remaining;
@@ -590,7 +609,7 @@ fn drain_fifo(
     intervals: impl Iterator<Item = (SimTime, SimTime)>,
     horizon: SimTime,
 ) {
-    let mut head = releases.pop(jobs);
+    let mut head = releases.pop();
     for (mut lo, hi) in intervals {
         while let Some((_, pos)) = head {
             if lo >= hi || lo >= horizon {
@@ -598,7 +617,7 @@ fn drain_fifo(
             }
             let job = &mut jobs[pos];
             if job.remaining.is_zero() {
-                head = releases.pop(jobs);
+                head = releases.pop();
                 continue;
             }
             if job.release > lo {
@@ -613,7 +632,7 @@ fn drain_fifo(
             lo += run;
             if job.remaining.is_zero() {
                 job.completed = Some(lo);
-                head = releases.pop(jobs);
+                head = releases.pop();
             }
         }
         if head.is_none() {
@@ -964,6 +983,99 @@ mod tests {
             }
         }
         assert_eq!(digest, 17_111_274_414_076_403_007, "E2 sweep digest moved");
+    }
+
+    /// The arrival order as a per-task next-release heap yields it, one
+    /// entry per task advanced job by job: the order the simulator walked
+    /// before it kept the order in the generation memo.
+    fn heap_merge_order(store: &JobStore, include: impl Fn(usize) -> bool) -> Vec<(usize, usize)> {
+        let mut heap = BinaryHeap::new();
+        for task in 0..store.start.len() - 1 {
+            let Range { start, end } = store.range(task);
+            if start < end && include(task) {
+                heap.push(Reverse((store.jobs[start].release, task, start, end)));
+            }
+        }
+        let mut order = Vec::new();
+        while let Some(mut top) = heap.peek_mut() {
+            let Reverse((_, task, pos, end)) = *top;
+            order.push((task, pos));
+            if pos + 1 < end {
+                *top = Reverse((store.jobs[pos + 1].release, task, pos + 1, end));
+            } else {
+                PeekMut::pop(top);
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn memoized_arrival_order_matches_the_per_task_heap_merge() {
+        use dynplat_common::rng::Rng;
+        let mut rng = seeded_rng(0x5EED_0A11);
+        let mut store = JobStore::default();
+        let (mut ties, mut jobless, mut largest) = (0, 0, 0);
+        for case in 0..240u64 {
+            let n = match case % 4 {
+                0 => 1,
+                1 => rng.gen_range(65..90),
+                _ => rng.gen_range(2..12),
+            };
+            let horizon_ms = rng.gen_range(4..40);
+            // Periods and offsets on a 1 ms grid, so releases of different
+            // tasks tie; some offsets reach the horizon or pass it.
+            let set: TaskSet = (0..n)
+                .map(|i| {
+                    let task = TaskSpec::periodic(
+                        TaskId(i as u32),
+                        format!("t{i}"),
+                        ms(rng.gen_range(1..9)),
+                        SimDuration::from_micros(500),
+                    )
+                    .with_offset(ms(rng.gen_range(0..horizon_ms + 3)));
+                    if rng.gen_bool(0.5) {
+                        task.non_deterministic()
+                    } else {
+                        task
+                    }
+                })
+                .collect();
+            let cfg = SchedSimConfig {
+                horizon: ms(horizon_ms),
+                seed: case,
+                ..SchedSimConfig::default()
+            };
+            store.generate(&set, &cfg);
+            let tasks = set.tasks();
+            jobless += tasks.iter().filter(|t| t.offset >= cfg.horizon).count();
+            ties += store.order.windows(2).filter(|w| w[0].0 == w[1].0).count();
+            largest = largest.max(n);
+            let kind = |kind: AppKind| move |i: usize| tasks[i].kind == kind;
+            let subsets: [&dyn Fn(usize) -> bool; 3] = [
+                &|_| true,
+                &kind(AppKind::Deterministic),
+                &kind(AppKind::NonDeterministic),
+            ];
+            for (k, include) in subsets.into_iter().enumerate() {
+                let mut cursor = Releases::default();
+                cursor.reset(&store, include);
+                let mut walked = Vec::new();
+                while let Some(release) = cursor.peek() {
+                    let (task, pos) = cursor.pop().expect("peeked");
+                    assert_eq!(release, store.jobs[pos].release, "case {case}");
+                    walked.push((task, pos));
+                }
+                assert_eq!(
+                    walked,
+                    heap_merge_order(&store, include),
+                    "case {case} subset {k}"
+                );
+            }
+        }
+        assert!(
+            ties > 0 && jobless > 0 && largest > 64,
+            "{ties} {jobless} {largest}"
+        );
     }
 
     #[test]

@@ -726,6 +726,19 @@ fn reused_simulator_regenerates_exactly_when_a_generation_input_changes() {
             let policy = policy_on(&base_policy, &set);
             steps.push((what, set, cfg, policy));
         }
+        if n > 1 {
+            // Every base release sits on the even-millisecond grid. An
+            // offset of 1 ms takes task `idx` off it; the next offset
+            // change alone makes its first release tie with another
+            // task's second.
+            let other = base.tasks()[(idx + 1) % n].period;
+            steps.push(("base", base.clone(), base_cfg.clone(), base_policy.clone()));
+            for (what, offset) in [("offset off grid", ms(1)), ("offset tie", other)] {
+                let set = with_task(&base, idx, |t| t.offset = offset);
+                let policy = policy_on(&base_policy, &set);
+                steps.push((what, set, base_cfg.clone(), policy));
+            }
+        }
         for policy in [Policy::NonPreemptiveFifo, Policy::FixedPriorityPreemptive] {
             steps.push(("base", base.clone(), base_cfg.clone(), base_policy.clone()));
             steps.push(("policy", base.clone(), base_cfg.clone(), policy));
