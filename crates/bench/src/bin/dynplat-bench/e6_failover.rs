@@ -8,7 +8,7 @@
 
 use dynplat_bench::{ms, outln, Table};
 use dynplat_common::time::{SimDuration, SimTime};
-use dynplat_common::{AppId, EcuId, InstanceId};
+use dynplat_common::InstanceId;
 use dynplat_core::redundancy::{RedundancyError, RedundancyGroup};
 
 /// Runs one crash scenario; returns (detection latency, output gap).
@@ -18,10 +18,10 @@ fn crash_scenario(
     replicas: u64,
     crash_at_ms: u64,
 ) -> Result<(SimDuration, SimDuration), RedundancyError> {
-    let mut group = RedundancyGroup::new(AppId(1), SimDuration::from_millis(heartbeat_ms))
-        .with_tolerated_misses(misses);
+    let mut group =
+        RedundancyGroup::new(SimDuration::from_millis(heartbeat_ms)).with_tolerated_misses(misses);
     for i in 0..replicas {
-        group.register(SimTime::ZERO, InstanceId(i), EcuId(i as u16))?;
+        group.register(SimTime::ZERO, InstanceId(i))?;
     }
     let crash = SimTime::from_millis(crash_at_ms);
     let mut step = 1u64;

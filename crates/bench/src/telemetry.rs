@@ -502,7 +502,11 @@ mod tests {
             .nth(1)
             .expect("series section");
         let series = &series[..series.rfind('}').expect("closing brace")];
-        let ring = TelemetryRing::from_json(series).expect("ring parses back");
-        assert_eq!(ring.len(), 2, "one sample per phase");
+        TelemetryRing::from_json(series).expect("ring parses back");
+        assert_eq!(
+            series.matches("\"t_ns\"").count(),
+            2,
+            "one sample per phase"
+        );
     }
 }

@@ -24,13 +24,6 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PayloadRef(u32);
 
-impl PayloadRef {
-    /// The raw handle value (stable over the staged lifetime).
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-}
-
 /// One block of arena storage. `cap` is the size-class-rounded capacity,
 /// `len` the currently staged length within it.
 #[derive(Clone, Copy, Debug)]
@@ -105,11 +98,8 @@ impl PayloadArena {
     }
 
     /// The staged bytes behind `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` was never issued by this arena.
-    pub fn get(&self, r: PayloadRef) -> &[u8] {
+    #[cfg(test)]
+    pub(crate) fn get(&self, r: PayloadRef) -> &[u8] {
         let block = &self.blocks[r.0 as usize];
         &self.data[block.off as usize..(block.off + block.len) as usize]
     }
@@ -188,7 +178,7 @@ mod tests {
         assert_eq!(arena.get(big), &[9u8; 64][..]);
         // The small class block is still free for small payloads.
         let small2 = arena.stage(b"xy");
-        assert_eq!(small2.raw(), 0, "16-byte class block is recycled");
+        assert_eq!(small2.0, 0, "16-byte class block is recycled");
         assert_eq!(arena.get(small2), b"xy");
     }
 

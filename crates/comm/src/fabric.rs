@@ -112,11 +112,6 @@ impl BusPort {
     pub fn tsn_for(kind: BusKind, gcl: GateControlList) -> BusPort {
         BusPort::Tsn(TsnGatedPort::new(kind.bitrate(), gcl))
     }
-
-    /// A FIFO port for an Ethernet bus (no-isolation baseline).
-    pub fn fifo_for(kind: BusKind) -> BusPort {
-        BusPort::Fifo(FifoPort::new(kind.bitrate()))
-    }
 }
 
 /// A message to be carried by the fabric.
@@ -331,6 +326,9 @@ impl RunScratch {
     }
 }
 
+/// Store-and-forward delay a gateway adds between the hops of a route.
+pub const GATEWAY_DELAY: SimDuration = SimDuration::from_micros(50);
+
 /// The fabric simulator.
 pub struct Fabric {
     topology: HwTopology,
@@ -339,7 +337,6 @@ pub struct Fabric {
     ports: Vec<BusPort>,
     /// Raw `BusId` -> dense index; `u32::MAX` marks an unknown bus.
     bus_lookup: Vec<u32>,
-    gateway_delay: SimDuration,
     local_delay: SimDuration,
     flight: Option<Arc<FlightRecorder>>,
     arena: PayloadArena,
@@ -364,7 +361,6 @@ struct Engine<'a, F> {
     routes: &'a mut RouteCache,
     ports: &'a mut [BusPort],
     bus_lookup: &'a [u32],
-    gateway_delay: SimDuration,
     local_delay: SimDuration,
     flight: Option<&'a Arc<FlightRecorder>>,
     msgs: &'a mut MsgSlab,
@@ -521,7 +517,7 @@ where
             let state = self.msgs.remove(slot);
             self.complete(state.send, now, state.hops, now);
         } else {
-            let at = now + self.gateway_delay;
+            let at = now + GATEWAY_DELAY;
             self.start_hop(slot, at);
         }
     }
@@ -620,7 +616,6 @@ impl Fabric {
             routes,
             ports,
             bus_lookup,
-            gateway_delay: SimDuration::from_micros(50),
             local_delay: SimDuration::from_micros(5),
             flight: None,
             arena: PayloadArena::new(),
@@ -655,7 +650,8 @@ impl Fabric {
     }
 
     /// The staged bytes behind `r`.
-    pub fn payload(&self, r: PayloadRef) -> &[u8] {
+    #[cfg(test)]
+    pub(crate) fn payload(&self, r: PayloadRef) -> &[u8] {
         self.arena.get(r)
     }
 
@@ -697,11 +693,6 @@ impl Fabric {
             .bus_index(bus)
             .expect("set_port requires a bus that exists in the fabric topology");
         self.ports[idx] = port;
-    }
-
-    /// Sets the gateway store-and-forward delay (default 50 µs).
-    pub fn set_gateway_delay(&mut self, delay: SimDuration) {
-        self.gateway_delay = delay;
     }
 
     /// The topology the fabric runs over.
@@ -756,7 +747,6 @@ impl Fabric {
             ref mut routes,
             ref mut ports,
             ref bus_lookup,
-            gateway_delay,
             local_delay,
             ref flight,
             ref mut scratch,
@@ -782,7 +772,6 @@ impl Fabric {
             routes,
             ports,
             bus_lookup,
-            gateway_delay,
             local_delay,
             flight: flight.as_ref(),
             msgs: &mut scratch.msgs,

@@ -101,12 +101,6 @@ impl RetryPolicy {
     }
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::standard()
-    }
-}
-
 /// One planned transmission of a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Attempt {

@@ -148,16 +148,6 @@ impl ByteWriter {
         self.put_len_prefixed(v.as_bytes());
     }
 
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Finishes writing and returns an owned `Vec<u8>`.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf

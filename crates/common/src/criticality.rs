@@ -121,15 +121,6 @@ impl AppKind {
     }
 }
 
-impl fmt::Display for AppKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AppKind::Deterministic => write!(f, "deterministic"),
-            AppKind::NonDeterministic => write!(f, "non-deterministic"),
-        }
-    }
-}
-
 /// Platform-wide operating level of the degradation ladder (§3.3).
 ///
 /// Under fault pressure the platform sheds load in criticality order:
@@ -228,7 +219,6 @@ mod tests {
     fn app_kind_predicates() {
         assert!(AppKind::Deterministic.is_deterministic());
         assert!(!AppKind::NonDeterministic.is_deterministic());
-        assert_eq!(AppKind::Deterministic.to_string(), "deterministic");
     }
 
     #[test]
@@ -256,7 +246,7 @@ mod tests {
                     if pair[0].admits(kind, a) || !pair[1].admits(kind, a) {
                         continue;
                     }
-                    panic!("{kind}/{a} admitted at {} but not {}", pair[1], pair[0]);
+                    panic!("{kind:?}/{a} admitted at {} but not {}", pair[1], pair[0]);
                 }
             }
         }

@@ -106,12 +106,6 @@ impl ServiceInstance {
     }
 }
 
-impl fmt::Display for ServiceInstance {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{}", self.service, self.instance)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,7 +114,6 @@ mod tests {
     fn display_formats() {
         assert_eq!(EcuId(3).to_string(), "ecu3");
         assert_eq!(AppId(17).to_string(), "app17");
-        assert_eq!(ServiceInstance::new(ServiceId(5), 1).to_string(), "svc5.1");
     }
 
     #[test]

@@ -66,21 +66,6 @@ impl ExecutionModel {
         ExecutionModel { bcet, wcet, sigma }
     }
 
-    /// A deterministic model that always takes exactly `wcet`.
-    pub fn constant(wcet: SimDuration) -> Self {
-        Self::new(wcet, wcet, 0.0)
-    }
-
-    /// The best-case execution time.
-    pub fn bcet(self) -> SimDuration {
-        self.bcet
-    }
-
-    /// The worst-case execution time — what schedulability analysis uses.
-    pub fn wcet(self) -> SimDuration {
-        self.wcet
-    }
-
     /// Nominal (midpoint) execution time.
     pub fn nominal(self) -> SimDuration {
         (self.bcet + self.wcet) / 2
@@ -137,12 +122,6 @@ impl ClockModel {
     }
 }
 
-impl Default for ClockModel {
-    fn default() -> Self {
-        ClockModel::PERFECT
-    }
-}
-
 /// Additive Gaussian measurement noise `mean + sigma · z`, with `z` drawn
 /// by a Box–Muller transform from the seeded stream — the standard sensor
 /// model for signal-level uncertainty (range radar, V2X age measurements).
@@ -168,16 +147,6 @@ impl GaussianNoise {
     /// Zero-mean noise — the usual additive-disturbance form.
     pub fn centered(sigma: f64) -> Self {
         GaussianNoise::new(0.0, sigma)
-    }
-
-    /// The configured mean.
-    pub fn mean(self) -> f64 {
-        self.mean
-    }
-
-    /// The configured standard deviation.
-    pub fn sigma(self) -> f64 {
-        self.sigma
     }
 
     /// Draws one sample.
@@ -207,13 +176,14 @@ mod tests {
         let mut rng = seeded_rng(4);
         for _ in 0..2000 {
             let s = m.sample(&mut rng);
-            assert!(s >= m.bcet() && s <= m.wcet());
+            assert!(s >= m.bcet && s <= m.wcet);
         }
     }
 
     #[test]
     fn constant_model_never_varies() {
-        let m = ExecutionModel::constant(SimDuration::from_micros(100));
+        let wcet = SimDuration::from_micros(100);
+        let m = ExecutionModel::new(wcet, wcet, 0.0);
         let mut rng = seeded_rng(4);
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), SimDuration::from_micros(100));

@@ -27,7 +27,7 @@
 //! use dynplat_common::time::{SimDuration, SimTime};
 //!
 //! let t = SimTime::ZERO + SimDuration::from_millis(10);
-//! assert_eq!(t.as_micros(), 10_000);
+//! assert_eq!(t.as_nanos(), 10_000_000);
 //! ```
 
 #![forbid(unsafe_code)]

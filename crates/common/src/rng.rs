@@ -55,12 +55,6 @@ pub trait Rng {
     }
 }
 
-impl<R: Rng> Rng for &mut R {
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
-}
-
 /// Types that can be sampled uniformly from an [`Rng`].
 pub trait Sample: Sized {
     /// Draws one uniformly distributed value.
@@ -79,12 +73,6 @@ macro_rules! impl_sample_uint {
 }
 
 impl_sample_uint!(u8, u16, u32, u64, usize, i64);
-
-impl Sample for bool {
-    fn sample<R: Rng>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
 
 impl Sample for f64 {
     /// Uniform in `[0, 1)` with 53 bits of precision.
@@ -203,15 +191,6 @@ impl SampleRange<f64> for Range<f64> {
         } else {
             self.start
         }
-    }
-}
-
-impl SampleRange<f64> for RangeInclusive<f64> {
-    fn sample_in<R: Rng>(self, rng: &mut R) -> f64 {
-        let (start, end) = self.into_inner();
-        assert!(start <= end, "cannot sample from empty range");
-        let u = rng.next_u64() as f64 / u64::MAX as f64;
-        (start + u * (end - start)).clamp(start, end)
     }
 }
 
@@ -348,8 +327,6 @@ mod tests {
             assert!(c < 3);
             let d = rng.gen_range(-1.5f64..1.5);
             assert!((-1.5..1.5).contains(&d));
-            let e = rng.gen_range(-2.0f64..=2.0);
-            assert!((-2.0..=2.0).contains(&e));
         }
     }
 

@@ -61,11 +61,6 @@ impl SimTime {
         self.0
     }
 
-    /// Microseconds since simulation start (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Milliseconds since simulation start (truncating).
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
@@ -80,11 +75,6 @@ impl SimTime {
     /// is in the future.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Adds a duration, saturating at [`SimTime::MAX`].
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
     }
 }
 
@@ -152,19 +142,9 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Checked subtraction; `None` on underflow.
-    pub fn checked_sub(self, other: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(other.0).map(SimDuration)
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Saturating addition.
-    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(other.0))
     }
 
     /// Multiplies by a float factor, rounding to nanoseconds.
@@ -340,12 +320,6 @@ impl fmt::Display for SimDuration {
         } else {
             write!(f, "{ns}ns")
         }
-    }
-}
-
-impl From<SimDuration> for SimTime {
-    fn from(d: SimDuration) -> SimTime {
-        SimTime(d.0)
     }
 }
 

@@ -11,13 +11,14 @@
 //! ```
 //! use dynplat_common::value::{DataType, Value};
 //!
-//! let ty = DataType::record([
-//!     ("speed_kmh", DataType::F64),
-//!     ("wheel_ticks", DataType::array(DataType::U32, 4)),
+//! let ty = DataType::Record(vec![
+//!     ("speed_kmh".into(), DataType::F64),
+//!     ("wheel_ticks".into(), DataType::array(DataType::U32, 4)),
 //! ]);
-//! let v = Value::record([
-//!     ("speed_kmh", Value::F64(87.5)),
-//!     ("wheel_ticks", Value::array([Value::U32(1), Value::U32(2), Value::U32(3), Value::U32(4)])),
+//! let ticks = (1..=4).map(Value::U32).collect();
+//! let v = Value::Record(vec![
+//!     ("speed_kmh".into(), Value::F64(87.5)),
+//!     ("wheel_ticks".into(), Value::Array(ticks)),
 //! ]);
 //! assert!(v.conforms_to(&ty));
 //! let bytes = v.encode();
@@ -73,15 +74,6 @@ impl DataType {
         DataType::Array(Box::new(elem), len)
     }
 
-    /// Convenience constructor for [`DataType::Record`].
-    pub fn record<I, S>(fields: I) -> DataType
-    where
-        I: IntoIterator<Item = (S, DataType)>,
-        S: Into<String>,
-    {
-        DataType::Record(fields.into_iter().map(|(n, t)| (n.into(), t)).collect())
-    }
-
     /// Minimum and maximum encoded size in bytes.
     ///
     /// Variable-size leaves ([`DataType::Str`], [`DataType::Blob`]) report a
@@ -114,33 +106,6 @@ impl DataType {
             DataType::Array(elem, len) => *len == 0 || elem.is_zero_sized(),
             DataType::Record(fields) => fields.iter().all(|(_, t)| t.is_zero_sized()),
             _ => false,
-        }
-    }
-
-    /// A neutral default value conforming to this type.
-    pub fn default_value(&self) -> Value {
-        match self {
-            DataType::Bool => Value::Bool(false),
-            DataType::U8 => Value::U8(0),
-            DataType::U16 => Value::U16(0),
-            DataType::U32 => Value::U32(0),
-            DataType::U64 => Value::U64(0),
-            DataType::I64 => Value::I64(0),
-            DataType::F64 => Value::F64(0.0),
-            DataType::Str => Value::Str(String::new()),
-            DataType::Blob => Value::Blob(Vec::new()),
-            DataType::Array(elem, len) => Value::Array(
-                std::iter::repeat_with(|| elem.default_value())
-                    .take(*len)
-                    .collect(),
-            ),
-            DataType::Record(fields) => Value::Record(
-                fields
-                    .iter()
-                    .map(|(n, t)| (n.clone(), t.default_value()))
-                    .collect(),
-            ),
-            DataType::Enum(_) => Value::EnumOrdinal(0),
         }
     }
 }
@@ -212,20 +177,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Convenience constructor for [`Value::Array`].
-    pub fn array<I: IntoIterator<Item = Value>>(items: I) -> Value {
-        Value::Array(items.into_iter().collect())
-    }
-
-    /// Convenience constructor for [`Value::Record`].
-    pub fn record<I, S>(fields: I) -> Value
-    where
-        I: IntoIterator<Item = (S, Value)>,
-        S: Into<String>,
-    {
-        Value::Record(fields.into_iter().map(|(n, v)| (n.into(), v)).collect())
-    }
-
     /// Structural conformance check against a schema.
     pub fn conforms_to(&self, ty: &DataType) -> bool {
         match (self, ty) {
@@ -373,27 +324,6 @@ impl Value {
             }
         })
     }
-
-    /// Looks up a field of a record value by name.
-    pub fn field(&self, name: &str) -> Option<&Value> {
-        match self {
-            Value::Record(fields) => fields.iter().find(|(n, _)| n == name).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Interprets this value as `f64` if it is any numeric leaf.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::U8(v) => Some(f64::from(*v)),
-            Value::U16(v) => Some(f64::from(*v)),
-            Value::U32(v) => Some(f64::from(*v)),
-            Value::U64(v) => Some(*v as f64),
-            Value::I64(v) => Some(*v as f64),
-            Value::F64(v) => Some(*v),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -401,26 +331,26 @@ mod tests {
     use super::*;
 
     fn sensor_type() -> DataType {
-        DataType::record([
-            ("id", DataType::U16),
+        DataType::Record(vec![
+            ("id".into(), DataType::U16),
             (
-                "mode",
+                "mode".into(),
                 DataType::Enum(vec!["off".into(), "eco".into(), "sport".into()]),
             ),
-            ("samples", DataType::array(DataType::F64, 3)),
-            ("label", DataType::Str),
+            ("samples".into(), DataType::array(DataType::F64, 3)),
+            ("label".into(), DataType::Str),
         ])
     }
 
     fn sensor_value() -> Value {
-        Value::record([
-            ("id", Value::U16(42)),
-            ("mode", Value::EnumOrdinal(2)),
+        Value::Record(vec![
+            ("id".into(), Value::U16(42)),
+            ("mode".into(), Value::EnumOrdinal(2)),
             (
-                "samples",
-                Value::array([Value::F64(1.0), Value::F64(-2.5), Value::F64(0.0)]),
+                "samples".into(),
+                Value::Array(vec![Value::F64(1.0), Value::F64(-2.5), Value::F64(0.0)]),
             ),
-            ("label", Value::Str("front-left".into())),
+            ("label".into(), Value::Str("front-left".into())),
         ])
     }
 
@@ -465,7 +395,7 @@ mod tests {
 
     #[test]
     fn decode_of_zero_sized_array_schema_is_bounded() {
-        let empty = DataType::record(Vec::<(String, DataType)>::new());
+        let empty = DataType::Record(Vec::new());
         let huge = DataType::array(empty.clone(), 1_000_000_000_000_000_000);
         let err = Value::decode(&[], &huge).unwrap_err();
         assert!(
@@ -478,7 +408,10 @@ mod tests {
         // The cap spans the whole decode, not one array: 1000 one-byte
         // elements of 100 zero-sized elements each exceed it.
         let spread = DataType::array(
-            DataType::record([("b", DataType::U8), ("z", DataType::array(empty, 100))]),
+            DataType::Record(vec![
+                ("b".into(), DataType::U8),
+                ("z".into(), DataType::array(empty, 100)),
+            ]),
             1000,
         );
         assert!(Value::decode(&[0; 1000], &spread).is_err());
@@ -486,16 +419,27 @@ mod tests {
 
     #[test]
     fn small_zero_sized_arrays_round_trip() {
-        let empty = DataType::record(Vec::<(String, DataType)>::new());
-        for ty in [
-            DataType::array(empty, 3),
-            DataType::array(DataType::array(DataType::U64, 0), 5),
-            DataType::record([
-                ("n", DataType::U8),
-                ("z", DataType::array(DataType::Str, 0)),
-            ]),
+        let empty = DataType::Record(Vec::new());
+        for (ty, v) in [
+            (
+                DataType::array(empty, 3),
+                Value::Array(vec![Value::Record(Vec::new()); 3]),
+            ),
+            (
+                DataType::array(DataType::array(DataType::U64, 0), 5),
+                Value::Array(vec![Value::Array(Vec::new()); 5]),
+            ),
+            (
+                DataType::Record(vec![
+                    ("n".into(), DataType::U8),
+                    ("z".into(), DataType::array(DataType::Str, 0)),
+                ]),
+                Value::Record(vec![
+                    ("n".into(), Value::U8(0)),
+                    ("z".into(), Value::Array(Vec::new())),
+                ]),
+            ),
         ] {
-            let v = ty.default_value();
             assert_eq!(Value::decode(&v.encode(), &ty).unwrap(), v);
         }
     }
@@ -514,23 +458,8 @@ mod tests {
         // u16 + enum + 3*f64 + string prefix = 2 + 1 + 24 + 4 = 31 minimum.
         assert_eq!(lo, 31);
         assert!(hi >= lo);
-        let v = sensor_type().default_value();
-        let n = v.encode().len();
+        let n = sensor_value().encode().len();
         assert!(n >= lo && n <= hi);
-    }
-
-    #[test]
-    fn default_value_conforms() {
-        let ty = sensor_type();
-        assert!(ty.default_value().conforms_to(&ty));
-    }
-
-    #[test]
-    fn field_lookup_and_numeric_view() {
-        let v = sensor_value();
-        assert_eq!(v.field("id").and_then(Value::as_f64), Some(42.0));
-        assert_eq!(v.field("missing"), None);
-        assert_eq!(Value::Str("x".into()).as_f64(), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`process`] — memory freedom-of-interference: process-group
 //!   assignment driven by MMU availability (§3.1 "Memory");
 //! * [`node`] — one platform node per ECU: admission control, process
-//!   manager, instances, monitors;
+//!   manager, instances;
 //! * [`platform`] — the multi-node platform: secure installation (signed
 //!   packages, update master for weak ECUs), service offers/subscriptions,
 //!   authorized binding (§4.2), lifecycle commands;

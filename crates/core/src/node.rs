@@ -10,7 +10,6 @@ use crate::app::{AppManifest, LifecycleState};
 use crate::process::{ProcessError, ProcessManager};
 use dynplat_common::{AppId, InstanceId, TaskId};
 use dynplat_hw::EcuSpec;
-use dynplat_monitor::{FaultRecorder, MonitorSpec, TaskMonitor};
 use dynplat_sched::admission::{AdmissionController, AdmissionError};
 use dynplat_sched::server::{PeriodicServer, ServerAnalysis};
 use dynplat_sched::task::{TaskSet, TaskSpec};
@@ -106,8 +105,6 @@ pub struct PlatformNode {
     admission: AdmissionController,
     processes: ProcessManager,
     instances: BTreeMap<InstanceId, Instance>,
-    monitors: BTreeMap<InstanceId, TaskMonitor>,
-    faults: FaultRecorder,
     next_instance: u64,
     memory_used_kib: u32,
     nda_server: Option<PeriodicServer>,
@@ -126,8 +123,6 @@ impl PlatformNode {
             admission: AdmissionController::new(),
             processes,
             instances: BTreeMap::new(),
-            monitors: BTreeMap::new(),
-            faults: FaultRecorder::default(),
             next_instance,
             memory_used_kib: 0,
             nda_server: None,
@@ -212,19 +207,9 @@ impl PlatformNode {
         self.admission.admitted().utilization()
     }
 
-    /// The node's fault recorder.
-    pub fn faults(&self) -> &FaultRecorder {
-        &self.faults
-    }
-
     /// All hosted instances.
     pub fn instances(&self) -> impl Iterator<Item = (InstanceId, &Instance)> {
         self.instances.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// Looks up an instance.
-    pub fn instance(&self, id: InstanceId) -> Option<&Instance> {
-        self.instances.get(&id)
     }
 
     /// Serving instances of one application (normally one; two during a
@@ -242,16 +227,6 @@ impl PlatformNode {
         self.instances
             .values()
             .any(|i| i.manifest.id() == app && i.state != LifecycleState::Stopped)
-    }
-
-    /// Monitor of an instance.
-    pub fn monitor(&self, id: InstanceId) -> Option<&TaskMonitor> {
-        self.monitors.get(&id)
-    }
-
-    /// Mutable monitor of an instance.
-    pub fn monitor_mut(&mut self, id: InstanceId) -> Option<&mut TaskMonitor> {
-        self.monitors.get_mut(&id)
     }
 
     /// Installs `manifest` as a new instance in [`LifecycleState::Installed`].
@@ -343,13 +318,6 @@ impl PlatformNode {
         }
         self.next_instance += 1;
         self.memory_used_kib += manifest.memory_kib();
-        let spec = MonitorSpec::new(
-            TaskId(instance.raw() as u32),
-            manifest.period(),
-            manifest.period(), // implicit deadline
-            u64::from(manifest.memory_kib()) * 1024,
-        );
-        self.monitors.insert(instance, TaskMonitor::new(spec));
         self.instances.insert(
             instance,
             Instance {
@@ -393,7 +361,6 @@ impl PlatformNode {
             if !others {
                 self.processes.release(manifest.id());
             }
-            self.monitors.remove(&id);
         }
         Ok(())
     }
@@ -448,12 +415,11 @@ mod tests {
     fn launch_reaches_running() {
         let mut node = domain_node();
         let id = node.launch(manifest(1, 1.0, 256)).unwrap();
-        assert_eq!(node.instance(id).unwrap().state, LifecycleState::Running);
+        assert_eq!(node.instances[&id].state, LifecycleState::Running);
         assert_eq!(node.memory_used_kib(), 256);
         assert!(node.utilization() > 0.0);
         assert!(node.hosts(AppId(1)));
         assert_eq!(node.serving_instances_of(AppId(1)), vec![id]);
-        assert!(node.monitor(id).is_some());
     }
 
     #[test]
@@ -498,10 +464,7 @@ mod tests {
         ));
         // Staged updates pass allow_second_instance = true.
         let second = node.install(manifest(1, 1.0, 64), true).unwrap();
-        assert_eq!(
-            node.instance(second).unwrap().state,
-            LifecycleState::Installed
-        );
+        assert_eq!(node.instances[&second].state, LifecycleState::Installed);
     }
 
     #[test]
@@ -514,7 +477,6 @@ mod tests {
         assert_eq!(node.memory_used_kib(), 0);
         assert!(node.utilization() < u);
         assert!(!node.hosts(AppId(1)));
-        assert!(node.monitor(id).is_none());
         // Capacity is reusable.
         node.launch(manifest(2, 6.0, 256)).unwrap();
     }

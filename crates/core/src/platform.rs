@@ -412,7 +412,11 @@ mod tests {
         let signed = signed_package(1, &authority, 1);
         let m = model(1, vec![ServiceId(10)], vec![]);
         let id = platform.deploy(now, EcuId(1), m, &signed).unwrap();
-        assert!(platform.node(EcuId(1)).unwrap().instance(id).is_some());
+        assert!(platform
+            .node(EcuId(1))
+            .unwrap()
+            .instances()
+            .any(|(i, _)| i == id));
         assert_eq!(platform.directory().find(now, ServiceId(10)).len(), 1);
     }
 

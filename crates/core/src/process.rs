@@ -21,12 +21,6 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessGroupId(pub u32);
 
-impl fmt::Display for ProcessGroupId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pg{}", self.0)
-    }
-}
-
 /// Errors from process-group assignment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProcessError {

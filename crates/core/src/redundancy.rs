@@ -13,11 +13,9 @@
 //! metric of experiment E6.
 
 use dynplat_common::time::{SimDuration, SimTime};
-use dynplat_common::{AppId, EcuId, InstanceId};
-use dynplat_obs::{FlightRecorder, TraceCtx};
+use dynplat_common::InstanceId;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Role of one replica in the group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,7 +64,6 @@ impl std::error::Error for RedundancyError {}
 
 #[derive(Clone, Debug)]
 struct Replica {
-    ecu: EcuId,
     role: Role,
     last_heartbeat: SimTime,
 }
@@ -74,7 +71,6 @@ struct Replica {
 /// Heartbeat-supervised master/slave group for one application.
 #[derive(Clone, Debug)]
 pub struct RedundancyGroup {
-    app: AppId,
     heartbeat_period: SimDuration,
     tolerated_misses: u32,
     replicas: BTreeMap<InstanceId, Replica>,
@@ -84,50 +80,27 @@ pub struct RedundancyGroup {
     output_gap: SimDuration,
     /// Number of failovers performed.
     failovers: u32,
-    flight: Option<Arc<FlightRecorder>>,
 }
 
 impl RedundancyGroup {
-    /// Creates a group for `app`; replicas miss-tolerance defaults to 2
+    /// Creates a group whose replicas' miss tolerance defaults to 2
     /// heartbeat periods.
     ///
     /// # Panics
     ///
     /// Panics if `heartbeat_period` is zero.
-    pub fn new(app: AppId, heartbeat_period: SimDuration) -> Self {
+    pub fn new(heartbeat_period: SimDuration) -> Self {
         assert!(
             !heartbeat_period.is_zero(),
             "heartbeat period must be non-zero"
         );
         RedundancyGroup {
-            app,
             heartbeat_period,
             tolerated_misses: 2,
             replicas: BTreeMap::new(),
             master_since: SimTime::ZERO,
             output_gap: SimDuration::ZERO,
             failovers: 0,
-            flight: None,
-        }
-    }
-
-    /// Attaches a flight recorder: every promotion lands in its event ring
-    /// (stage `core.redundancy`) and, when armed, freezes an incident dump.
-    pub fn attach_flight_recorder(&mut self, flight: Arc<FlightRecorder>) {
-        self.flight = Some(flight);
-    }
-
-    fn flight_promotion(&self, now: SimTime, promoted: InstanceId) {
-        dynplat_obs::counter!("core.redundancy.failovers").inc();
-        if let Some(fr) = &self.flight {
-            let t = now.as_nanos();
-            fr.record(
-                t,
-                TraceCtx::NONE,
-                "core.redundancy",
-                format!("app {} promoted {promoted}", self.app),
-            );
-            fr.trigger(t, &format!("failover: app {} -> {promoted}", self.app));
         }
     }
 
@@ -142,11 +115,6 @@ impl RedundancyGroup {
         self
     }
 
-    /// The supervised application.
-    pub fn app(&self) -> AppId {
-        self.app
-    }
-
     /// Registers a replica; the first becomes master, later ones slaves.
     ///
     /// # Errors
@@ -156,7 +124,6 @@ impl RedundancyGroup {
         &mut self,
         now: SimTime,
         instance: InstanceId,
-        ecu: EcuId,
     ) -> Result<Role, RedundancyError> {
         if self.replicas.contains_key(&instance) {
             return Err(RedundancyError::DuplicateReplica(instance));
@@ -172,7 +139,6 @@ impl RedundancyGroup {
         self.replicas.insert(
             instance,
             Replica {
-                ecu,
                 role,
                 last_heartbeat: now,
             },
@@ -278,34 +244,11 @@ impl RedundancyGroup {
                 self.replicas.get_mut(&next).expect("candidate exists").role = Role::Master;
                 self.master_since = now;
                 self.failovers += 1;
-                self.flight_promotion(now, next);
+                dynplat_obs::counter!("core.redundancy.failovers").inc();
                 Ok(Some(next))
             }
             None => Err(RedundancyError::AllReplicasFailed),
         }
-    }
-
-    /// Forcibly fails every replica on `ecu` (ECU loss) and supervises.
-    ///
-    /// # Errors
-    ///
-    /// [`RedundancyError::AllReplicasFailed`].
-    pub fn fail_ecu(
-        &mut self,
-        now: SimTime,
-        ecu: EcuId,
-    ) -> Result<Option<InstanceId>, RedundancyError> {
-        let mut lost_master = false;
-        for r in self.replicas.values_mut() {
-            if r.ecu == ecu && r.role != Role::Failed {
-                lost_master |= r.role == Role::Master;
-                r.role = Role::Failed;
-            }
-        }
-        if !lost_master {
-            return Ok(None);
-        }
-        self.promote_next(now, None)
     }
 }
 
@@ -322,9 +265,9 @@ mod tests {
     }
 
     fn group_with_replicas(n: u64) -> RedundancyGroup {
-        let mut g = RedundancyGroup::new(AppId(1), ms(10));
+        let mut g = RedundancyGroup::new(ms(10));
         for i in 0..n {
-            g.register(t(0), InstanceId(i), EcuId(i as u16)).unwrap();
+            g.register(t(0), InstanceId(i)).unwrap();
         }
         g
     }
@@ -380,29 +323,18 @@ mod tests {
     }
 
     #[test]
-    fn ecu_failure_fails_over_immediately() {
-        let mut g = group_with_replicas(3);
-        let promoted = g.fail_ecu(t(5), EcuId(0)).unwrap();
-        assert_eq!(promoted, Some(InstanceId(1)));
-        assert_eq!(g.healthy(), 2);
-        // Losing a slave ECU does not change the master.
-        assert_eq!(g.fail_ecu(t(6), EcuId(2)).unwrap(), None);
-        assert_eq!(g.master(), Some(InstanceId(1)));
-    }
-
-    #[test]
     fn all_replicas_failing_is_reported() {
         let mut g = group_with_replicas(2);
-        g.fail_ecu(t(1), EcuId(1)).unwrap();
-        let err = g.fail_ecu(t(2), EcuId(0)).unwrap_err();
+        let err = g.supervise(t(100)).unwrap_err();
         assert_eq!(err, RedundancyError::AllReplicasFailed);
     }
 
     #[test]
     fn failed_replicas_cannot_heartbeat_back_to_life() {
         let mut g = group_with_replicas(2);
-        g.fail_ecu(t(1), EcuId(0)).unwrap();
-        g.heartbeat(t(2), InstanceId(0)).unwrap();
+        g.heartbeat(t(30), InstanceId(1)).unwrap();
+        assert_eq!(g.supervise(t(30)).unwrap(), Some(InstanceId(1)));
+        g.heartbeat(t(40), InstanceId(0)).unwrap();
         assert_eq!(g.role_of(InstanceId(0)), Some(Role::Failed));
     }
 
@@ -410,7 +342,7 @@ mod tests {
     fn duplicate_and_unknown_replicas_rejected() {
         let mut g = group_with_replicas(1);
         assert_eq!(
-            g.register(t(0), InstanceId(0), EcuId(9)),
+            g.register(t(0), InstanceId(0)),
             Err(RedundancyError::DuplicateReplica(InstanceId(0)))
         );
         assert_eq!(
@@ -420,26 +352,13 @@ mod tests {
     }
 
     #[test]
-    fn promotions_freeze_flight_dumps() {
-        let flight = Arc::new(FlightRecorder::new(16));
-        flight.arm();
-        let mut g = group_with_replicas(3);
-        g.attach_flight_recorder(flight.clone());
-        g.fail_ecu(t(5), EcuId(0)).unwrap();
-        let dumps = flight.dumps();
-        assert_eq!(dumps.len(), 1);
-        assert_eq!(dumps[0].reason, "failover: app app1 -> inst1");
-        assert_eq!(dumps[0].events[0].stage, "core.redundancy");
-    }
-
-    #[test]
     fn failover_latency_shrinks_with_faster_heartbeat() {
         // Detection bound = heartbeat period * tolerated misses; verify the
         // mechanism honors it for two configurations.
         for (period_ms, misses) in [(10u64, 2u32), (2, 2)] {
-            let mut g = RedundancyGroup::new(AppId(1), ms(period_ms)).with_tolerated_misses(misses);
-            g.register(t(0), InstanceId(0), EcuId(0)).unwrap();
-            g.register(t(0), InstanceId(1), EcuId(1)).unwrap();
+            let mut g = RedundancyGroup::new(ms(period_ms)).with_tolerated_misses(misses);
+            g.register(t(0), InstanceId(0)).unwrap();
+            g.register(t(0), InstanceId(1)).unwrap();
             // Master dies at t=0; slave beats every period; supervise at
             // every period boundary.
             let mut detected_at = None;

@@ -380,10 +380,8 @@ mod tests {
         let node = p.node(EcuId(1)).unwrap();
         let serving = node.serving_instances_of(AppId(1));
         assert_eq!(serving.len(), 1);
-        assert_eq!(
-            node.instance(serving[0]).unwrap().manifest.version,
-            Version::new(1, 1, 0)
-        );
+        let (_, instance) = node.instances().find(|(i, _)| *i == serving[0]).unwrap();
+        assert_eq!(instance.manifest.version, Version::new(1, 1, 0));
     }
 
     #[test]

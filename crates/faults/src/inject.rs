@@ -212,11 +212,6 @@ impl FaultInjector {
         injector
     }
 
-    /// The plan driving this injector.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Structured injection log, in injection order.
     pub fn log(&self) -> &[InjectedFault] {
         &self.log
@@ -226,11 +221,6 @@ impl FaultInjector {
     /// [`FaultRecorder::counts`] against the detection side.
     pub fn recorder(&self) -> &FaultRecorder {
         &self.recorder
-    }
-
-    /// Aggregate counters.
-    pub fn stats(&self) -> InjectionStats {
-        self.stats
     }
 
     /// Attaches a flight recorder: every injection lands in its event
@@ -425,15 +415,6 @@ pub struct ChaosFabric {
     injector: FaultInjector,
 }
 
-impl fmt::Debug for ChaosFabric {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ChaosFabric")
-            .field("fabric", &self.fabric)
-            .field("plan", self.injector.plan())
-            .finish()
-    }
-}
-
 impl ChaosFabric {
     /// Wraps `fabric` under `plan`.
     ///
@@ -445,11 +426,6 @@ impl ChaosFabric {
             fabric,
             injector: FaultInjector::new(plan),
         }
-    }
-
-    /// The wrapped fabric.
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
     }
 
     /// The injector (log, recorder, stats).
@@ -593,7 +569,7 @@ mod tests {
             ..InjectionStats::default()
         };
         assert_eq!(
-            chaos.injector().stats(),
+            chaos.injector().stats,
             seen_only,
             "every send seen, none touched"
         );
@@ -608,7 +584,7 @@ mod tests {
         let da = a.run(batch(200), |_| vec![]);
         let db = b.run(batch(200), |_| vec![]);
         assert_eq!(da, db, "same plan, same seed: identical outcome");
-        let losses = a.injector().stats().drops;
+        let losses = a.injector().stats.drops;
         assert!(
             (30..90).contains(&losses),
             "~30% of 200 expected, got {losses}"
@@ -637,7 +613,7 @@ mod tests {
             done.is_empty(),
             "all deliveries failed their integrity check"
         );
-        assert_eq!(chaos.injector().stats().corruptions, 10);
+        assert_eq!(chaos.injector().stats.corruptions, 10);
         assert_eq!(
             chaos
                 .injector()
@@ -668,7 +644,7 @@ mod tests {
             done[0].sent > SimTime::ZERO,
             "spike moved the injection time"
         );
-        assert_eq!(chaos.injector().stats().delay_spikes, 1);
+        assert_eq!(chaos.injector().stats.delay_spikes, 1);
     }
 
     #[test]
@@ -694,7 +670,7 @@ mod tests {
             !ids.contains(&2),
             "in-window message on the partitioned bus is lost"
         );
-        assert_eq!(chaos.injector().stats().partition_losses, 1);
+        assert_eq!(chaos.injector().stats.partition_losses, 1);
     }
 
     #[test]
@@ -705,7 +681,7 @@ mod tests {
         let done = chaos.run(sends, |_| vec![]);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, 1);
-        assert_eq!(chaos.injector().stats().crash_losses, 2);
+        assert_eq!(chaos.injector().stats.crash_losses, 2);
         assert_eq!(chaos.injector().recorder().count(FaultKind::NodeFailure), 1);
         assert_eq!(chaos.injector().recorder().count(FaultKind::MessageLoss), 2);
     }
@@ -720,7 +696,7 @@ mod tests {
             done[0].sent >= SimTime::from_millis(10),
             "held until the hang ended"
         );
-        assert_eq!(chaos.injector().stats().hang_delays, 1);
+        assert_eq!(chaos.injector().stats.hang_delays, 1);
     }
 
     #[test]
@@ -754,7 +730,7 @@ mod tests {
             with_babble > baseline,
             "flood must slow the victim: {with_babble} vs {baseline}"
         );
-        assert!(chaos.injector().stats().babble_messages > 100);
+        assert!(chaos.injector().stats.babble_messages > 100);
     }
 
     #[test]
@@ -787,6 +763,6 @@ mod tests {
             }
         });
         assert_eq!(done.len(), 2);
-        assert_eq!(open.injector().stats().messages, 2);
+        assert_eq!(open.injector().stats.messages, 2);
     }
 }

@@ -209,18 +209,6 @@ impl FaultPlan {
         self
     }
 
-    /// Multiplies every stochastic rate by `intensity` (clamped to 1.0) —
-    /// the one-knob sweep axis of a chaos campaign. Scheduled faults are
-    /// not scaled.
-    pub fn scaled(mut self, intensity: f64) -> Self {
-        let scale = |r: f64| (r * intensity).clamp(0.0, 1.0);
-        self.drop_rate = scale(self.drop_rate);
-        self.corrupt_rate = scale(self.corrupt_rate);
-        self.duplicate_rate = scale(self.duplicate_rate);
-        self.delay_spike_rate = scale(self.delay_spike_rate);
-        self
-    }
-
     /// Checks every rate and window.
     ///
     /// # Errors
@@ -321,20 +309,6 @@ mod tests {
         assert!(plan.validate().is_ok());
         assert!(plan.partitions[0].active_at(ms(150)));
         assert!(!plan.partitions[0].active_at(ms(200)));
-    }
-
-    #[test]
-    fn scaling_clamps_rates() {
-        let plan = FaultPlan::quiet(1)
-            .with_message_faults(0.4, 0.4, 0.4)
-            .scaled(3.0);
-        assert_eq!(plan.drop_rate, 1.0);
-        assert!(plan.validate().is_ok());
-        let down = FaultPlan::quiet(1)
-            .with_message_faults(0.4, 0.2, 0.0)
-            .scaled(0.5);
-        assert!((down.drop_rate - 0.2).abs() < 1e-12);
-        assert!((down.corrupt_rate - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -230,11 +230,6 @@ impl ShardPool {
         ShardPool { workers }
     }
 
-    /// Number of shards in the pool.
-    pub fn shards(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Runs wave `[lo, hi)` across all shards and returns the canonical
     /// merge: outcomes in vehicle-id order plus summed counters. The
     /// result is independent of the shard count.
@@ -584,7 +579,7 @@ mod tests {
                 1 => rng.gen_range(0u64..1 << 40),
                 _ => rng.gen::<u64>() >> 1,
             };
-            (SimTime::from_nanos(ns), rng.gen::<bool>())
+            (SimTime::from_nanos(ns), rng.next_u64() & 1 == 1)
         }));
         for &a in &pairs {
             let pa = GateSample::new(a.0, a.1);

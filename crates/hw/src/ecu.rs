@@ -139,16 +139,6 @@ impl EcuClass {
     }
 }
 
-impl fmt::Display for EcuClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EcuClass::LowEnd => write!(f, "low-end"),
-            EcuClass::Domain => write!(f, "domain"),
-            EcuClass::HighPerformance => write!(f, "high-performance"),
-        }
-    }
-}
-
 /// A fully attributed ECU model.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EcuSpec {

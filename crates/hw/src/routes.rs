@@ -15,7 +15,7 @@
 //! ascending `EcuId` order), same errors. `tests/properties3.rs` checks
 //! this equivalence over randomized topologies.
 
-use crate::topology::{HwTopology, Route, TopologyError};
+use crate::topology::{HwTopology, TopologyError};
 use dynplat_common::{BusId, EcuId};
 use std::sync::Arc;
 
@@ -94,11 +94,6 @@ impl RouteCache {
             prev: vec![(ABSENT, BusId(0)); n],
             seen: vec![false; n],
         }
-    }
-
-    /// Number of ECUs the cache covers.
-    pub fn ecu_count(&self) -> usize {
-        self.ecu_ids.len()
     }
 
     fn index_of(&self, ecu: EcuId) -> Option<u32> {
@@ -212,25 +207,21 @@ impl RouteCache {
         }
         Ok(())
     }
-
-    /// The route from `src` to `dst` as an owned [`Route`], for drop-in
-    /// compatibility with [`HwTopology::route`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HwTopology::route`].
-    pub fn route(&mut self, src: EcuId, dst: EcuId) -> Result<Route, TopologyError> {
-        self.route_buses(src, dst).map(|buses| Route {
-            buses: buses.to_vec(),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ecu::{EcuClass, EcuSpec};
-    use crate::topology::{BusKind, BusSpec};
+    use crate::topology::{BusKind, BusSpec, Route};
+
+    /// The cached route as an owned [`Route`], comparable with
+    /// [`HwTopology::route`].
+    fn route(cache: &mut RouteCache, src: EcuId, dst: EcuId) -> Result<Route, TopologyError> {
+        cache.route_buses(src, dst).map(|buses| Route {
+            buses: buses.to_vec(),
+        })
+    }
 
     fn topo() -> HwTopology {
         // ecu0 --can0-- ecu1(gateway) --eth0-- ecu2, ecu9 isolated
@@ -261,10 +252,10 @@ mod tests {
         for src in [0u16, 1, 2, 9] {
             for dst in [0u16, 1, 2, 9] {
                 let fresh = t.route(EcuId(src), EcuId(dst));
-                let cached = cache.route(EcuId(src), EcuId(dst));
+                let cached = route(&mut cache, EcuId(src), EcuId(dst));
                 assert_eq!(cached, fresh, "pair {src}->{dst}");
                 // Second query exercises the memoized path.
-                assert_eq!(cache.route(EcuId(src), EcuId(dst)), fresh);
+                assert_eq!(route(&mut cache, EcuId(src), EcuId(dst)), fresh);
             }
         }
     }
@@ -274,11 +265,11 @@ mod tests {
         let t = topo();
         let mut cache = RouteCache::new(&t);
         assert_eq!(
-            cache.route(EcuId(7), EcuId(0)),
+            route(&mut cache, EcuId(7), EcuId(0)),
             Err(TopologyError::UnknownEcu(EcuId(7)))
         );
         assert_eq!(
-            cache.route(EcuId(0), EcuId(7)),
+            route(&mut cache, EcuId(0), EcuId(7)),
             Err(TopologyError::UnknownEcu(EcuId(7)))
         );
     }
@@ -315,7 +306,7 @@ mod tests {
             &[BusId(0), BusId(1)]
         );
         assert_eq!(
-            cache.route(EcuId(0), EcuId(9)),
+            route(&mut cache, EcuId(0), EcuId(9)),
             Err(TopologyError::NoRoute(EcuId(0), EcuId(9)))
         );
         assert_eq!(
@@ -328,9 +319,9 @@ mod tests {
     fn empty_topology_is_handled() {
         let t = HwTopology::new();
         let mut cache = RouteCache::new(&t);
-        assert_eq!(cache.ecu_count(), 0);
+        assert_eq!(cache.ecu_ids.len(), 0);
         assert_eq!(
-            cache.route(EcuId(0), EcuId(1)),
+            route(&mut cache, EcuId(0), EcuId(1)),
             Err(TopologyError::UnknownEcu(EcuId(0)))
         );
     }

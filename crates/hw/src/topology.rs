@@ -69,16 +69,6 @@ impl BusKind {
     }
 }
 
-impl fmt::Display for BusKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BusKind::Can { bitrate } => write!(f, "CAN@{bitrate}"),
-            BusKind::FlexRay { bitrate } => write!(f, "FlexRay@{bitrate}"),
-            BusKind::Ethernet { bitrate } => write!(f, "Ethernet@{bitrate}"),
-        }
-    }
-}
-
 /// A bus segment and its attached ECUs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BusSpec {
@@ -118,11 +108,6 @@ pub struct Route {
 }
 
 impl Route {
-    /// Number of bus hops.
-    pub fn hops(&self) -> usize {
-        self.buses.len()
-    }
-
     /// `true` for same-ECU delivery.
     pub fn is_local(&self) -> bool {
         self.buses.is_empty()
@@ -300,11 +285,6 @@ impl HwTopology {
         buses.reverse();
         Ok(Route { buses })
     }
-
-    /// Total acquisition cost of all ECUs — a DSE objective.
-    pub fn total_cost(&self) -> u64 {
-        self.ecus.values().map(|e| u64::from(e.cost())).sum()
-    }
 }
 
 #[cfg(test)]
@@ -336,7 +316,6 @@ mod tests {
         let t = three_ecu_two_bus();
         let r = t.route(EcuId(0), EcuId(1)).unwrap();
         assert_eq!(r.buses, vec![BusId(0)]);
-        assert_eq!(r.hops(), 1);
     }
 
     #[test]
@@ -399,15 +378,9 @@ mod tests {
     }
 
     #[test]
-    fn cost_sums_over_ecus() {
-        let t = three_ecu_two_bus();
-        assert_eq!(t.total_cost(), 8 + 35 + 220);
-    }
-
-    #[test]
     fn bus_kind_accessors() {
         assert_eq!(BusKind::can_500k().bitrate(), 500_000);
         assert_eq!(BusKind::ethernet_1g().bitrate(), 1_000_000_000);
-        assert_eq!(BusKind::flexray_10m().to_string(), "FlexRay@10000000");
+        assert_eq!(BusKind::flexray_10m().bitrate(), 10_000_000);
     }
 }

@@ -1037,12 +1037,12 @@ system {
         let ty = &model.interfaces[0].events[0].payload;
         assert_eq!(
             *ty,
-            DataType::record([
+            DataType::Record(vec![
                 (
-                    "mode",
+                    "mode".into(),
                     DataType::Enum(vec!["off".into(), "eco".into(), "sport".into()])
                 ),
-                ("data", DataType::array(DataType::F64, 2)),
+                ("data".into(), DataType::array(DataType::F64, 2)),
             ])
         );
         let printed = print_model(&model);

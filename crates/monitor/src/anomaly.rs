@@ -63,24 +63,9 @@ impl DriftDetector {
         }
     }
 
-    /// Current moving mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
     /// Current moving standard deviation.
     pub fn sigma(&self) -> f64 {
         self.variance.max(0.0).sqrt()
-    }
-
-    /// Samples ingested.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Outliers seen.
-    pub fn outliers(&self) -> u64 {
-        self.outliers
     }
 
     /// Ingests one sample and classifies it.
@@ -135,7 +120,7 @@ mod tests {
             let v = d.ingest(noisy(&mut rng, 2_000.0, 100.0));
             assert_eq!(v, DriftVerdict::Normal);
         }
-        assert!((d.mean() - 2_000.0).abs() < 100.0);
+        assert!((d.mean - 2_000.0).abs() < 100.0);
     }
 
     #[test]
@@ -149,7 +134,7 @@ mod tests {
         // And the detector recovers.
         let v = d.ingest(noisy(&mut rng, 2_000.0, 50.0));
         assert_ne!(v, DriftVerdict::Drifting);
-        assert_eq!(d.outliers(), 1);
+        assert_eq!(d.outliers, 1);
     }
 
     #[test]
@@ -208,9 +193,9 @@ mod tests {
             d.ingest(noisy(&mut rng, 5_000.0, 10.0));
         }
         assert!(
-            (d.mean() - 5_000.0).abs() < 200.0,
+            (d.mean - 5_000.0).abs() < 200.0,
             "mean tracked the shift: {}",
-            d.mean()
+            d.mean
         );
     }
 

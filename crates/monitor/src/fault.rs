@@ -105,7 +105,6 @@ pub struct Fault {
 pub struct FaultRecorder {
     capacity: usize,
     faults: Vec<Fault>,
-    registry: Arc<MetricsRegistry>,
     counters: [Arc<Counter>; FaultKind::ALL.len()],
     flight: Option<Arc<FlightRecorder>>,
 }
@@ -135,7 +134,6 @@ impl FaultRecorder {
         FaultRecorder {
             capacity,
             faults: Vec::new(),
-            registry,
             counters,
             flight: None,
         }
@@ -149,11 +147,6 @@ impl FaultRecorder {
     pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Self {
         self.flight = Some(flight);
         self
-    }
-
-    /// The registry this recorder counts into.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
     }
 
     /// Records a fault.
@@ -176,19 +169,9 @@ impl FaultRecorder {
         }
     }
 
-    /// Retained faults, oldest first.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
     /// Total number of faults of `kind` ever recorded.
     pub fn count(&self, kind: FaultKind) -> u64 {
         self.counters[kind as usize].get()
-    }
-
-    /// Total faults ever recorded.
-    pub fn total(&self) -> u64 {
-        self.counters.iter().map(|c| c.get()).sum()
     }
 
     /// Per-kind totals over the recorder's whole lifetime (not just the
@@ -221,6 +204,10 @@ impl Default for FaultRecorder {
 mod tests {
     use super::*;
 
+    fn total(r: &FaultRecorder) -> u64 {
+        r.counters.iter().map(|c| c.get()).sum()
+    }
+
     fn fault(ms: u64, kind: FaultKind) -> Fault {
         Fault {
             time: SimTime::from_millis(ms),
@@ -238,8 +225,8 @@ mod tests {
         r.record(fault(3, FaultKind::MemoryOverrun));
         assert_eq!(r.count(FaultKind::DeadlineMiss), 2);
         assert_eq!(r.count(FaultKind::Silence), 0);
-        assert_eq!(r.total(), 3);
-        assert_eq!(r.faults().len(), 3);
+        assert_eq!(total(&r), 3);
+        assert_eq!(r.faults.len(), 3);
     }
 
     #[test]
@@ -248,9 +235,9 @@ mod tests {
         for i in 0..5 {
             r.record(fault(i, FaultKind::PeriodViolation));
         }
-        assert_eq!(r.faults().len(), 2);
-        assert_eq!(r.faults()[0].time, SimTime::from_millis(3));
-        assert_eq!(r.total(), 5);
+        assert_eq!(r.faults.len(), 2);
+        assert_eq!(r.faults[0].time, SimTime::from_millis(3));
+        assert_eq!(total(&r), 5);
     }
 
     #[test]
@@ -259,7 +246,7 @@ mod tests {
         r.record(fault(1, FaultKind::JitterViolation));
         let drained = r.drain();
         assert_eq!(drained.len(), 1);
-        assert!(r.faults().is_empty());
+        assert!(r.faults.is_empty());
         assert_eq!(r.count(FaultKind::JitterViolation), 1);
     }
 
@@ -286,7 +273,7 @@ mod tests {
         let mut r = FaultRecorder::new(10).with_flight(idle.clone());
         r.record(fault(6, FaultKind::DeadlineMiss));
         assert!(idle.dumps().is_empty());
-        assert_eq!(idle.total_events(), 0);
-        assert_eq!(r.total(), 1, "the fault counters still see everything");
+        assert!(idle.events().is_empty());
+        assert_eq!(total(&r), 1, "the fault counters still see everything");
     }
 }

@@ -107,11 +107,6 @@ impl DiagnosticReport {
         self
     }
 
-    /// `true` if the report carries at least one fault.
-    pub fn has_faults(&self) -> bool {
-        !self.faults.is_empty()
-    }
-
     /// Per-kind counter rows in stable [`FaultKind::ALL`] order, zeros
     /// skipped — the one table shape shared by the monitoring and chaos
     /// experiments.
@@ -167,11 +162,6 @@ impl CertificationDataSet {
         }
     }
 
-    /// Number of ingested reports.
-    pub fn reports(&self) -> u64 {
-        self.reports
-    }
-
     /// Total faults across the fleet.
     pub fn total_faults(&self) -> u64 {
         self.total_faults
@@ -180,12 +170,6 @@ impl CertificationDataSet {
     /// Total activations of `task` across the fleet.
     pub fn activations(&self, task: TaskId) -> u64 {
         self.total_activations.get(&task).copied().unwrap_or(0)
-    }
-
-    /// Response-max histogram of `task` (bucket i covers
-    /// `[i·width, (i+1)·width)`).
-    pub fn histogram(&self, task: TaskId) -> Option<&[u64]> {
-        self.histograms.get(&task).map(Vec::as_slice)
     }
 
     /// The smallest bound `b` such that a `quantile` fraction of reports
@@ -243,7 +227,7 @@ mod tests {
         assert_eq!(report.tasks.len(), 1);
         assert_eq!(report.tasks[0].activations, 3);
         assert_eq!(report.tasks[0].response_max, ms(4));
-        assert!(!report.has_faults());
+        assert!(report.faults.is_empty());
     }
 
     #[test]
@@ -259,7 +243,7 @@ mod tests {
         );
         let report =
             DiagnosticReport::capture(VehicleId(1), SimTime::from_secs(1), &[&mon], rec.drain());
-        assert!(report.has_faults());
+        assert!(!report.faults.is_empty());
         assert_eq!(report.faults[0].kind, FaultKind::DeadlineMiss);
     }
 
@@ -276,9 +260,9 @@ mod tests {
             );
             set.ingest(&report);
         }
-        assert_eq!(set.reports(), 5);
+        assert_eq!(set.reports, 5);
         assert_eq!(set.activations(TaskId(1)), 10);
-        let hist = set.histogram(TaskId(1)).unwrap();
+        let hist = &set.histograms[&TaskId(1)];
         assert_eq!(hist.iter().sum::<u64>(), 5);
         // 80% of vehicles stayed below 6 ms.
         assert_eq!(set.response_bound(TaskId(1), 0.8), Some(ms(6)));

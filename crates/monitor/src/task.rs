@@ -268,7 +268,7 @@ mod tests {
                 0
             );
         }
-        assert_eq!(rec.total(), 0);
+        assert!(FaultKind::ALL.iter().all(|&k| rec.count(k) == 0));
         assert_eq!(mon.activations(), 20);
         assert_eq!(mon.completions(), 20);
         assert_eq!(mon.observed_jitter(), SimDuration::ZERO);
@@ -310,7 +310,7 @@ mod tests {
             &mut rec,
         );
         assert_eq!(rec.count(FaultKind::DeadlineMiss), 1);
-        assert!(!rec.faults()[0].detail.is_empty());
+        assert!(!rec.drain()[0].detail.is_empty());
     }
 
     #[test]

@@ -278,16 +278,6 @@ impl BoundaryEstimator {
         self.was_exceeding = false;
     }
 
-    /// The most recent estimate (neutral before the first sample).
-    pub fn estimate(&self) -> UncertaintyEstimate {
-        self.last
-    }
-
-    /// Accumulated exceedance log-odds (diagnostic).
-    pub fn log_odds(&self) -> f64 {
-        self.log_odds
-    }
-
     /// Ingests one sample without trace attribution.
     pub fn ingest(&mut self, now: SimTime, sample: f64) -> UncertaintyEstimate {
         self.ingest_traced(now, sample, TraceCtx::NONE)
@@ -479,12 +469,9 @@ mod tests {
         for k in 0..20u64 {
             reused.ingest(s(k * 100), 0.9);
         }
-        assert!(reused.estimate().exceeds_with_confidence(0.9));
+        assert!(reused.last.exceeds_with_confidence(0.9));
         reused.reset();
-        assert_eq!(
-            reused.estimate(),
-            UncertaintyEstimate::unknown(SimTime::ZERO)
-        );
+        assert_eq!(reused.last, UncertaintyEstimate::unknown(SimTime::ZERO));
         // The next episode must evolve exactly like a fresh estimator's.
         for k in 0..12u64 {
             let a = fresh.ingest(s(k * 250), 0.03);
@@ -566,13 +553,13 @@ mod tests {
             e.ingest(s(t), 0.9);
             t += 250;
         }
-        assert!(e.estimate().exceed > 0.9);
-        let band_during = e.estimate().band;
+        assert!(e.last.exceed > 0.9);
+        let band_during = e.last.band;
         for _ in 0..40 {
             e.ingest(s(t), 0.03);
             t += 250;
         }
-        let est = e.estimate();
+        let est = e.last;
         assert!(
             est.exceed < 0.2,
             "belief must clear after recovery: {est:?}"

@@ -116,16 +116,6 @@ impl SlotAssignment {
     pub fn slot_of(&self, message: MessageId) -> Option<u16> {
         self.slots.get(&message).copied()
     }
-
-    /// Number of assigned slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` if nothing is assigned.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
 }
 
 /// A FlexRay channel implementing the [`Arbiter`] protocol.
@@ -152,11 +142,6 @@ impl FlexRayBus {
             dyn_cycle: 0,
             dyn_used: 0,
         }
-    }
-
-    /// The cluster configuration.
-    pub fn config(&self) -> &FlexRayConfig {
-        &self.config
     }
 
     fn earliest_start(&self, now: SimTime, frame: &Frame) -> Option<SimTime> {
@@ -310,7 +295,7 @@ mod tests {
         // Re-assigning the same message is fine.
         a.assign(MessageId(1), 3).unwrap();
         assert_eq!(a.slot_of(MessageId(1)), Some(3));
-        assert_eq!(a.len(), 1);
+        assert_eq!(a.slots.len(), 1);
     }
 
     #[test]

@@ -241,12 +241,6 @@ pub fn simulate<A: Arbiter>(arbiter: &mut A, mut events: Vec<TxEvent>) -> Vec<Tr
     done
 }
 
-/// Convenience id used across tests and benches.
-#[doc(hidden)]
-pub fn mid(raw: u32) -> MessageId {
-    MessageId(raw)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -91,9 +91,8 @@ impl GateControlList {
     /// # Errors
     ///
     /// Returns a [`GclError`] if the cycle is zero, a window leaves the
-    /// cycle, or windows overlap. (A class without any window is legal here
-    /// — its frames are simply never granted — but can be detected with
-    /// [`GateControlList::serves`].)
+    /// cycle, or windows overlap. (A class without any window is legal here:
+    /// its frames are simply never granted.)
     pub fn new(cycle: SimDuration, windows: Vec<GateWindow>) -> Result<Self, GclError> {
         if cycle.is_zero() {
             return Err(GclError::ZeroCycle);
@@ -158,11 +157,6 @@ impl GateControlList {
     /// The configured windows.
     pub fn windows(&self) -> &[GateWindow] {
         &self.windows
-    }
-
-    /// `true` if `class` has at least one window.
-    pub fn serves(&self, class: TrafficClass) -> bool {
-        self.longest[class as usize].is_some()
     }
 
     /// Earliest instant `t >= now` at which a transmission of `class`
@@ -249,11 +243,6 @@ impl TsnGatedPort {
     /// Frames discarded because no gate window can ever fit them.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// The configured gate control list.
-    pub fn gcl(&self) -> &GateControlList {
-        &self.gcl
     }
 }
 
@@ -514,9 +503,7 @@ mod tests {
     #[test]
     fn mixed_criticality_preset_is_valid_and_serves_all() {
         let gcl = GateControlList::mixed_criticality(ms(1), 0.3);
-        assert!(gcl.serves(TrafficClass::Critical));
-        assert!(gcl.serves(TrafficClass::Stream));
-        assert!(gcl.serves(TrafficClass::BestEffort));
+        assert!(gcl.longest.iter().all(Option::is_some));
         assert_eq!(gcl.cycle(), ms(1));
     }
 }

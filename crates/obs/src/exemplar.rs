@@ -90,11 +90,6 @@ impl ExemplarSet {
         }
     }
 
-    /// Capacity of the set.
-    pub fn capacity(&self) -> usize {
-        self.k
-    }
-
     /// Offers one observation. Untraced contexts are ignored (an exemplar
     /// without a trace links to nothing). Once the set is full, offers
     /// strictly below the current floor return after one relaxed load.
@@ -188,21 +183,6 @@ impl LocalExemplars {
         offer_sorted(&mut self.buf, self.k, Exemplar { value, trace });
     }
 
-    /// The retained exemplars, largest first.
-    pub fn as_slice(&self) -> &[Exemplar] {
-        &self.buf
-    }
-
-    /// Number of retained exemplars.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` before the first traced offer.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Empties the accumulator.
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -272,7 +252,7 @@ mod tests {
             local.offer(v, t(v));
         }
         via_local.merge_local(&mut local);
-        assert!(local.is_empty(), "flush clears the local side");
+        assert!(local.buf.is_empty(), "flush clears the local side");
         assert_eq!(direct.snapshot(), via_local.snapshot());
     }
 

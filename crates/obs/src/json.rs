@@ -49,16 +49,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as f64 if it is any number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::UInt(v) => Some(*v as f64),
-            JsonValue::Int(v) => Some(*v as f64),
-            JsonValue::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {

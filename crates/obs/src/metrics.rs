@@ -125,13 +125,6 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Adds (or, with a negative delta, subtracts).
-    pub fn add(&self, delta: i64) {
-        // relaxed: atomic RMW keeps the tally exact; no other memory
-        // rides on a gauge update.
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         // relaxed: snapshot read of a self-contained word.
@@ -242,12 +235,6 @@ impl Histogram {
         self.sum.fetch_add(sum, Ordering::Relaxed); // relaxed: see above
         self.min.fetch_min(min, Ordering::Relaxed); // relaxed: see above
         self.max.fetch_max(max, Ordering::Relaxed); // relaxed: see above
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        // relaxed: snapshot read; see `record_n` for the tally argument.
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all observations.
@@ -376,11 +363,6 @@ impl LocalHistogram {
             .map(|(&n, i)| (i as u16, n))
             .collect();
         Sketch::from_parts(buckets, self.count, self.sum, self.min, self.max)
-    }
-
-    /// Number of observations accumulated since the last flush.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// The bucket indices that can be non-zero: those of `min` to `max`.
@@ -558,9 +540,8 @@ mod tests {
         r.counter("a").inc();
         r.counter("a").add(4);
         r.gauge("g").set(-3);
-        r.gauge("g").add(1);
         assert_eq!(r.counter("a").get(), 5);
-        assert_eq!(r.gauge("g").get(), -2);
+        assert_eq!(r.gauge("g").get(), -3);
     }
 
     #[test]
@@ -617,20 +598,24 @@ mod tests {
             direct.record(v);
             local.record(v);
         }
-        assert_eq!(local.count(), 7);
+        assert_eq!(local.count, 7);
         local.flush_into(&shared);
-        assert_eq!(local.count(), 0, "flush clears the local side");
+        assert_eq!(local.count, 0, "flush clears the local side");
         assert_eq!(shared.snapshot(), direct.snapshot());
         // Flushing an empty accumulator is a no-op.
         local.flush_into(&shared);
-        assert_eq!(shared.count(), 7);
+        assert_eq!(shared.snapshot().count, 7);
     }
 
     #[test]
     fn local_histogram_to_sketch_equals_the_record_fold() {
         let mut local = LocalHistogram::new();
-        assert_eq!(local.to_sketch(), Sketch::new(), "empty converts to empty");
-        let mut direct = Sketch::new();
+        assert_eq!(
+            local.to_sketch(),
+            Sketch::default(),
+            "empty converts to empty"
+        );
+        let mut direct = Sketch::default();
         let mut v = 7u64;
         for i in 0..5_000u64 {
             v = v
@@ -643,7 +628,7 @@ mod tests {
         }
         assert_eq!(local.to_sketch(), direct);
         assert_eq!(direct.sum(), u64::MAX, "the probe must saturate the sum");
-        assert_eq!(local.count(), 5_000, "conversion leaves the accumulator");
+        assert_eq!(local.count, 5_000, "conversion leaves the accumulator");
     }
 
     #[test]
@@ -654,7 +639,7 @@ mod tests {
         for v in 1..=100u64 {
             h.record(v);
         }
-        assert_eq!(h.count(), 100);
+        assert_eq!(h.snapshot().count, 100);
         assert_eq!(h.sum(), 5050);
         assert_eq!(h.min(), 1);
         assert_eq!(h.max(), 100);
@@ -684,7 +669,7 @@ mod tests {
     #[test]
     fn empty_histogram_is_all_zero() {
         let h = Histogram::default();
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.snapshot().count, 0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.quantile(0.5), 0);
@@ -696,12 +681,12 @@ mod tests {
         // histogram; the result equals the snapshot of a histogram that
         // recorded the same values.
         let r = MetricsRegistry::new();
-        let mut sketch = Sketch::new();
+        let mut sketch = Sketch::default();
         sketch.record_n(100, 4);
         sketch.record(5_000);
         let h = r.histogram("reg.sketch");
         h.merge(&sketch);
-        h.merge(&Sketch::new()); // merging an empty sketch is a no-op
+        h.merge(&Sketch::default()); // merging an empty sketch is a no-op
         let e = r.exemplars("reg.exemplars");
         e.offer(9_000, crate::TraceCtx::new(0xAB, 2));
         let snap = r.snapshot();
@@ -712,7 +697,7 @@ mod tests {
         let ex = r.exemplar_snapshot();
         assert_eq!(ex["reg.exemplars"][0].value, 9_000);
         r.reset();
-        assert_eq!(r.histogram("reg.sketch").count(), 0);
+        assert_eq!(r.histogram("reg.sketch").snapshot().count, 0);
         assert!(r.exemplar_snapshot()["reg.exemplars"].is_empty());
     }
 
@@ -763,7 +748,7 @@ mod tests {
         h.record(10);
         r.reset();
         assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.snapshot().count, 0);
         // The pre-reset handle still feeds the registry.
         c.inc();
         assert_eq!(r.snapshot().counters["c"], 1);

@@ -80,8 +80,8 @@ pub fn sketch_bucket_upper(index: u16) -> u64 {
 /// ```
 /// use dynplat_obs::Sketch;
 ///
-/// let mut a = Sketch::new();
-/// let mut b = Sketch::new();
+/// let mut a = Sketch::default();
+/// let mut b = Sketch::default();
 /// for v in 1..=600u64 {
 ///     if v % 2 == 0 { a.record(v) } else { b.record(v) }
 /// }
@@ -114,11 +114,6 @@ impl Default for Sketch {
 }
 
 impl Sketch {
-    /// Creates an empty sketch.
-    pub fn new() -> Self {
-        Sketch::default()
-    }
-
     /// A sketch from its parts: `buckets` sorted by index and non-zero,
     /// the totals exactly as [`Sketch::record`] would have left them.
     pub(crate) fn from_parts(
@@ -201,15 +196,6 @@ impl Sketch {
     /// `true` before the first observation.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Mean observation, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Upper bound of the bucket holding the `q`-quantile observation
@@ -295,7 +281,7 @@ mod tests {
 
     #[test]
     fn quantiles_track_a_uniform_stream() {
-        let mut s = Sketch::new();
+        let mut s = Sketch::default();
         for v in 1..=10_000u64 {
             s.record(v);
         }
@@ -312,18 +298,18 @@ mod tests {
 
     #[test]
     fn merge_is_order_invariant_and_conserving() {
-        let mut parts: Vec<Sketch> = (0..4).map(|_| Sketch::new()).collect();
-        let mut whole = Sketch::new();
+        let mut parts: Vec<Sketch> = (0..4).map(|_| Sketch::default()).collect();
+        let mut whole = Sketch::default();
         for v in 0..1_000u64 {
             let x = v * v % 7_919 + 1;
             parts[(v % 4) as usize].record(x);
             whole.record(x);
         }
-        let mut fwd = Sketch::new();
+        let mut fwd = Sketch::default();
         for p in &parts {
             fwd.merge(&p.clone());
         }
-        let mut rev = Sketch::new();
+        let mut rev = Sketch::default();
         for p in parts.iter().rev() {
             rev.merge(p);
         }
@@ -335,11 +321,11 @@ mod tests {
 
     #[test]
     fn empty_sketch_is_all_zero_and_merge_identity() {
-        let empty = Sketch::new();
+        let empty = Sketch::default();
         assert!(empty.is_empty());
         assert_eq!(empty.quantile(0.5), 0);
         assert_eq!(empty.min(), 0);
-        let mut s = Sketch::new();
+        let mut s = Sketch::default();
         s.record(42);
         let before = s.clone();
         s.merge(&empty);
@@ -348,8 +334,8 @@ mod tests {
 
     #[test]
     fn snapshot_merge_matches_sketch_merge() {
-        let mut a = Sketch::new();
-        let mut b = Sketch::new();
+        let mut a = Sketch::default();
+        let mut b = Sketch::default();
         for v in 0..500u64 {
             if v % 3 == 0 {
                 a.record(v * 17 + 1);

@@ -396,7 +396,7 @@ mod tests {
                 buckets: vec![(10, 1), (20, 1), (50, 1)],
             },
         );
-        let mut sk = crate::Sketch::new();
+        let mut sk = crate::Sketch::default();
         for v in [100u64, 200, 900] {
             sk.record(v);
         }

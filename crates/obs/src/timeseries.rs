@@ -51,7 +51,7 @@ pub struct SeriesPoint {
 /// ring.sample(2_000, &registry.snapshot());
 /// let encoded = ring.to_json();
 /// let decoded = TelemetryRing::from_json(&encoded).unwrap();
-/// assert_eq!(decoded.points(), ring.points());
+/// assert_eq!(decoded, ring);
 /// assert_eq!(decoded.to_json(), encoded);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,11 +74,6 @@ impl TelemetryRing {
         }
     }
 
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Records one sample of `snapshot` at `t_ns`, evicting the oldest
     /// sample when full. Histograms are not carried per point — flush
     /// the quantiles you need into gauges first (that is the sanctioned
@@ -98,21 +93,6 @@ impl TelemetryRing {
             self.points.remove(0);
         }
         self.points.push(point);
-    }
-
-    /// The retained samples, oldest first (absolute values).
-    pub fn points(&self) -> &[SeriesPoint] {
-        &self.points
-    }
-
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` before the first sample.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// The delta-encoded JSON document (schema [`TELEMETRY_SCHEMA`]).
@@ -305,8 +285,8 @@ mod tests {
         let ring = ring_of(&registry, &[(100, 3), (200, 0), (300, 7)]);
         let encoded = ring.to_json();
         let decoded = TelemetryRing::from_json(&encoded).expect("parse");
-        assert_eq!(decoded.points(), ring.points());
-        assert_eq!(decoded.capacity(), ring.capacity());
+        assert_eq!(decoded.points, ring.points);
+        assert_eq!(decoded.capacity, ring.capacity);
         assert_eq!(decoded.to_json(), encoded, "re-encoding is byte-identical");
     }
 
@@ -341,7 +321,7 @@ mod tests {
         ring.push(p1);
         ring.push(p2);
         let decoded = TelemetryRing::from_json(&ring.to_json()).expect("parse");
-        assert_eq!(decoded.points()[1].counters["c"], 3);
+        assert_eq!(decoded.points[1].counters["c"], 3);
     }
 
     #[test]
@@ -352,9 +332,9 @@ mod tests {
             registry.counter("ts.evict").inc();
             ring.sample(t, &registry.snapshot());
         }
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.points()[0].t_ns, 4);
-        assert_eq!(ring.points()[1].counters["ts.evict"], 5);
+        assert_eq!(ring.points.len(), 2);
+        assert_eq!(ring.points[0].t_ns, 4);
+        assert_eq!(ring.points[1].counters["ts.evict"], 5);
     }
 
     #[test]
@@ -371,8 +351,8 @@ mod tests {
         p2.counters.insert("born.late".into(), 9);
         ring.push(p2);
         let decoded = TelemetryRing::from_json(&ring.to_json()).expect("parse");
-        assert_eq!(decoded.points()[1].counters["born.late"], 9);
-        assert!(decoded.points()[0].counters.is_empty());
+        assert_eq!(decoded.points[1].counters["born.late"], 9);
+        assert!(decoded.points[0].counters.is_empty());
     }
 
     #[test]

@@ -158,11 +158,14 @@ struct FlightInner {
     dumps_suppressed: u64,
 }
 
+/// Incident dumps a [`FlightRecorder`] keeps; later triggers are counted.
+const MAX_DUMPS: usize = 8;
+
 /// A bounded, trigger-freezing event recorder.
 ///
 /// Disabled by default so idle instrumentation costs one atomic load;
 /// [`FlightRecorder::arm`] enables recording *and* allows triggers to
-/// freeze dumps. The first [`FlightRecorder::max_dumps`] incidents are
+/// freeze dumps. The first eight incidents (`MAX_DUMPS`) are
 /// kept (a black box preserves the *first* failure; later triggers are
 /// usually consequences) and counted thereafter.
 ///
@@ -184,7 +187,6 @@ struct FlightInner {
 pub struct FlightRecorder {
     armed: AtomicBool,
     capacity: usize,
-    max_dumps: usize,
     registry: Option<Arc<MetricsRegistry>>,
     inner: Mutex<FlightInner>,
 }
@@ -214,7 +216,6 @@ impl FlightRecorder {
         FlightRecorder {
             armed: AtomicBool::new(false),
             capacity,
-            max_dumps: 8,
             registry,
             inner: Mutex::new(FlightInner {
                 events: VecDeque::with_capacity(capacity.min(1024)),
@@ -235,11 +236,6 @@ impl FlightRecorder {
     /// freeze dumps.
     pub fn is_armed(&self) -> bool {
         self.armed.load(Ordering::Acquire)
-    }
-
-    /// Maximum number of dumps retained (first-come).
-    pub fn max_dumps(&self) -> usize {
-        self.max_dumps
     }
 
     /// Records one event; a no-op unless the recorder is armed.
@@ -274,7 +270,7 @@ impl FlightRecorder {
             return None;
         }
         let mut inner = self.inner.lock().expect("flight lock");
-        if inner.dumps.len() >= self.max_dumps {
+        if inner.dumps.len() >= MAX_DUMPS {
             inner.dumps_suppressed += 1;
             return None;
         }
@@ -298,20 +294,10 @@ impl FlightRecorder {
         self.inner.lock().expect("flight lock").dumps.clone()
     }
 
-    /// Triggers suppressed after the dump quota filled.
-    pub fn dumps_suppressed(&self) -> u64 {
-        self.inner.lock().expect("flight lock").dumps_suppressed
-    }
-
     /// Current ring contents, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
         let inner = self.inner.lock().expect("flight lock");
         inner.events.iter().cloned().collect()
-    }
-
-    /// Total events ever recorded (including evicted ones).
-    pub fn total_events(&self) -> u64 {
-        self.inner.lock().expect("flight lock").total_events
     }
 
     /// Clears events and dumps; the armed state is unchanged.
@@ -342,7 +328,7 @@ mod tests {
     fn disabled_recorder_stores_nothing() {
         let fr = FlightRecorder::new(8);
         fr.record(1, TraceCtx::root(1), "stage", "detail");
-        assert_eq!(fr.total_events(), 0);
+        assert!(fr.events().is_empty());
         assert!(fr.trigger(2, "incident").is_none());
     }
 
@@ -353,7 +339,7 @@ mod tests {
         for i in 0..5u64 {
             fr.record(i, TraceCtx::root(1).child(i), "s", format!("e{i}"));
         }
-        assert_eq!(fr.total_events(), 5);
+        assert_eq!(fr.inner.lock().unwrap().total_events, 5);
         let dump = fr.trigger(9, "overflow").expect("dump");
         assert_eq!(dump.events.len(), 3);
         assert_eq!(dump.events[0].detail, "e2");
@@ -372,10 +358,13 @@ mod tests {
             fr.trigger(i, "t");
         }
         let dumps = fr.dumps();
-        assert_eq!(dumps.len(), fr.max_dumps());
+        assert_eq!(dumps.len(), MAX_DUMPS);
         assert_eq!(dumps[0].time_ns, 0);
-        assert_eq!(dumps.last().unwrap().time_ns, fr.max_dumps() as u64 - 1);
-        assert_eq!(fr.dumps_suppressed(), 20 - fr.max_dumps() as u64);
+        assert_eq!(dumps.last().unwrap().time_ns, MAX_DUMPS as u64 - 1);
+        assert_eq!(
+            fr.inner.lock().unwrap().dumps_suppressed,
+            20 - MAX_DUMPS as u64
+        );
     }
 
     #[test]
@@ -421,7 +410,7 @@ mod tests {
         fr.record(1, TraceCtx::root(2), "s", "d");
         fr.trigger(2, "t");
         fr.clear();
-        assert_eq!(fr.total_events(), 0);
+        assert_eq!(fr.inner.lock().unwrap().total_events, 0);
         assert!(fr.dumps().is_empty());
         assert!(fr.is_armed());
     }

@@ -14,7 +14,9 @@
 use std::collections::BTreeMap;
 
 use dynplat_common::rng::{seeded_rng, split_seed, Rng};
-use dynplat_obs::{LocalHistogram, MetricsRegistry, MetricsSnapshot, Sketch, TelemetryRing};
+use dynplat_obs::{
+    LocalHistogram, MetricsRegistry, MetricsSnapshot, SeriesPoint, Sketch, TelemetryRing,
+};
 
 /// Registry names are `&'static str`, so randomized registries draw from
 /// static pools. Prefixes keep the sanitized Prometheus names (and the
@@ -93,7 +95,7 @@ fn random_registry(seed: u64) -> MetricsRegistry {
                 local.flush_into(&h);
             }
             _ => {
-                let mut sketch = Sketch::new();
+                let mut sketch = Sketch::default();
                 for &v in &values {
                     sketch.record(v);
                 }
@@ -241,29 +243,26 @@ fn telemetry_ring_json_round_trips_random_sample_series() {
             ring.sample(t_ns, &snap);
             taken.push((t_ns, snap));
         }
-        assert_eq!(ring.len(), samples.min(capacity), "case {case}: ring fill");
+        // The ring keeps the newest `capacity` samples in order, verbatim.
+        let mut newest = TelemetryRing::new(capacity);
+        for (at, snap) in &taken[samples.saturating_sub(capacity)..] {
+            newest.push(SeriesPoint {
+                t_ns: *at,
+                counters: snap.counters.clone(),
+                gauges: snap.gauges.clone(),
+            });
+        }
+        assert_eq!(ring, newest, "case {case}: ring contents");
 
         let encoded = ring.to_json();
         let decoded = TelemetryRing::from_json(&encoded)
             .unwrap_or_else(|e| panic!("case {case}: telemetry round-trip failed: {e}"));
-        assert_eq!(
-            decoded.points(),
-            ring.points(),
-            "case {case}: points diverged"
-        );
+        assert_eq!(decoded, ring, "case {case}: points diverged");
         assert_eq!(
             decoded.to_json(),
             encoded,
             "case {case}: re-encode diverged"
         );
-
-        // The ring keeps the newest `capacity` samples in order, verbatim.
-        let kept = &taken[samples - ring.len()..];
-        for (point, (at, snap)) in decoded.points().iter().zip(kept) {
-            assert_eq!(point.t_ns, *at, "case {case}: sample time");
-            assert_eq!(point.counters, snap.counters, "case {case}: counters");
-            assert_eq!(point.gauges, snap.gauges, "case {case}: gauges");
-        }
     }
 }
 

@@ -103,11 +103,6 @@ impl AdmissionController {
         &self.admitted
     }
 
-    /// The configured test.
-    pub fn test(&self) -> AdmissionTest {
-        self.test
-    }
-
     /// Tests `task` against the current set; admits it (mutating the set)
     /// only if the test passes.
     ///

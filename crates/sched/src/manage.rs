@@ -60,11 +60,6 @@ pub struct ScheduleManager {
 }
 
 impl ScheduleManager {
-    /// Creates a manager with an empty schedule.
-    pub fn new() -> Self {
-        ScheduleManager::default()
-    }
-
     /// Creates a manager for an already-deployed task set.
     ///
     /// # Errors
@@ -76,11 +71,6 @@ impl ScheduleManager {
             tasks: set,
             schedule,
         })
-    }
-
-    /// The current schedule.
-    pub fn schedule(&self) -> &TtSchedule {
-        &self.schedule
     }
 
     /// The currently scheduled task set.

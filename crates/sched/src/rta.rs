@@ -28,14 +28,6 @@ impl RtaResult {
     pub fn is_schedulable(&self) -> bool {
         self.wcrt.is_some()
     }
-
-    /// Slack between deadline and WCRT (zero when unschedulable).
-    pub fn slack(&self) -> SimDuration {
-        match self.wcrt {
-            Some(r) => self.deadline.saturating_sub(r),
-            None => SimDuration::ZERO,
-        }
-    }
 }
 
 /// Computes worst-case response times for every task in `set` under
@@ -132,7 +124,7 @@ mod tests {
         assert!(rts[0].is_schedulable());
         assert!(!rts[2].is_schedulable());
         assert!(!is_schedulable(&set));
-        assert_eq!(rts[2].slack(), SimDuration::ZERO);
+        assert_eq!(rts[2].wcrt, None);
     }
 
     #[test]
@@ -140,7 +132,7 @@ mod tests {
         let set: TaskSet = [t(1, 100, 10, 0), t(2, 100, 50, 1)].into_iter().collect();
         let rts = response_times(&set);
         assert_eq!(rts[0].wcrt, Some(ms(10)));
-        assert_eq!(rts[0].slack(), ms(90));
+        assert_eq!(rts[0].deadline, ms(100));
     }
 
     #[test]

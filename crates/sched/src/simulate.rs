@@ -133,11 +133,6 @@ pub struct SchedStats {
 }
 
 impl SchedStats {
-    /// Stats of one task.
-    pub fn task(&self, id: TaskId) -> Option<&TaskStats> {
-        self.tasks.iter().find(|t| t.id == id)
-    }
-
     /// Aggregate miss rate over all deterministic tasks.
     pub fn deterministic_miss_rate(&self) -> f64 {
         let (miss, act) = self
@@ -877,7 +872,7 @@ mod tests {
         let server = PeriodicServer::new(ms(5), ms(10));
         let stats = simulate_schedule(&mixed_set(), &Policy::FpWithServer(server), &cfg());
         assert_eq!(stats.deterministic_miss_rate(), 0.0);
-        let nda_stats = stats.task(TaskId(50)).unwrap();
+        let nda_stats = stats.tasks.iter().find(|t| t.id == TaskId(50)).unwrap();
         // 25 ms of work per 40 ms at 50% bandwidth: finishes, slowly.
         assert!(nda_stats.completions >= 1);
     }
@@ -907,7 +902,15 @@ mod tests {
             assert!(t.deadline_misses <= t.activations);
         }
         // 400 ms / 10 ms period = 40 activations of the DA task.
-        assert_eq!(stats.task(TaskId(1)).unwrap().activations, 40);
+        assert_eq!(
+            stats
+                .tasks
+                .iter()
+                .find(|t| t.id == TaskId(1))
+                .unwrap()
+                .activations,
+            40
+        );
     }
 
     #[test]

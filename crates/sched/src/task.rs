@@ -7,7 +7,6 @@
 
 use dynplat_common::time::{hyperperiod, SimDuration};
 use dynplat_common::{AppKind, TaskId};
-use std::fmt;
 
 /// A periodic task.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -97,16 +96,6 @@ impl TaskSpec {
     }
 }
 
-impl fmt::Display for TaskSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} ({}): T={} C={} D={} prio={}",
-            self.name, self.id, self.period, self.wcet, self.deadline, self.priority
-        )
-    }
-}
-
 /// An ordered collection of tasks bound to one CPU.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TaskSet {
@@ -168,20 +157,6 @@ impl TaskSet {
     pub fn hyperperiod(&self) -> SimDuration {
         hyperperiod(self.tasks.iter().map(|t| t.period))
     }
-
-    /// Only the deterministic tasks.
-    pub fn deterministic(&self) -> impl Iterator<Item = &TaskSpec> {
-        self.tasks
-            .iter()
-            .filter(|t| t.kind == AppKind::Deterministic)
-    }
-
-    /// Only the non-deterministic tasks.
-    pub fn non_deterministic(&self) -> impl Iterator<Item = &TaskSpec> {
-        self.tasks
-            .iter()
-            .filter(|t| t.kind == AppKind::NonDeterministic)
-    }
 }
 
 impl FromIterator<TaskSpec> for TaskSet {
@@ -191,22 +166,6 @@ impl FromIterator<TaskSpec> for TaskSet {
             set.push(t);
         }
         set
-    }
-}
-
-impl Extend<TaskSpec> for TaskSet {
-    fn extend<I: IntoIterator<Item = TaskSpec>>(&mut self, iter: I) {
-        for t in iter {
-            self.push(t);
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a TaskSet {
-    type Item = &'a TaskSpec;
-    type IntoIter = std::slice::Iter<'a, TaskSpec>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.tasks.iter()
     }
 }
 
@@ -280,7 +239,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        assert_eq!(set.deterministic().count(), 1);
-        assert_eq!(set.non_deterministic().count(), 1);
+        let kinds: Vec<AppKind> = set.tasks().iter().map(|t| t.kind).collect();
+        assert_eq!(kinds, [AppKind::Deterministic, AppKind::NonDeterministic]);
     }
 }

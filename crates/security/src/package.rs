@@ -41,12 +41,6 @@ impl Version {
     }
 }
 
-impl fmt::Display for Version {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{}.{}", self.major, self.minor, self.patch)
-    }
-}
-
 /// An unsigned update package.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UpdatePackage {
@@ -238,16 +232,6 @@ impl KeyRegistry {
     pub fn lookup(&self, key_id: [u8; 8]) -> Option<&PublicKey> {
         self.keys.get(&key_id)
     }
-
-    /// Number of trusted keys.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// `true` if nothing is trusted.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
 }
 
 /// Receiver-side installation gate: verifies signature *and* enforces the
@@ -408,6 +392,5 @@ mod tests {
         assert!(v21.is_compatible_with(v21));
         assert!(!Version::new(3, 0, 0).is_compatible_with(v21));
         assert!(!Version::new(2, 0, 9).is_compatible_with(v21));
-        assert_eq!(v21.to_string(), "2.1.0");
     }
 }

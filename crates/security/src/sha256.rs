@@ -193,11 +193,6 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     diff == 0
 }
 
-/// Lowercase hex rendering of a byte string (used by tests and benches).
-pub fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 /// Derives a 32-byte subkey from `parent` with a context label — a
 /// single-step HKDF-expand used throughout the security stack.
 pub fn derive_key(parent: &[u8], label: &str) -> [u8; 32] {
@@ -207,6 +202,10 @@ pub fn derive_key(parent: &[u8], label: &str) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
 
     #[test]
     fn fips_vectors() {

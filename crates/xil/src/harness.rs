@@ -60,11 +60,6 @@ impl TestRunReport {
     pub fn failures(&self) -> usize {
         self.outcomes.iter().filter(|o| !o.passed).count()
     }
-
-    /// `true` when everything passed.
-    pub fn all_passed(&self) -> bool {
-        self.failures() == 0
-    }
 }
 
 /// Fault injection request: flip the unit to its buggy variant from a given
@@ -251,7 +246,7 @@ mod tests {
         let h = harness();
         for level in TestLevel::ALL {
             let report = h.run_suite(level, &cruise_suite());
-            assert!(report.all_passed(), "{level}: {:?}", report.outcomes);
+            assert_eq!(report.failures(), 0, "{level}: {:?}", report.outcomes);
         }
     }
 

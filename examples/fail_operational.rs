@@ -46,14 +46,12 @@ fn main() {
     }
 
     let heartbeat = SimDuration::from_millis(20);
-    let mut group = RedundancyGroup::new(AppId(7), heartbeat);
+    let mut group = RedundancyGroup::new(heartbeat);
     let mut replicas: Vec<(InstanceId, EcuId)> = Vec::new();
     for i in 0..3u16 {
         let node = platform.node_mut(EcuId(i)).expect("node exists");
         let instance = node.launch(trajectory_app()).expect("replica deploys");
-        let role = group
-            .register(SimTime::ZERO, instance, EcuId(i))
-            .expect("registers");
+        let role = group.register(SimTime::ZERO, instance).expect("registers");
         replicas.push((instance, EcuId(i)));
         println!("replica {instance} on ecu{i}: {role}");
     }

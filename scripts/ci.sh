@@ -4,9 +4,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Scratch space for the rerun checks: cleaned up even when a cmp fails, so
-# a broken gate never leaves rerun litter in the tree.
+# a broken gate never leaves rerun litter in the tree. Building dynbench
+# rewrites dynbench/Cargo.lock, so the lock is saved here and put back on
+# exit, failed steps included.
 SMOKE_TMP="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_TMP"' EXIT
+cp dynbench/Cargo.lock "$SMOKE_TMP/dynbench.lock"
+trap 'cp "$SMOKE_TMP/dynbench.lock" dynbench/Cargo.lock; rm -rf "$SMOKE_TMP"' EXIT
+
+# What the CI artifact uploads: the census listing, the captured reports
+# and their diff.
+rm -rf .gate_out
+mkdir -p .gate_out
 
 echo "==> cargo build --release"
 cargo build --release --workspace
@@ -22,10 +30,12 @@ echo "==> dynplat-analysis --workspace (invariant lint, allowlist-gated)"
 cargo run --release -q -p dynplat-analysis -- \
   --workspace --report ANALYSIS_findings.json
 
-echo "==> pub census (public items no program reaches, keep-list gated)"
-# Fails on a public item that only tests or comments reach unless the
-# script's keep-list gives the reason it stays, and on a stale entry.
-python3 scripts/pub_census.py >/dev/null
+echo "==> census (functions no program binary links, keep-list gated)"
+# Builds every program in debug and fails on a function none of them
+# links, or a public type, trait or const no non-test code names, unless
+# the script's keep-list gives the reason it stays, and on a stale entry.
+# The listing names the failing item in the uploaded artifact.
+python3 scripts/census.py >.gate_out/census.txt
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -52,7 +62,6 @@ echo "==> experiment reports (diff -r against the pinned bytes)"
 # telemetry rings. A change meant to move a report re-pins
 # scripts/reference/reports/ and says so. The diff is kept next to the
 # reports for the failure upload: it names the report that moved.
-rm -rf .gate_out
 reports=.gate_out/reports
 scripts/experiment_reports.sh "$reports"
 diff -r scripts/reference/reports "$reports" | tee .gate_out/reports.diff

@@ -15,6 +15,11 @@
 # quartiles, claim, digests, untraced, traced. The traced block names
 # the per-layer metric that moved most.
 #
+# Exits 1 when, for some WORKLOAD:SEED, the change's median of an
+# end-to-end metric of BENCHMARK.json is worse than the parent's median by
+# more than that metric's `bound` (a fraction of the parent's median); it
+# names each such metric on stderr. The JSON is written either way.
+#
 # Options:
 #   --pairs N            pairs per WORKLOAD:SEED (default 10)
 #   --seconds S          measured seconds per untraced run (default 30)
@@ -144,11 +149,11 @@ run_side change "$tw" "$ts" "$traced_seconds" 1 1
 
 host="$(nproc)-vCPU $(uname -m), $(awk '/MemTotal/ {printf "%.0f GiB", $2 / 1048576}' /proc/meminfo)"
 python3 - "$results" "$repo/BENCH_$name.json" "$base_commit" "$change" "$host" \
-  "$seconds" "$claim" "$tw" "$ts" "$traced_seconds" "$variant" <<'PY'
+  "$seconds" "$claim" "$tw" "$ts" "$traced_seconds" "$variant" "$repo/BENCHMARK.json" <<'PY'
 import json, statistics, sys
 
 (results, out_path, base_commit, change, host, seconds, claim, tw, ts,
- traced_seconds, variant) = sys.argv[1:]
+ traced_seconds, variant, benchmark) = sys.argv[1:]
 
 def parse(path):
     """The result line of one dynbench run, or None if it has none."""
@@ -271,4 +276,19 @@ with open(out_path, "w") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")
 print(out_path)
+
+regressions = []
+for gated in json.load(open(benchmark))["end_to_end"]:
+    m, bound = gated["name"], gated["bound"]
+    sign = 1 if gated["better"] == "lower" else -1
+    for entry in untraced:
+        stat = entry["metrics"].get(m)
+        if stat and sign * stat["median_delta_frac"] > bound:
+            regressions.append(
+                f"{entry['workload']} seed {entry['seed']}: {m} median "
+                f"{stat['parent']['median']:.6g} -> {stat['change']['median']:.6g} "
+                f"({stat['median_delta_frac']:+.1%}, bound {bound:.0%})")
+for r in regressions:
+    print(f"perf_pair: regression: {r}", file=sys.stderr)
+sys.exit(1 if regressions else 0)
 PY

@@ -36,7 +36,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use dynplat::core::{DynamicPlatform, LifecycleState};
+//! use dynplat::core::DynamicPlatform;
 //! use dynplat::common::{AppId, EcuId};
 //! use dynplat::common::time::SimTime;
 //! use dynplat::hw::ecu::{EcuClass, EcuSpec};
@@ -68,7 +68,7 @@
 //! let signed = SignedPackage::create(&package, &authority);
 //! let instance = platform.deploy(SimTime::ZERO, EcuId(1), model, &signed).unwrap();
 //! let node = platform.node(EcuId(1)).unwrap();
-//! assert_eq!(node.instance(instance).unwrap().state, LifecycleState::Running);
+//! assert_eq!(node.serving_instances_of(AppId(1)), vec![instance]);
 //! # }
 //! ```
 

@@ -34,7 +34,6 @@ fn mixed_topology() -> HwTopology {
 #[test]
 fn fabric_can_latency_matches_frame_arithmetic() {
     let mut fabric = Fabric::new(mixed_topology());
-    fabric.set_gateway_delay(SimDuration::ZERO);
     // One 8-byte frame over 500 kbit/s CAN = 270 us; local delivery adds
     // nothing on a single-hop route.
     let done = fabric.run(
@@ -66,7 +65,6 @@ fn fabric_respects_can_wcrt_analysis_under_periodic_load() {
     let bounds = analysis.response_times();
 
     let mut fabric = Fabric::new(mixed_topology());
-    fabric.set_gateway_delay(SimDuration::ZERO);
     let mut sends = Vec::new();
     let mut id_of_flow = Vec::new();
     let mut uid = 0u64;

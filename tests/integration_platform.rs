@@ -13,7 +13,7 @@ use dynplat::model::dsl::parse_model;
 use dynplat::model::generate::{access_matrix, middleware_config, task_sets};
 use dynplat::model::ir::SystemModel;
 use dynplat::model::verify::verify;
-use dynplat::monitor::{FaultKind, TaskObservation};
+use dynplat::monitor::{FaultKind, MonitorSpec, TaskMonitor, TaskObservation};
 use dynplat::security::authz::Permission;
 use dynplat::security::package::{KeyRegistry, SignedPackage, UpdatePackage, Version};
 use dynplat::security::sign::KeyPair;
@@ -149,10 +149,11 @@ fn staged_update_preserves_service_through_the_whole_procedure() {
     let node = platform.node(EcuId(1)).expect("node");
     let serving = node.serving_instances_of(AppId(1));
     assert_eq!(serving.len(), 1);
-    assert_eq!(
-        node.instance(serving[0]).expect("inst").manifest.version,
-        Version::new(1, 1, 0)
-    );
+    let (_, instance) = node
+        .instances()
+        .find(|(i, _)| *i == serving[0])
+        .expect("inst");
+    assert_eq!(instance.manifest.version, Version::new(1, 1, 0));
 }
 
 #[test]
@@ -164,30 +165,33 @@ fn redundancy_group_survives_ecu_loss_with_platform_state_in_sync() {
     // Lane-keep replicated on both ADAS ECUs.
     let app = model.application(AppId(3)).expect("present").clone();
     let manifest = AppManifest::new(app, Version::new(1, 0, 0), [2; 32]);
-    let mut group = RedundancyGroup::new(AppId(3), SimDuration::from_millis(20));
+    let mut group = RedundancyGroup::new(SimDuration::from_millis(20));
     for ecu in [EcuId(2), EcuId(3)] {
         let instance = platform
             .node_mut(ecu)
             .expect("node")
             .launch(manifest.clone())
             .expect("replica deploys");
-        group
-            .register(SimTime::ZERO, instance, ecu)
-            .expect("registers");
+        group.register(SimTime::ZERO, instance).expect("registers");
     }
 
     let t = SimTime::from_millis(500);
     let lost = platform.fail_ecu(t, EcuId(2));
     assert!(lost.is_empty(), "app 3 still served by the replica on ecu3");
-    let promoted = group.fail_ecu(t, EcuId(2)).expect("failover possible");
-    assert!(promoted.is_some());
-    assert_eq!(group.healthy(), 1);
-    // The promoted replica is the one the platform still serves.
+    // The replica on ecu3 keeps beating; the master on ecu2 fell silent.
     let still_serving = platform
         .node(EcuId(3))
         .expect("node")
         .serving_instances_of(AppId(3));
     assert_eq!(still_serving.len(), 1);
+    let now = t + SimDuration::from_millis(20);
+    group
+        .heartbeat(now, still_serving[0])
+        .expect("known replica");
+    let promoted = group.supervise(now).expect("failover possible");
+    // The promoted replica is the one the platform still serves.
+    assert_eq!(promoted, Some(still_serving[0]));
+    assert_eq!(group.healthy(), 1);
     assert_eq!(group.master(), Some(still_serving[0]));
 }
 
@@ -198,12 +202,24 @@ fn monitoring_detects_injected_runtime_faults() {
     let mut platform = build_platform(&model, &authority);
     deploy_all(&mut platform, &model, &assignment, &authority);
 
-    let node = platform.node_mut(EcuId(1)).expect("node");
+    let node = platform.node(EcuId(1)).expect("node");
     let instance = node.serving_instances_of(AppId(1))[0];
+    let (_, deployed) = node
+        .instances()
+        .find(|(i, _)| *i == instance)
+        .expect("inst");
+    // The app's monitor: its period as the implicit deadline, its memory
+    // budget as the watermark.
+    let manifest = &deployed.manifest;
+    let mut monitor = TaskMonitor::new(MonitorSpec::new(
+        TaskId(instance.raw() as u32),
+        manifest.period(),
+        manifest.period(),
+        u64::from(manifest.memory_kib()) * 1024,
+    ));
     // Healthy activations for a while...
     let mut faults = dynplat::monitor::FaultRecorder::default();
     {
-        let monitor = node.monitor_mut(instance).expect("monitored");
         for k in 0..50u64 {
             let t = SimTime::from_millis(k * 10);
             monitor.observe(TaskObservation::Activation(t), &mut faults);
@@ -215,7 +231,7 @@ fn monitoring_detects_injected_runtime_faults() {
                 &mut faults,
             );
         }
-        assert_eq!(faults.total(), 0);
+        assert!(FaultKind::ALL.iter().all(|&k| faults.count(k) == 0));
         // ...then a deadline overrun and a memory spike.
         let t = SimTime::from_millis(500);
         monitor.observe(
@@ -231,15 +247,13 @@ fn monitoring_detects_injected_runtime_faults() {
     assert_eq!(faults.count(FaultKind::MemoryOverrun), 1);
 
     // Diagnostics snapshot for the backend.
-    let node = platform.node(EcuId(1)).expect("node");
-    let monitor = node.monitor(instance).expect("monitored");
     let report = dynplat::monitor::DiagnosticReport::capture(
         dynplat::common::VehicleId(1),
         SimTime::from_secs(1),
-        &[monitor],
+        &[&monitor],
         faults.drain(),
     );
-    assert!(report.has_faults());
+    assert!(!report.faults.is_empty());
     assert_eq!(report.tasks[0].task, TaskId(instance.raw() as u32));
     assert_eq!(report.tasks[0].activations, 50);
     assert_eq!(
@@ -268,13 +282,10 @@ fn lifecycle_is_consistent_after_stop_and_redeploy() {
     let instance = platform
         .deploy(now, EcuId(3), app, &signed)
         .expect("redeploys");
-    assert_eq!(
-        platform
-            .node(EcuId(3))
-            .expect("node")
-            .instance(instance)
-            .expect("inst")
-            .state,
-        LifecycleState::Running
-    );
+    let node = platform.node(EcuId(3)).expect("node");
+    let (_, deployed) = node
+        .instances()
+        .find(|(i, _)| *i == instance)
+        .expect("inst");
+    assert_eq!(deployed.state, LifecycleState::Running);
 }

@@ -22,16 +22,16 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use dynplat::comm::fabric::{BusPort, Fabric, MessageDelivery, MessageSend};
+use dynplat::comm::fabric::{BusPort, Fabric, MessageDelivery, MessageSend, GATEWAY_DELAY};
 use dynplat::common::rng::{seeded_rng, split_seed, Rng, SplitMix64};
 use dynplat::common::time::{SimDuration, SimTime};
 use dynplat::common::{BusId, EcuId, MessageId};
 use dynplat::hw::ecu::{EcuClass, EcuSpec};
 use dynplat::hw::routes::RouteCache;
-use dynplat::hw::topology::{BusKind, BusSpec, HwTopology, TopologyError};
+use dynplat::hw::topology::{BusKind, BusSpec, HwTopology, Route, TopologyError};
 use dynplat::net::{
-    Arbiter, CanArbiter, FlexRayBus, FlexRayConfig, Frame, GateControlList, Grant, SlotAssignment,
-    StrictPriorityPort, TrafficClass, TsnGatedPort,
+    Arbiter, CanArbiter, FifoPort, FlexRayBus, FlexRayConfig, Frame, GateControlList, Grant,
+    SlotAssignment, StrictPriorityPort, TrafficClass, TsnGatedPort,
 };
 use dynplat::obs::TraceCtx;
 
@@ -95,7 +95,9 @@ fn cached_routes_equal_fresh_bfs_on_random_topologies() {
             for &src in &endpoints {
                 for &dst in &endpoints {
                     let fresh = topo.route(src, dst);
-                    let cached = cache.route(src, dst);
+                    let cached = cache.route_buses(src, dst).map(|buses| Route {
+                        buses: buses.to_vec(),
+                    });
                     assert_eq!(cached, fresh, "case {case}: pair {src}->{dst}");
                     match cached {
                         Ok(ref r) if src == dst => assert!(r.is_local()),
@@ -128,7 +130,7 @@ fn fabric_routing_matches_bfs_reachability_after_port_swaps() {
                 // port reconfiguration.
                 for bus in topo.buses() {
                     if matches!(bus.kind, BusKind::Ethernet { .. }) {
-                        fabric.set_port(bus.id, BusPort::fifo_for(bus.kind));
+                        fabric.set_port(bus.id, BusPort::Fifo(FifoPort::new(bus.kind.bitrate())));
                     }
                 }
             }
@@ -165,7 +167,7 @@ fn fabric_routing_matches_bfs_reachability_after_port_swaps() {
                 let fresh = topo.route(src, dst).expect("delivered => reachable");
                 assert_eq!(
                     d.hops,
-                    fresh.hops(),
+                    fresh.buses.len(),
                     "case {case} round {round}: hop count diverges for {src}->{dst}"
                 );
             }
@@ -642,7 +644,6 @@ fn run_batch_matches_a_one_heap_reference() {
         let case_seed = rng.next_u64();
         let (topo, media) = arb_chain(&mut rng);
         let ecus: Vec<EcuId> = topo.ecus().map(|e| e.id()).collect();
-        let gateway_delay = SimDuration::from_micros(rng.gen_range(0u64..3) * 25);
 
         // Times on a coarse grid, so equal-time ties are common.
         let n_sends = rng.gen_range(20u64..160);
@@ -654,7 +655,6 @@ fn run_batch_matches_a_one_heap_reference() {
             .collect();
 
         let mut fabric = Fabric::new(topo.clone());
-        fabric.set_gateway_delay(gateway_delay);
         for &(bus, medium) in &media {
             fabric.set_port(bus, medium.fabric_port());
         }
@@ -673,7 +673,7 @@ fn run_batch_matches_a_one_heap_reference() {
         let reference = Reference {
             topo: &topo,
             ports,
-            gateway_delay,
+            gateway_delay: GATEWAY_DELAY,
             heap: BinaryHeap::new(),
             next_seq: 0,
             store: Vec::new(),

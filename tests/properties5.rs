@@ -209,14 +209,14 @@ fn sketch_merge_conserves_and_is_order_invariant() {
         let values: Vec<u64> = (0..n).map(|_| tailed_value(&mut rng)).collect();
 
         // Direct fold: one sketch over all values.
-        let mut direct = Sketch::new();
+        let mut direct = Sketch::default();
         for &v in &values {
             direct.record(v);
         }
 
         // Random sharding of the same values.
         let shards_n = rng.gen_range(1..9) as usize;
-        let mut shards = vec![Sketch::new(); shards_n];
+        let mut shards = vec![Sketch::default(); shards_n];
         for &v in &values {
             shards[rng.gen_range(0..shards_n as u64) as usize].record(v);
         }
@@ -224,7 +224,7 @@ fn sketch_merge_conserves_and_is_order_invariant() {
         // Merge forward, merge reversed, and merge as a pairwise tree:
         // all three must equal the direct fold exactly.
         let fold = |order: &[&Sketch]| {
-            let mut acc = Sketch::new();
+            let mut acc = Sketch::default();
             for s in order {
                 acc.merge(s);
             }
@@ -265,9 +265,9 @@ fn histogram_snapshot_merge_conserves_and_is_order_invariant() {
         // A random sharding of the values, kept as sketches (the fleet
         // shards' accumulator) and as histograms.
         let shards_n = rng.gen_range(1..9) as usize;
-        let mut sketches = vec![Sketch::new(); shards_n];
+        let mut sketches = vec![Sketch::default(); shards_n];
         let histograms: Vec<Histogram> = (0..shards_n).map(|_| Histogram::default()).collect();
-        let mut direct = Sketch::new();
+        let mut direct = Sketch::default();
         for &v in &values {
             let shard = rng.gen_range(0..shards_n as u64) as usize;
             sketches[shard].record(v);
@@ -343,8 +343,8 @@ fn every_feed_path_gives_the_same_snapshot() {
         let flushed = Histogram::default();
         let merged = Histogram::default();
         let mut local = LocalHistogram::new();
-        let mut sketch = Sketch::new();
-        let mut whole = Sketch::new();
+        let mut sketch = Sketch::default();
+        let mut whole = Sketch::default();
         for &v in &values {
             recorded.record(v);
             local.record(v);
@@ -358,7 +358,7 @@ fn every_feed_path_gives_the_same_snapshot() {
             }
             if rng.gen_bool(0.05) {
                 merged.merge(&sketch);
-                sketch = Sketch::new();
+                sketch = Sketch::default();
             }
         }
         local.flush_into(&flushed);
@@ -441,14 +441,14 @@ fn snapshots_stay_self_consistent_under_concurrent_striped_flushes() {
         });
         // Scope joins the writers; signal the reader afterwards would be
         // too late, so join writers explicitly here.
-        while hist.count() < WRITERS * PER_WRITER {
+        while hist.snapshot().count < WRITERS * PER_WRITER {
             std::thread::yield_now();
         }
         done.store(true, Ordering::Release);
         let observed = reader.join().expect("reader must not panic");
         assert!(observed > 0, "the reader must race at least one snapshot");
     });
-    assert_eq!(hist.count(), WRITERS * PER_WRITER);
+    assert_eq!(hist.snapshot().count, WRITERS * PER_WRITER);
     let final_snap = hist.snapshot();
     assert_eq!(final_snap.count, WRITERS * PER_WRITER);
     assert_eq!(
